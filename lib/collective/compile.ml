@@ -52,7 +52,7 @@ type t = {
   succ_rank : Fa.t;
   seg_len : Fa.t;
   seg_pref : Fa.t;
-  keys : int array;
+  bidirectional : bool;
   probe : Fault_probe.t;
 }
 
@@ -90,7 +90,6 @@ let lower ~what ~clamp_ranks ~edge_faults ~bidirectional ~ranks ~chunk_words ~p
   done;
   seg_pref.{ranks} <- length;
   let probe = Fault_probe.make ~size:p.W.size ~bidirectional edge_faults in
-  let keys = if nrings = 1 then [||] else Array.make (nrings * length) 0 in
   let visited = Fa.Byte.make p.W.size 0 in
   let adjacent u v =
     W.suffix p u = W.prefix p v
@@ -117,15 +116,14 @@ let lower ~what ~clamp_ranks ~edge_faults ~bidirectional ~ranks ~chunk_words ~p
         cycle;
       Array.iter (fun v -> Fa.Byte.set visited v 0) cycle)
     cycles;
-  Array.iteri
-    (fun j cycle ->
+  Array.iter
+    (fun cycle ->
       let seg = ref 0 in
       for i = 0 to length - 1 do
         while !seg < ranks - 1 && i >= seg_pref.{!seg + 1} do
           incr seg
         done;
         let u = cycle.(i) and v = cycle.((i + 1) mod length) in
-        if nrings > 1 then keys.((j * length) + i) <- (u * p.W.size) + v;
         if (not (adjacent u v)) || Fault_probe.mem probe u v then begin
           let h = i - seg_pref.{!seg} in
           if h < !bad_round || (h = !bad_round && u < !bad_src) then begin
@@ -151,7 +149,7 @@ let lower ~what ~clamp_ranks ~edge_faults ~bidirectional ~ranks ~chunk_words ~p
     succ_rank;
     seg_len;
     seg_pref;
-    keys;
+    bidirectional;
     probe;
   }
 
@@ -173,18 +171,49 @@ let completion_rounds t ~phases =
   done;
   !worst + 1
 
+(* Slots as in the interface.  The forward test needs no second
+   division: (u / dⁿ⁻¹)·dⁿ + v − u·d = v − (u mod dⁿ⁻¹)·d, which lies
+   in [0, d) iff suffix(u) = prefix(v).  Byte counters keep the table
+   at d·dⁿ bytes (4 MB at B(4,10)); a slot already at [byte_max] keeps
+   counting in [spill], so no number of rings can wrap a count. *)
+let byte_max = 255
+
 let max_edge_share t =
   if t.nrings = 1 then 1
   else begin
-    Array.sort Int.compare t.keys;
+    let d = t.p.W.d and size = t.p.W.size in
+    let top = size / d in
+    let half = d * size in
+    let counts = Fa.Byte.make (if t.bidirectional then 2 * half else half) 0 in
+    let spill = Hashtbl.create 16 in
+    let overflow s =
+      let c =
+        1 + Option.value (Hashtbl.find_opt spill s) ~default:byte_max
+      in
+      Hashtbl.replace spill s c;
+      c
+    in
+    let length = t.length in
     let best = ref 1 in
-    let run = ref 1 in
-    for i = 1 to Array.length t.keys - 1 do
-      if t.keys.(i) = t.keys.(i - 1) then begin
-        incr run;
-        if !run > !best then best := !run
-      end
-      else run := 1
-    done;
+    (for j = 0 to t.nrings - 1 do
+       let cycle = t.cycles.(j) in
+       for i = 0 to length - 1 do
+         let u = cycle.(i) in
+         let v = cycle.(if i = length - 1 then 0 else i + 1) in
+         let fwd = ((u / top) * size) + v in
+         let x = fwd - (u * d) in
+         let s = if x >= 0 && x < d then fwd else half + ((v / top) * size) + u in
+         let c = Fa.Byte.get counts s in
+         let c =
+           if c < byte_max then begin
+             Fa.Byte.set counts s (c + 1);
+             c + 1
+           end
+           else overflow s
+         in
+         if c > !best then best := c
+       done
+     done)
+    [@lint.hot];
     !best
   end

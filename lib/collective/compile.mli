@@ -4,10 +4,10 @@
     {!lower} validates a (rings, rank-boundary) configuration once and
     compiles it into flat arrays: per-rank successor ranks, segment
     hop-lengths and their prefix sums ({!Graphlib.Flatarr} storage),
-    plus the packed directed-edge keys of every driven ring.  The
-    Netsim executor ({!Exec}) uses the tables for its role maps and
-    congestion accounting; the compiled executor ({!Fastpath}) runs the
-    whole schedule off them without ever materializing the network.
+    next to the driven node cycles themselves.  The Netsim executor
+    ({!Exec}) uses the tables for its role maps and congestion
+    accounting; the compiled executor ({!Fastpath}) runs the whole
+    schedule off them without ever materializing the network.
 
     The closed-form accounting helpers ({!completion_rounds},
     {!max_edge_share}) reproduce the simulator's self-timed pipelining
@@ -55,11 +55,10 @@ type t = {
   seg_pref : Graphlib.Flatarr.t;
       (** R+1 prefix sums of [seg_len]; [seg_pref.{r}] = hops before
           rank r (= [bounds.(r)]), [seg_pref.{R}] = L *)
-  keys : int array;
-      (** packed directed-edge keys u·dⁿ + v of every ring edge,
-          ring-major — [[||]] when [nrings = 1] (a cycle of distinct
-          nodes cannot repeat a directed edge, so the deepest sharing
-          is 1 without sorting anything) *)
+  bidirectional : bool;
+      (** [cycles] holds each ring's reversal too, so ring edges may
+          run against De Bruijn edges ({!max_edge_share} sizes its
+          table by it) *)
   probe : Fault_probe.t;  (** the compiled [edge_faults] probe *)
 }
 
@@ -102,6 +101,15 @@ val completion_rounds : t -> phases:int -> int
     to L). *)
 
 val max_edge_share : t -> int
-(** The deepest ring-sharing of any directed link: the longest run of
-    equal packed edge keys (1 for a single ring or any edge-disjoint
-    family).  Sorts [keys] in place on first use. *)
+(** The deepest ring-sharing of any directed link (1 for a single ring
+    or any edge-disjoint family), counted in one pass over the ring
+    edges with one counter per De Bruijn edge slot.  A forward edge u→v
+    is named by (first digit of u, v), slot (u / dⁿ⁻¹)·dⁿ + v, of a
+    d·dⁿ table; under [bidirectional] an edge that only runs against
+    the De Bruijn edge v→u takes slot (v / dⁿ⁻¹)·dⁿ + u of a second
+    d·dⁿ half.  The slots are injective on directed node pairs, so the
+    count is exact for every family {!lower} accepts, with no bound on
+    the number of rings (byte counters spill into a hash table past
+    255).  O(nrings·L) time, d·dⁿ bytes (twice that bidirectional);
+    O(1) when [nrings = 1], since a cycle of distinct nodes never
+    repeats a directed edge. *)

@@ -250,7 +250,7 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
   (* Arithmetic congestion accounting: each ring edge carries exactly
      [segment_messages] messages, so the peak directed-link load is
      that figure times the deepest ring-sharing of any edge
-     ([Compile.max_edge_share] over the packed edge keys). *)
+     ([Compile.max_edge_share], counted per De Bruijn edge slot). *)
   let msgs = Schedule.segment_messages spec.op ~ranks in
   let max_share = Compile.max_edge_share c in
   let payload_words = nrings * Schedule.payload_words spec.op ~ranks ~chunk_words:cw in

@@ -218,7 +218,7 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
      every phase moves one chunk across all L edges of every ring
      (each hop is one delivery of one cw-word message), rounds come
      from the self-timed arrival recurrence, and link sharing from the
-     packed edge keys. *)
+     per-slot edge counts. *)
   let delivered = nrings * ph * length in
   let wire_words = delivered * cw in
   let rounds = Compile.completion_rounds c ~phases:ph in

@@ -67,22 +67,25 @@ let simulate op ~ranks ~chunk_words ~init =
             | All_gather -> if chunk = r then init ~rank:r ~chunk ~word else 0
             | Reduce_scatter | Allreduce -> init ~rank:r ~chunk ~word))
   in
+  (* Rank r's in-flight chunk occupies row r, refilled every phase. *)
+  let in_flight = Array.make (ranks * chunk_words) 0 in
   for phase = 0 to ph - 1 do
     (* Sends are read out of the phase-start buffers before any receive
        lands, exactly like the message-passing execution. *)
-    let in_flight =
-      Array.init ranks (fun r ->
-          let c = send_chunk ~ranks ~rank:r ~phase in
-          Array.sub buf.(r) (c * chunk_words) chunk_words)
-    in
+    for r = 0 to ranks - 1 do
+      let c = send_chunk ~ranks ~rank:r ~phase in
+      Array.blit buf.(r) (c * chunk_words) in_flight (r * chunk_words)
+        chunk_words
+    done;
+    let red = reduces op ~ranks ~phase in
     for r = 0 to ranks - 1 do
       let from = (r - 1 + ranks) mod ranks in
       let c = recv_chunk ~ranks ~rank:r ~phase in
-      let data = in_flight.(from) in
-      let red = reduces op ~ranks ~phase in
+      let row = buf.(r) in
       for w = 0 to chunk_words - 1 do
         let i = (c * chunk_words) + w in
-        buf.(r).(i) <- (if red then buf.(r).(i) + data.(w) else data.(w))
+        let data = in_flight.((from * chunk_words) + w) in
+        row.(i) <- (if red then row.(i) + data else data)
       done
     done
   done;

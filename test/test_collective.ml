@@ -326,6 +326,72 @@ let test_fastpath_illegal_send () =
     [ 0; 1; 6 ]
 
 (* ------------------------------------------------------------------ *)
+(* Link sharing: slot counts against the sort-and-scan oracle *)
+
+module C = Collective.Compile
+
+let lower_family ?(bidirectional = false) ~p rings =
+  C.lower ~what:"test" ~clamp_ranks:false ~edge_faults:[] ~bidirectional
+    ~ranks:2 ~chunk_words:1 ~p ~faulty:(fun _ -> false) ~rings
+
+(* The historical accounting, kept as the oracle: pack every driven
+   directed edge as u·dⁿ + v, sort, and take the longest run. *)
+let sort_scan_share (c : C.t) =
+  let size = c.C.p.W.size and length = c.C.length in
+  let keys =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun cycle ->
+              Array.mapi (fun i u -> (u * size) + cycle.((i + 1) mod length)) cycle)
+            c.C.cycles))
+  in
+  Array.sort Int.compare keys;
+  let best = ref 1 and run = ref 1 in
+  for i = 1 to Array.length keys - 1 do
+    if keys.(i) = keys.(i - 1) then begin
+      incr run;
+      if !run > !best then best := !run
+    end
+    else run := 1
+  done;
+  !best
+
+let test_share_two_cycle () =
+  (* The length-2 ring 01 → 10 → 01 of B(2,2): both hops are forward
+     De Bruijn edges, so its reversal drives the same two directed
+     links again. *)
+  let p = W.params ~d:2 ~n:2 in
+  let c = lower_family ~bidirectional:true ~p [ [| 1; 2 |] ] in
+  check_int "reversal reuses both links" 2 (C.max_edge_share c);
+  check_int "oracle agrees" (sort_scan_share c) (C.max_edge_share c);
+  let c = lower_family ~p [ [| 1; 2 |] ] in
+  check_int "one direction alone" 1 (C.max_edge_share c)
+
+let test_share_many_copies () =
+  (* More copies than a byte counter holds. *)
+  let p = W.params ~d:2 ~n:3 in
+  let ring = hamiltonian_ring ~d:2 ~n:3 in
+  let c = lower_family ~p (List.init 300 (fun _ -> ring)) in
+  check_int "300 copies share every link" 300 (C.max_edge_share c);
+  let c = lower_family ~bidirectional:true ~p (List.init 300 (fun _ -> ring)) in
+  check_int "bidirectional oracle agrees" (sort_scan_share c) (C.max_edge_share c)
+
+let test_share_link_load () =
+  (* The striped B(4,2) family plus a second copy of its first ring:
+     that ring's links carry two rings' traffic. *)
+  let p = W.params ~d:4 ~n:2 in
+  let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d:4 ~n:2 ~k:3) in
+  let rings = List.hd rings :: rings in
+  check_int "share 2" 2 (C.max_edge_share (lower_family ~p rings));
+  let spec = { E.op = S.Allreduce; ranks = 4; chunk_words = 2; bidirectional = false } in
+  let re = E.run ~p ~faulty:(fun _ -> false) ~rings spec in
+  let rf = F.run ~p ~faulty:(fun _ -> false) ~rings spec in
+  check_int "exec link load = share x phases" (2 * re.E.phases) re.E.max_link_load;
+  check_int "fastpath link load = share x phases" (2 * rf.E.phases) rf.E.max_link_load;
+  agree ~what:"B(4,2) overlapping family" ~p ~rings spec
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let qsuite =
@@ -451,6 +517,17 @@ let qsuite =
                 ~faulty:(fun _ -> false) ~rings spec
             in
             same_report re rf && same_payload pe pf);
+    (* Slot counting equals the sort-and-scan oracle on families with
+       repeated rings, in both directions. *)
+    Test.make ~name:"max_edge_share = sort-and-scan oracle" ~count:40
+      (triple (pair (int_range 3 4) (int_range 2 3)) bool
+         (list_of_size (Gen.int_range 2 6) small_nat))
+      (fun ((d, n), bidirectional, picks) ->
+        let p = W.params ~d ~n in
+        let all = Array.of_list (List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:(P.psi d))) in
+        let rings = List.map (fun i -> all.(i mod Array.length all)) picks in
+        let c = lower_family ~bidirectional ~p rings in
+        C.max_edge_share c = sort_scan_share c);
     (* The deterministic-commit contract: any ?domains splits commit
        bit-identical arenas. *)
     Test.make ~name:"fastpath ?domains 1/2/4 bit-identity" ~count:10
@@ -501,6 +578,13 @@ let () =
           Alcotest.test_case "clamp_ranks policy" `Quick test_clamp_ranks;
           Alcotest.test_case "illegal send at compile time" `Quick
             test_fastpath_illegal_send;
+        ] );
+      ( "link sharing",
+        [
+          Alcotest.test_case "length-2 ring reversed" `Quick test_share_two_cycle;
+          Alcotest.test_case "300 copies" `Quick test_share_many_copies;
+          Alcotest.test_case "link load = share x phases" `Quick
+            test_share_link_load;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite);
     ]
