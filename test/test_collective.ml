@@ -579,7 +579,7 @@ let () =
           Alcotest.test_case "illegal send at compile time" `Quick
             test_fastpath_illegal_send;
         ] );
-      ( "link sharing",
+      ( "sharing",
         [
           Alcotest.test_case "length-2 ring reversed" `Quick test_share_two_cycle;
           Alcotest.test_case "300 copies" `Quick test_share_many_copies;
