@@ -25,10 +25,10 @@
     under the simulator's [?domains] parallel stepping (bit-identical
     results, same contract as every other protocol in the repo).
 
-    Verification is exact: the final buffer of every rank is compared
-    word-for-word against the rank-space reference execution
-    ({!Schedule.simulate}), itself a sequential fold of the integer
-    payloads — no floating point, no tolerance. *)
+    Verification is exact: every word of the final arena is compared
+    against the closed-form result of the ring schedule
+    ({!verify_arena}) — integer sums of the [init] payloads, no
+    floating point, no tolerance. *)
 
 type spec = {
   op : Schedule.op;
@@ -65,7 +65,10 @@ type report = {
           the peak is that figure times the deepest ring-sharing of
           any link (1 for edge-disjoint rings) *)
   max_port_load : int;  (** peak sends by one node in one round (simulator) *)
-  verified : bool;  (** exact match against {!Schedule.simulate} *)
+  verified : bool;
+      (** every final payload word equals its closed-form value
+          ({!verify_arena}); the test suite pins that closed form to
+          {!Schedule.simulate} *)
   checksum : int;  (** sum of all final payload words, for bit-identity pins *)
 }
 
@@ -137,3 +140,27 @@ val initial_word :
     per-rank ownership (chunk r live at rank r, the rest zero), the
     same convention as {!Schedule.simulate}.  Shared with {!Fastpath}
     so both executors fill bit-identical arenas. *)
+
+val verify_arena :
+  Schedule.op ->
+  init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
+  rings:int ->
+  ranks:int ->
+  chunk_words:int ->
+  Graphlib.Flatarr.t ->
+  bool * int
+(** [verify_arena op ~init ~rings ~ranks ~chunk_words buf] checks a
+    final payload arena (the layout {!run_with_payload} returns:
+    [rings·ranks²·chunk_words] words) against the closed-form result
+    of the ring schedule, for ring j, chunk c and word w:
+    - allreduce: every rank holds Σ_r init(j, r, c, w);
+    - all-gather: every rank holds init(j, c, c, w);
+    - reduce-scatter: rank (c + k) mod R holds the prefix sum
+      Σ_{i=0..k} init(j, (c + i) mod R, c, w), k = 0 … R−1 (k = R−1
+      is {!Schedule.owned_chunk}).
+
+    Returns [(verified, checksum)]: whether every word matches, and
+    the sum of all arena words.  One pass over the arena with one
+    [chunk_words]-word accumulator; [init] is called at most
+    ranks²·chunk_words times per ring.  Both executors call it.
+    @raise Invalid_argument if [buf] has the wrong length. *)

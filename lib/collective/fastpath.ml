@@ -142,7 +142,8 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
      [Exec.run] — rank r of ring j owns the [ranks·cw]-word slice at
      [((j·ranks) + r)·ranks·cw] — so the two executors' final arenas
      can be compared word for word. *)
-  let buf = Fa.make (nrings * ranks * ranks * cw) 0 in
+  (* [create], not [make]: the fill below writes every word. *)
+  let buf = Fa.create (nrings * ranks * ranks * cw) in
   let base_of ~ring ~rank = ((ring * ranks) + rank) * ranks * cw in
   for j = 0 to nrings - 1 do
     for r = 0 to ranks - 1 do
@@ -195,25 +196,11 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
         done;
         max_port_load pool c ~phases:ph)
   in
-  (* Exact verification against the rank-space reference execution —
-     the same oracle, and the same traversal order for the checksum,
-     as [Exec.run]. *)
-  let verified = ref true in
-  let checksum = ref 0 in
-  for j = 0 to nrings - 1 do
-    let expect =
-      Schedule.simulate op ~ranks ~chunk_words:cw
-        ~init:(fun ~rank ~chunk ~word -> init ~ring:j ~rank ~chunk ~word)
-    in
-    for r = 0 to ranks - 1 do
-      let base = base_of ~ring:j ~rank:r in
-      for i = 0 to (ranks * cw) - 1 do
-        let got = buf.{base + i} in
-        checksum := !checksum + got;
-        if got <> expect.(r).(i) then verified := false
-      done
-    done
-  done;
+  (* Exact word-for-word verification against the closed-form final
+     arena — the same checker, hence the same checksum, as [Exec.run]. *)
+  let verified, checksum =
+    Exec.verify_arena op ~init ~rings:nrings ~ranks ~chunk_words:cw buf
+  in
   (* Counters in closed form, matching the simulator's accounting:
      every phase moves one chunk across all L edges of every ring
      (each hop is one delivery of one cw-word message), rounds come
@@ -238,8 +225,8 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
         8.0 *. float_of_int payload_words /. float_of_int (max 1 rounds);
       max_link_load = max_share * msgs;
       max_port_load = port;
-      verified = !verified;
-      checksum = !checksum;
+      verified;
+      checksum;
     }
   in
   (report, buf)

@@ -14,7 +14,10 @@
     {!Netsim.Simulator}'s self-timed pipelining figures exactly.
 
     The equivalence is enforced three ways: the same word-for-word
-    verification against {!Schedule.simulate} that Exec performs, a
+    check Exec runs ({!Exec.verify_arena}, which compares every arena
+    word against the closed-form final payload — the same relay
+    observation applied to the data: chunk c ends as a sum of the
+    ranks' own init words, so no schedule is re-run to know it), a
     qcheck suite pinning report counters and final arenas identical to
     Exec across ops × ranks × chunk_words × bidirectional × fault
     draws, and the bench harness comparing the two engines on every

@@ -76,6 +76,8 @@ val simulate : op -> ranks:int -> chunk_words:int ->
   init:(rank:int -> chunk:int -> word:int -> int) -> int array array
 (** Reference executor in rank space: run the schedule sequentially on
     heap buffers and return the final [ranks] buffers (each
-    ranks·chunk_words words, chunk-major).  The oracle the netsim
-    execution and the qcheck properties are checked against — a few
-    dozen lines of obviously-sequential folds, no simulator. *)
+    ranks·chunk_words words, chunk-major).  The test and bench oracle
+    — a few dozen lines of obviously-sequential folds, no simulator —
+    that pins the closed form {!Exec.verify_arena} checks.  The
+    executors do not call it: they check that closed form in one pass
+    rather than re-run the schedule per request. *)

@@ -98,6 +98,29 @@ let test_simulate_oracle () =
       done)
     [ (2, 1); (3, 2); (8, 3) ]
 
+(* Reduce-scatter on every chunk, not just the owned one: the wave
+   that starts at rank c has folded in ranks c … c+k when it lands at
+   rank c + k, so that rank holds the prefix sum over those k + 1
+   ranks — the closed form Exec.verify_arena checks. *)
+let test_reduce_scatter_prefix () =
+  List.iter
+    (fun (ranks, cw) ->
+      let buf = S.simulate S.Reduce_scatter ~ranks ~chunk_words:cw ~init in
+      for c = 0 to ranks - 1 do
+        for w = 0 to cw - 1 do
+          let acc = ref 0 in
+          for k = 0 to ranks - 1 do
+            let r = (c + k) mod ranks in
+            acc := !acc + init ~rank:r ~chunk:c ~word:w;
+            check_int
+              (Printf.sprintf "R=%d chunk %d at rank %d" ranks c r)
+              !acc
+              buf.(r).((c * cw) + w)
+          done
+        done
+      done)
+    [ (2, 1); (3, 2); (5, 1); (8, 3) ]
+
 (* ------------------------------------------------------------------ *)
 (* Network execution *)
 
@@ -326,6 +349,59 @@ let test_fastpath_illegal_send () =
     [ 0; 1; 6 ]
 
 (* ------------------------------------------------------------------ *)
+(* The shared closed-form arena checker *)
+
+module Fa = Graphlib.Flatarr
+
+(* [rings] stripes of Schedule.simulate's final buffers laid out as an
+   executor arena: ring-major, then rank-major, then chunk-major. *)
+let simulated_arena op ~init ~rings ~ranks ~cw =
+  Fa.of_array
+    (Array.concat
+       (List.concat
+          (List.init rings (fun j ->
+               Array.to_list
+                 (S.simulate op ~ranks ~chunk_words:cw
+                    ~init:(fun ~rank ~chunk ~word -> init ~ring:j ~rank ~chunk ~word))))))
+
+let arena_sum a =
+  let s = ref 0 in
+  for i = 0 to Fa.length a - 1 do
+    s := !s + a.{i}
+  done;
+  !s
+
+(* verified can turn false: one corrupted word of a real executor
+   arena is caught, and the checksum moves by exactly the corruption. *)
+let test_verify_rejects_corruption () =
+  let d = 4 and n = 2 in
+  let p = W.params ~d ~n in
+  let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:2) in
+  List.iter
+    (fun op ->
+      let ranks = 5 and cw = 3 in
+      let spec = { E.op; ranks; chunk_words = cw; bidirectional = false } in
+      let r, payload = F.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+      let name = S.op_to_string op in
+      let verify a =
+        E.verify_arena op ~init:E.default_init ~rings:2 ~ranks ~chunk_words:cw a
+      in
+      let ok, sum = verify (Fa.of_array payload) in
+      check_bool (name ^ ": clean arena verifies") true (ok && r.E.verified);
+      check_int (name ^ ": checksum = report") r.E.checksum sum;
+      (* Words of both rings: under reduce-scatter all four are
+         non-owned prefix sums. *)
+      List.iter
+        (fun i ->
+          let a = Fa.of_array payload in
+          a.{i} <- a.{i} + 7;
+          let ok, sum' = verify a in
+          check_bool (Printf.sprintf "%s: word %d corrupted" name i) false ok;
+          check_int (Printf.sprintf "%s: checksum shifts by 7" name) (sum + 7) sum')
+        [ 0; 1; ranks * cw; Array.length payload - 1 ])
+    [ S.Reduce_scatter; S.All_gather; S.Allreduce ]
+
+(* ------------------------------------------------------------------ *)
 (* Link sharing: slot counts against the sort-and-scan oracle *)
 
 module C = Collective.Compile
@@ -414,7 +490,8 @@ let qsuite =
             ~rings
             { E.op; ranks; chunk_words = cw; bidirectional = false }
         in
-        (* verified = exact equality against Schedule.simulate, itself
+        (* verified = exact equality against the closed form, which the
+           verify_arena property pins to Schedule.simulate, itself
            checked against the sequential fold in the unit tests. *)
         r.E.verified && r.E.rings = k);
     Test.make ~name:"random surviving rings verify under link faults" ~count:20
@@ -528,6 +605,27 @@ let qsuite =
         let rings = List.map (fun i -> all.(i mod Array.length all)) picks in
         let c = lower_family ~bidirectional ~p rings in
         C.max_edge_share c = sort_scan_share c);
+    (* The closed-form checker accepts exactly the reference
+       executor's final buffers: all of them, with their plain sum as
+       checksum, and none once one word is off. *)
+    Test.make ~name:"verify_arena accepts exactly simulate" ~count:60
+      (quad (int_range 0 2) (int_range 2 9) (int_range 1 5)
+         (triple (int_range 0 3) small_nat (pair small_nat (int_range 1 1000))))
+      (fun (opi, ranks, cw, (j, seed, (pos, delta))) ->
+        let op = List.nth [ S.Reduce_scatter; S.All_gather; S.Allreduce ] opi in
+        let rings = j + 1 in
+        let seeded ~ring ~rank ~chunk ~word =
+          (Hashtbl.hash (seed, ring, rank, chunk, word) mod 2001) - 1000
+        in
+        let a = simulated_arena op ~init:seeded ~rings ~ranks ~cw in
+        let verify () =
+          E.verify_arena op ~init:seeded ~rings ~ranks ~chunk_words:cw a
+        in
+        let sum = arena_sum a in
+        let clean = verify () = (true, sum) in
+        let i = pos mod Fa.length a in
+        a.{i} <- a.{i} + delta;
+        clean && verify () = (false, sum + delta));
     (* The deterministic-commit contract: any ?domains splits commit
        bit-identical arenas. *)
     Test.make ~name:"fastpath ?domains 1/2/4 bit-identity" ~count:10
@@ -558,6 +656,8 @@ let () =
           Alcotest.test_case "rank boundaries" `Quick test_schedule_boundaries;
           Alcotest.test_case "reference executor vs fold oracle" `Quick
             test_simulate_oracle;
+          Alcotest.test_case "reduce-scatter prefix sums" `Quick
+            test_reduce_scatter_prefix;
         ] );
       ( "exec",
         [
@@ -578,6 +678,11 @@ let () =
           Alcotest.test_case "clamp_ranks policy" `Quick test_clamp_ranks;
           Alcotest.test_case "illegal send at compile time" `Quick
             test_fastpath_illegal_send;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "one corrupted word is caught" `Quick
+            test_verify_rejects_corruption;
         ] );
       ( "sharing",
         [
