@@ -11,9 +11,11 @@
      its rotl edge for k rounds — all nodes active every round, a pure
      throughput measurement (rounds/sec with n nodes stepping).
 
-   The section ends with the million-node acceptance run: distributed
-   FFC on B(2,17) with one fault must produce the very successor map
-   and cycle of the centralized Ffc.Embed construction. *)
+   Both network-level FFC engines are then timed at f >> d - 2 on
+   B(2,10) (the "distributed" rows), and the section ends with the
+   million-node acceptance run: distributed FFC on B(2,17) with one
+   fault must produce the very successor map and cycle of the
+   centralized Ffc.Embed construction. *)
 
 module W = Debruijn.Word
 module DG = Graphlib.Digraph
@@ -178,6 +180,61 @@ let distributed_acceptance ~domains =
       if not (same_succ && same_cycle) then
         failwith "scale: distributed FFC diverged from centralized Embed"
 
+(* Both network-level engines at f ≫ d − 2 (EXPERIMENTS.md
+   "Distributed implementation"): the B(2,10) instances of the
+   golden-count test in test/test_ffc.ml, f ∈ {2, 32, 64}, each the
+   first substream of seed 2 whose live necklaces all lie within
+   2n + 1 hops of the root, so Selftimed's fixed schedule suffices.
+   Rounds, deliveries and ring length are exact counters for the gate;
+   every send probes the fault set and the topology, so wall time
+   would grow with f if either probe did. *)
+let distributed_rows () =
+  print_endline (String.make 78 '-');
+  print_endline "NETWORK-LEVEL FFC AT f >> d-2 - Distributed and Selftimed on B(2,10)";
+  print_endline (String.make 78 '-');
+  let p = W.params ~d:2 ~n:10 in
+  let draw f =
+    let rec go k =
+      let faults =
+        Util.Rng.sample_distinct (Util.Rng.split 2 k) ~k:f ~bound:p.W.size
+      in
+      match Ffc.Bstar.compute ~root_hint:1 p ~faults with
+      | Some b when Ffc.Bstar.eccentricity_of_root b <= (2 * p.W.n) + 1 -> b
+      | _ -> go (k + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun f ->
+      let b = draw f in
+      ignore (Lazy.force b.Ffc.Bstar.graph);
+      let row engine (gt : Jrec.gc_timed) rounds delivered ring =
+        Printf.printf "  f = %3d  %-12s %8.3f s %4d rounds %7d messages  ring %d\n" f
+          engine gt.Jrec.wall_s rounds delivered ring;
+        record
+          ([
+             ("section", jstr "distributed");
+             ("d", jint 2);
+             ("n", jint 10);
+             ("f", jint f);
+             ("engine", jstr engine);
+           ]
+          @ Jrec.gc_fields gt
+          @ [
+              ("rounds", jint rounds);
+              ("delivered", jint delivered);
+              ("ring_length", jint ring);
+            ])
+      in
+      let d, gt = Jrec.time_gc (fun () -> Ffc.Distributed.run b) in
+      let s = d.Ffc.Distributed.stats in
+      row "distributed" gt s.Ffc.Distributed.total_rounds s.Ffc.Distributed.messages
+        (Array.length d.Ffc.Distributed.cycle);
+      let st, gt = Jrec.time_gc (fun () -> Ffc.Selftimed.run b) in
+      row "selftimed" gt st.Ffc.Selftimed.total_rounds st.Ffc.Selftimed.messages
+        (Array.length st.Ffc.Selftimed.cycle))
+    [ 2; 32; 64 ]
+
 (* Centralized FFC at scale (EXPERIMENTS.md "centralized FFC at
    scale"): the implicit/flat pipeline sweeps B(2,17) → B(2,22) with one
    fault, each ring verified arithmetically; the frozen list-based
@@ -282,6 +339,7 @@ let run ?(json = false) ?(smoke = false) () =
     workload ~domains ~with_seed:false ~d:2 ~n:20 ~k:8
   end;
   ffc_scale ~smoke ();
+  distributed_rows ();
   if not smoke then distributed_acceptance ~domains;
   print_newline ();
   if json then Jrec.write "BENCH_scale.json"

@@ -123,6 +123,12 @@ let component_of p ~faults node =
         ~get:(fun i -> members.(i))
         0 len (Some node)
 
+let fault_probe t =
+  let size = t.p.W.size in
+  let mask = Graphlib.Bitset.create size in
+  List.iter (fun v -> if v >= 0 && v < size then Graphlib.Bitset.add mask v) t.faults;
+  fun v -> v >= 0 && v < size && Graphlib.Bitset.mem mask v
+
 let nodes t =
   let acc = ref [] in
   for v = t.p.W.size - 1 downto 0 do

@@ -58,6 +58,14 @@ val component_members :
     (symmetric closure, live nodes only); [[||]] if the node lies on a
     faulty necklace. *)
 
+val fault_probe : t -> int -> bool
+(** [fault_probe t] is the membership test of [t.faults] — the
+    [~faulty] predicate of the netsim-backed engines, which call it once
+    per node and once per send.  Partial application builds one
+    dⁿ-bit mask (O(dⁿ/8 + f)); each probe is then O(1), whatever the
+    fault count.  Set semantics as [List.mem]: duplicate faults are
+    harmless, and codes outside \[0, dⁿ) are never reported faulty. *)
+
 val nodes : t -> int list
 (** Members of B\u{2217}, increasing. *)
 

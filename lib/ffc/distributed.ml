@@ -26,9 +26,8 @@ type t = {
 
 type probe_msg = { origin : int; hops : int }
 
-let probe_phase ?domains (bstar : Bstar.t) =
+let probe_phase ?domains ~faulty (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
-  let faulty v = List.mem v bstar.Bstar.faults in
   let proto : (bool, probe_msg) S.protocol =
     {
       initial = (fun _ -> false);
@@ -50,7 +49,7 @@ let probe_phase ?domains (bstar : Bstar.t) =
   S.run ?domains ~topology:(Lazy.force bstar.Bstar.graph) ~faulty proto
 
 let live_necklace_flags bstar =
-  let r = probe_phase bstar in
+  let r = probe_phase ~faulty:(Bstar.fault_probe bstar) bstar in
   (r.S.states, r.S.rounds)
 
 (* ------------------------------------------------------------------ *)
@@ -58,10 +57,9 @@ let live_necklace_flags bstar =
 
 type bcast_state = { dist : int; parent : int }
 
-let broadcast_phase ?domains (bstar : Bstar.t) (live : bool array) =
+let broadcast_phase ?domains ~faulty (bstar : Bstar.t) (live : bool array) =
   let p = bstar.Bstar.p in
   let root = bstar.Bstar.root in
-  let faulty v = List.mem v bstar.Bstar.faults in
   let proto : (bcast_state, int) S.protocol =
     {
       initial = (fun v -> { dist = (if v = root then 0 else -1); parent = -1 });
@@ -94,9 +92,8 @@ type choose_msg = { cand : candidate; chops : int }
 let better a b =
   if a.cdist <> b.cdist then a.cdist < b.cdist else a.cnode < b.cnode
 
-let choose_phase ?domains (bstar : Bstar.t) (bc : bcast_state array) =
+let choose_phase ?domains ~faulty (bstar : Bstar.t) (bc : bcast_state array) =
   let p = bstar.Bstar.p in
-  let faulty v = List.mem v bstar.Bstar.faults in
   let participates v = bc.(v).dist >= 0 || v = bstar.Bstar.root in
   let own v = { cdist = bc.(v).dist; cnode = v; cparent = bc.(v).parent } in
   let proto : (candidate option, choose_msg) S.protocol =
@@ -147,9 +144,8 @@ let merge_fragment (frag : fragment) w entries : fragment =
 let merge_fragments (a : fragment) (b : fragment) : fragment =
   List.fold_left (fun acc (w, es) -> merge_fragment acc w es) a b
 
-let exchange_phase ?domains (bstar : Bstar.t) (chosen : candidate option array) =
+let exchange_phase ?domains ~faulty (bstar : Bstar.t) (chosen : candidate option array) =
   let p = bstar.Bstar.p in
-  let faulty v = List.mem v bstar.Bstar.faults in
   let root_rep = Nk.canonical p bstar.Bstar.root in
   let proto : (fragment, announce) S.protocol =
     {
@@ -203,10 +199,9 @@ let exchange_phase ?domains (bstar : Bstar.t) (chosen : candidate option array) 
 
 type member_msg = { mfrag : fragment; mhops : int }
 
-let membership_phase ?domains (bstar : Bstar.t) (chosen : candidate option array)
+let membership_phase ?domains ~faulty (bstar : Bstar.t) (chosen : candidate option array)
     (frags : fragment array) =
   let p = bstar.Bstar.p in
-  let faulty v = List.mem v bstar.Bstar.faults in
   let proto : (fragment, member_msg) S.protocol =
     {
       initial = (fun v -> frags.(v));
@@ -250,14 +245,17 @@ let successor_of (p : W.params) v (frag : fragment) =
 
 let run ?domains (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
-  let r1 = probe_phase ?domains bstar in
+  (* One O(1) fault probe shared by all five phases: the simulator
+     calls it once per node and once per send. *)
+  let faulty = Bstar.fault_probe bstar in
+  let r1 = probe_phase ?domains ~faulty bstar in
   let live = r1.S.states in
-  let r2 = broadcast_phase ?domains bstar live in
+  let r2 = broadcast_phase ?domains ~faulty bstar live in
   let bc = r2.S.states in
-  let r3 = choose_phase ?domains bstar bc in
+  let r3 = choose_phase ?domains ~faulty bstar bc in
   let chosen = r3.S.states in
-  let r4 = exchange_phase ?domains bstar chosen in
-  let r5 = membership_phase ?domains bstar chosen r4.S.states in
+  let r4 = exchange_phase ?domains ~faulty bstar chosen in
+  let r5 = membership_phase ?domains ~faulty bstar chosen r4.S.states in
   let frags = r5.S.states in
   let successor = Array.make p.W.size (-1) in
   for v = 0 to p.W.size - 1 do

@@ -68,7 +68,7 @@ let run ?domains (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
   let n = p.W.n in
   let root = bstar.Bstar.root in
-  let faulty v = List.mem v bstar.Bstar.faults in
+  let faulty = Bstar.fault_probe bstar in
   let total = schedule_length ~n in
   (* phase boundaries (see the interface) *)
   let bcast_seed = n in
@@ -176,8 +176,13 @@ let run ?domains (bstar : Bstar.t) =
     }
   in
   let r =
-    S.run ?domains ~max_rounds:(total + 8) ~topology:(Lazy.force bstar.Bstar.graph) ~faulty
-      proto
+    (* Out of regime, floods from late-reached nodes can still be in
+       flight when the wind-down budget runs out. *)
+    try
+      S.run ?domains ~max_rounds:(total + 8) ~topology:(Lazy.force bstar.Bstar.graph) ~faulty
+        proto
+    with S.Did_not_converge _ ->
+      Pipeline_error.raise_error ~stage:"Selftimed" "traffic outlived the fixed schedule"
   in
   let successor = Array.make p.W.size (-1) in
   Array.iteri
@@ -186,12 +191,15 @@ let run ?domains (bstar : Bstar.t) =
   let cycle =
     (* [of_successor_map_n], not [of_successor_map]: the ranged walk
        treats a −1 successor (a node the schedule never reached) as
-       non-closure instead of indexing out of bounds. *)
+       non-closure instead of indexing out of bounds.  The walk can
+       also close early: necklaces the schedule did reach still link
+       into a shorter ring around the unreached ones, so the ring must
+       cover B* as well. *)
     match
       Graphlib.Cycle.of_successor_map_n ~n:p.W.size ~start:root (fun v -> successor.(v))
     with
-    | Some c -> c
-    | None ->
+    | Some c when Array.length c = bstar.Bstar.size -> c
+    | Some _ | None ->
         Pipeline_error.raise_error ~stage:"Selftimed"
           "schedule too short for this fault pattern"
   in

@@ -41,6 +41,10 @@ val schedule_length : n:int -> int
 val run : ?domains:int -> Bstar.t -> t
 (** Execute the self-timed protocol.  [domains] is passed to
     {!Netsim.Simulator.run} for parallel stepping of the big rounds.
-    @raise Pipeline_error.Error if the successor map does not close
-    into a cycle (possible only beyond the f ≤ d−2 guarantee, when
-    2n+1 rounds do not suffice for the broadcast). *)
+    @raise Pipeline_error.Error (stage ["Selftimed"]) if the ring does
+    not cover B\u{2217} — the successor map does not close, or closes
+    into a ring shorter than [bstar.size] around necklaces the
+    broadcast never reached — or if messages are still in flight when
+    the run's 5n + 12-round budget is spent.  Possible only beyond the
+    f ≤ d−2 guarantee, when 2n+1 rounds do not suffice for the
+    broadcast (eccentricity of R above 2n+1). *)

@@ -55,7 +55,11 @@ let build_preds g =
 let preds g u = (build_preds g).(u)
 let out_degree g u = List.length g.succ.(u)
 let in_degree g u = List.length (preds g u)
-let mem_edge g u v = List.mem v g.succ.(u)
+(* Monomorphic scan: [List.mem] would make one polymorphic-compare C
+   call per out-neighbour, and the simulator checks every send here. *)
+let rec mem_int (v : int) = function [] -> false | w :: ws -> w = v || mem_int v ws
+
+let mem_edge g u v = mem_int v g.succ.(u)
 
 let iter_edges f g =
   Array.iteri (fun u vs -> List.iter (fun v -> f u v) vs) g.succ

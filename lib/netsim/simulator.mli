@@ -101,6 +101,12 @@ val run :
     dead neighbor from a silent one, exactly as in the thesis's fault
     model.
 
+    [faulty] is called once per node when the run starts and once per
+    send that passes the edge check (on the destination), always from
+    the coordinating domain.  The O(active + messages) round cost
+    assumes it is O(1) — a [List.mem] over f faults makes every send
+    O(f); precompute a mask instead (as [Ffc.Bstar.fault_probe] does).
+
     [domains] (default 1) enables parallel stepping on OCaml 5
     domains: rounds with at least ~1000 active nodes are split across
     [domains] domains, stepped concurrently, and their sends merged

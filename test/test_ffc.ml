@@ -448,6 +448,108 @@ let test_probe_phase_flags () =
       else check_bool "flag matches necklace fault" (b.B.necklace_faulty.{v} = 0) live)
     flags
 
+(* Fault sets far beyond f ≤ d−2, drawn as the distributed-ffc
+   benchmark draws its pool: the first substream of [seed] whose B* has
+   every live necklace within 2n+1 hops of the root, the regime in
+   which Selftimed's fixed schedule suffices. *)
+let draw_in_regime p ~seed ~f =
+  let rec go k =
+    let faults = Util.Rng.sample_distinct (Util.Rng.split seed k) ~k:f ~bound:p.W.size in
+    match B.compute ~root_hint:1 p ~faults with
+    | Some b when B.eccentricity_of_root b <= (2 * p.W.n) + 1 -> b
+    | _ -> go (k + 1)
+  in
+  go 0
+
+(* Every deterministic count both engines report (phase traces carry
+   wall times and are left out). *)
+let protocol_counts (d : Dist.t) (st : Ffc.Selftimed.t) =
+  let s = d.Dist.stats in
+  [
+    s.Dist.probe_rounds; s.Dist.broadcast_rounds; s.Dist.choose_rounds;
+    s.Dist.exchange_rounds; s.Dist.membership_rounds; s.Dist.total_rounds;
+    s.Dist.messages; s.Dist.port_load; st.Ffc.Selftimed.total_rounds;
+    st.Ffc.Selftimed.messages;
+  ]
+
+let test_protocol_golden_counts () =
+  (* Exact protocol counts at f ≫ d−2 on B(2,10).  Columns: |B*|, then
+     [protocol_counts]: probe, broadcast, choose, exchange, membership
+     and total rounds, messages and port load of Distributed; total
+     rounds and messages of Selftimed. *)
+  let p = W.params ~d:2 ~n:10 in
+  List.iter
+    (fun (f, size, counts) ->
+      let b = draw_in_regime p ~seed:2 ~f in
+      let d = Dist.run b and st = Ffc.Selftimed.run b in
+      let name = Printf.sprintf "f=%d" f in
+      check_int (name ^ " |B*|") size b.B.size;
+      Alcotest.(check (list int)) (name ^ " counts") counts (protocol_counts d st);
+      let ring = (E.of_bstar b).E.cycle in
+      Alcotest.(check (array int)) (name ^ " distributed ring") ring d.Dist.cycle;
+      Alcotest.(check (array int)) (name ^ " self-timed ring") ring st.Ffc.Selftimed.cycle)
+    [
+      (2, 1004, [ 11; 13; 11; 2; 11; 48; 24284; 2; 55; 24284 ]);
+      (32, 723, [ 11; 19; 11; 2; 11; 54; 18427; 2; 55; 18427 ]);
+      (64, 532, [ 11; 22; 11; 2; 11; 57; 14254; 2; 55; 14254 ]);
+    ]
+
+let test_fault_mask_set_semantics () =
+  (* [B.t] records can be built by hand, so [faults] may repeat codes
+     or hold codes outside [0, dⁿ).  The probe must read it as a set,
+     as [List.mem] did: same successor maps, rings and counts, and no
+     exception on the out-of-range codes. *)
+  List.iter
+    (fun b ->
+      let size = b.B.p.W.size in
+      let b' = { b with B.faults = b.B.faults @ b.B.faults @ [ -1; size; size + 7 ] } in
+      let probe = B.fault_probe b' in
+      for v = -3 to size + 10 do
+        check_bool "probe = List.mem" (List.mem v b.B.faults) (probe v)
+      done;
+      let d = Dist.run b and d' = Dist.run b' in
+      let st = Ffc.Selftimed.run b and st' = Ffc.Selftimed.run b' in
+      Alcotest.(check (list int)) "counts" (protocol_counts d st) (protocol_counts d' st');
+      Alcotest.(check (array int)) "distributed successors" d.Dist.successor d'.Dist.successor;
+      Alcotest.(check (array int)) "distributed ring" d.Dist.cycle d'.Dist.cycle;
+      Alcotest.(check (array int)) "self-timed successors" st.Ffc.Selftimed.successor
+        st'.Ffc.Selftimed.successor;
+      Alcotest.(check (array int)) "self-timed ring" st.Ffc.Selftimed.cycle
+        st'.Ffc.Selftimed.cycle)
+    [ example_bstar (); draw_in_regime (W.params ~d:2 ~n:10) ~seed:2 ~f:32 ]
+
+let test_selftimed_out_of_regime () =
+  (* Beyond ecc(R) ≤ 2n+1 the fixed schedule can miss necklaces.
+     Selftimed must then raise its typed error, never return a ring;
+     the orchestrated protocol waits the broadcast out and matches the
+     centralized ring. *)
+  let check_case ~n ~faults ~size ~ecc =
+    let p = W.params ~d:2 ~n in
+    let b = Option.get (B.compute ~root_hint:1 p ~faults) in
+    check_int "|B*|" size b.B.size;
+    check_int "ecc(R)" ecc (B.eccentricity_of_root b);
+    let ring = (E.of_bstar b).E.cycle in
+    Alcotest.(check (array int)) "distributed ring" ring (Dist.run b).Dist.cycle;
+    match Ffc.Selftimed.run b with
+    | st ->
+        Alcotest.failf "Selftimed returned a %d-node ring for a %d-node B*"
+          (Array.length st.Ffc.Selftimed.cycle) size
+    | exception Ffc.Pipeline_error.Error err ->
+        Alcotest.(check string) "stage" "Selftimed" err.Ffc.Pipeline_error.stage
+  in
+  (* A 4-node necklace is never reached and keeps successor −1, yet the
+     other 140 nodes close into a ring. *)
+  check_case ~n:8 ~size:144 ~ecc:23
+    ~faults:[ 5; 24; 35; 46; 47; 48; 66; 77; 80; 88; 103; 134; 150; 205; 213; 228 ];
+  (* Late floods are still in flight when the round budget runs out. *)
+  check_case ~n:9 ~size:196 ~ecc:48
+    ~faults:
+      [
+        20; 24; 26; 52; 58; 69; 80; 85; 90; 91; 98; 99; 106; 107; 118; 131; 134; 143;
+        148; 153; 159; 185; 190; 192; 211; 217; 218; 225; 237; 241; 273; 274; 283; 311;
+        315; 316; 327; 334; 350; 383; 386; 388; 395; 424; 454; 459; 483; 508;
+      ]
+
 let test_lemma_2_1_arc_structure () =
   (* Lemma 2.1/2.2: H traverses each necklace in contiguous arcs, one
      per outgoing D-edge of that necklace (the incoming→outgoing paths
@@ -944,6 +1046,11 @@ let () =
           Alcotest.test_case "self-timed matches" `Quick test_selftimed_matches;
           Alcotest.test_case "self-timed fixed schedule" `Quick test_selftimed_schedule;
           Alcotest.test_case "probe flags" `Quick test_probe_phase_flags;
+          Alcotest.test_case "golden counts at f >> d-2" `Quick test_protocol_golden_counts;
+          Alcotest.test_case "fault mask keeps set semantics" `Quick
+            test_fault_mask_set_semantics;
+          Alcotest.test_case "self-timed fails loudly out of regime" `Quick
+            test_selftimed_out_of_regime;
           Alcotest.test_case "B(2,17) matches centralized (NETSIM_BIG=1)" `Slow
             test_distributed_b217;
         ] );
