@@ -301,8 +301,10 @@ let butterfly_cmd =
 
 let collective_cmd =
   let op_arg =
-    Arg.(value & opt string "allreduce" & info [ "op" ] ~docv:"OP"
-           ~doc:"Collective operation: reduce-scatter (rs), all-gather (ag) or allreduce (ar).")
+    Arg.(value
+         & opt (enum Core.Collective_schedule.op_names) Core.Collective_schedule.Allreduce
+         & info [ "op" ] ~docv:"OP"
+             ~doc:"Collective operation: reduce-scatter (rs), all-gather (ag) or allreduce (ar).")
   in
   let rings =
     Arg.(value & opt int 0 & info [ "rings" ] ~docv:"K"
@@ -336,13 +338,8 @@ let collective_cmd =
   let bidir =
     Arg.(value & flag & info [ "bidir" ] ~doc:"Also drive every ring in the reverse direction with its own payload stripe.")
   in
-  let run d n op_str rings_k ranks chunk_words faults seed domains bidir
+  let run d n op rings_k ranks chunk_words faults seed domains bidir
       engine_str clamp_ranks =
-    let op =
-      match Core.Collective_schedule.op_of_string op_str with
-      | Some op -> op
-      | None -> failwith (Printf.sprintf "bad op %S (want rs | ag | ar)" op_str)
-    in
     let engine =
       match engine_str with
       | "netsim" -> Core.Netsim

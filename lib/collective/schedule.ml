@@ -5,11 +5,16 @@ let op_to_string = function
   | All_gather -> "all-gather"
   | Allreduce -> "allreduce"
 
-let op_of_string = function
-  | "reduce-scatter" | "rs" -> Some Reduce_scatter
-  | "all-gather" | "ag" -> Some All_gather
-  | "allreduce" | "ar" -> Some Allreduce
-  | _ -> None
+(* Short form first: a printer that maps an op back to its last name in
+   the list (cmdliner's [Arg.enum] does) then shows the {!op_to_string}
+   name. *)
+let op_names =
+  [
+    ("rs", Reduce_scatter); ("reduce-scatter", Reduce_scatter); ("ag", All_gather);
+    ("all-gather", All_gather); ("ar", Allreduce); ("allreduce", Allreduce);
+  ]
+
+let op_of_string s = List.assoc_opt s op_names
 
 let check_ranks ranks =
   if ranks < 2 then invalid_arg "Schedule: ranks must be >= 2"

@@ -31,6 +31,10 @@ type op = Reduce_scatter | All_gather | Allreduce
 val op_to_string : op -> string
 (** ["reduce-scatter"], ["all-gather"], ["allreduce"]. *)
 
+val op_names : (string * op) list
+(** Every name {!op_of_string} accepts, paired with its operation: the
+    {!op_to_string} names and the short forms ["rs"], ["ag"], ["ar"]. *)
+
 val op_of_string : string -> op option
 
 val phases : op -> ranks:int -> int

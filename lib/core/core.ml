@@ -12,7 +12,6 @@ module Ffc_campaign = Ffc.Campaign
 module Ffc_live = Ffc.Live
 module Pipeline_error = Ffc.Pipeline_error
 module Distributed = Ffc.Distributed
-module Selftimed = Ffc.Selftimed
 module Routing = Ffc.Routing
 module Shift_cycles = Dhc.Shift_cycles
 module Strategies = Dhc.Strategies

@@ -1,27 +1,62 @@
 (** The network-level (distributed) implementation of the FFC algorithm
-    (§2.4), run phase by phase on the synchronous simulator.
+    (§2.4): one node program, run on the synchronous simulator under two
+    round schedules — the phased one of {!run}, and the fixed one of
+    {!Selftimed.run}.
 
-    Phases and their round budgets:
+    The program has five phases.  Each opens with one move at a round
+    the schedule picks, after which nodes only react to what they
+    receive:
     + {b Probe} — every node circulates its identity around its
-      necklace; a node that does not get its identity back within n
-      steps concludes its necklace is faulty (n rounds).
-    + {b Broadcast} — R floods a message through B\u{2217}; first receipt
-      fixes the BFS distance, the minimal sender fixes the T′ parent
-      (eccentricity(R) + 1 rounds).
-    + {b Choose} — each necklace circulates (distance, node, parent)
-      triples to elect its earliest-reached node Y (≤ n rounds).
+      necklace; a node that gets it back within n hops marks its
+      necklace fault-free.
+    + {b Broadcast} — R floods B\u{2217}; a node's first receipt fixes
+      its BFS distance, the minimal sender its T′ parent.
+    + {b Choose} — every reached node circulates (distance, node,
+      parent) around its necklace, electing its earliest-reached node Y.
     + {b Exchange} — each non-root necklace's exit node αw announces
       (α, its representative, its parent's representative) to all
       successors wγ; receivers keep announcements that concern a T_w
-      they belong to (1 round).
+      they belong to.
     + {b Membership} — the kept fragments circulate around each
-      necklace so that every exit node knows the full T_w membership
-      (≤ n rounds).
+      necklace, so that every exit node knows the full T_w membership.
 
-    After the last phase every node computes its successor in H locally.
-    The resulting successor map is {e identical} to the centralized
+    Every node then computes its successor in H locally.  The resulting
+    successor map is {e identical} to the centralized
     {!Embed.successor_map} (same tie-breaking rules), which the tests
-    assert. *)
+    assert.
+
+    The phased schedule of {!run} opens each phase at round 0 of its own
+    simulator run, and the next phase starts once the network is quiet:
+    n rounds for the probe, eccentricity(R) + 1 for the broadcast, ≤ n
+    for choose, 1 for the exchange and ≤ n for membership — O(K + n)
+    for any fault pattern. *)
+
+(** The node program both schedules run. *)
+module Node : sig
+  type t
+  (** Every node's state for one run over a B\u{2217}: one mutable
+      record per node of B(d,n), updated in place by {!step}. *)
+
+  type msg
+  (** The messages of all five phases. *)
+
+  type phase = Probe | Broadcast | Choose | Exchange | Membership
+
+  val create : Bstar.t -> t
+  (** Every node before the probe: no necklace known live, none reached. *)
+
+  val step : t -> phase option -> int -> (int * msg) list -> (int * msg) list
+  (** [step t opening v inbox] is node [v]'s move in one round: it
+      handles every message of [inbox] (sorted by source), then makes
+      [opening]'s opening move, if any.  It writes [v]'s record only, so
+      distinct nodes can step concurrently.  Returns [v]'s sends. *)
+
+  val read_out : stage:string -> t -> int array * int array
+  (** Every node's H-successor (−1 where no Y was elected) and the ring
+      read off from R.
+      @raise Pipeline_error.Error (stage [stage]) unless the successor
+      map closes into a ring covering the whole B\u{2217}. *)
+end
 
 type stats = {
   probe_rounds : int;
@@ -59,9 +94,12 @@ val run : ?domains:int -> Bstar.t -> t
     (the B\u{2217} itself is only used for the root choice and for reading
     off the final cycle; every decision inside the phases is made by the
     simulated nodes from received messages).
-    @raise Pipeline_error.Error if the assembled successor map does not
-    close into a cycle (a protocol-level invariant violation, not a
-    property of any fault set). *)
+    @raise Pipeline_error.Error (stage ["Distributed"]) if the successor
+    map does not close into a ring covering B\u{2217}.  A record from
+    {!Bstar.compute} never triggers this; an inconsistent one can, e.g.
+    one whose [faults] names a node of its own membership: the probe
+    kills that node's necklace and the rest may close into a shorter
+    ring. *)
 
 val live_necklace_flags : Bstar.t -> bool array * int
 (** Run only the probe phase; returns per-node "my necklace is fault

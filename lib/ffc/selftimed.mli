@@ -1,13 +1,13 @@
-(** A self-timed, single-program variant of the distributed FFC
-    protocol.
+(** The distributed FFC protocol on a fixed round schedule.
 
-    {!Distributed} runs the five phases as separate simulator runs with
-    an external orchestrator deciding when each phase has finished.  A
-    real synchronous machine has no such orchestrator: under the
-    f ≤ d−2 regime of Proposition 2.2 the diameter of B\u{2217} is at most
-    2n, so every phase can be given a {e fixed} round budget known to
-    all processors in advance, and the whole algorithm becomes one
-    program in which nodes switch phases by their local round counter:
+    {!Distributed.run} opens each phase once the network has gone quiet,
+    which takes an external orchestrator.  A real synchronous machine
+    has none: under the f ≤ d−2 regime of Proposition 2.2 the diameter
+    of B\u{2217} is at most 2n, so every phase can be given a {e fixed}
+    round budget known to all processors in advance.  {!run} executes
+    the same node program ({!Distributed.Node}, which defines what every
+    node does) in one simulator run, each node opening the phases by its
+    local round counter:
 
     {v
     rounds [0, n]             necklace probe
@@ -39,7 +39,7 @@ val schedule_length : n:int -> int
 (** 5n + 4. *)
 
 val run : ?domains:int -> Bstar.t -> t
-(** Execute the self-timed protocol.  [domains] is passed to
+(** Execute the protocol on the fixed schedule.  [domains] is passed to
     {!Netsim.Simulator.run} for parallel stepping of the big rounds.
     @raise Pipeline_error.Error (stage ["Selftimed"]) if the ring does
     not cover B\u{2217} — the successor map does not close, or closes
@@ -47,4 +47,5 @@ val run : ?domains:int -> Bstar.t -> t
     broadcast never reached — or if messages are still in flight when
     the run's 5n + 12-round budget is spent.  Possible only beyond the
     f ≤ d−2 guarantee, when 2n+1 rounds do not suffice for the
-    broadcast (eccentricity of R above 2n+1). *)
+    broadcast (eccentricity of R above 2n+1), or on an inconsistent
+    record (as for {!Distributed.run}). *)

@@ -420,22 +420,15 @@ let test_selftimed_matches () =
     [ (3, 3); (4, 3); (5, 2); (5, 3); (6, 2) ]
 
 let test_selftimed_schedule () =
-  (* the round count is a fixed function of n, whatever the faults *)
+  (* the round count is a fixed function of n, whatever the faults: the
+     5n + 4 rounds of the schedule plus the round-0 compute step *)
   let p = W.params ~d:5 ~n:3 in
-  let lengths =
-    List.map
-      (fun faults ->
-        let b = Option.get (B.compute p ~faults) in
-        (Ffc.Selftimed.run b).Ffc.Selftimed.total_rounds)
-      [ [ 0 ]; [ 7; 99 ]; [ 1; 2; 3 ] ]
-  in
   List.iter
-    (fun r ->
-      check_bool "within schedule + wind-down" true
-        (r <= Ffc.Selftimed.schedule_length ~n:3 + 2))
-    lengths;
-  check_int "same rounds for all fault patterns" 1
-    (List.length (List.sort_uniq compare lengths))
+    (fun faults ->
+      let b = Option.get (B.compute p ~faults) in
+      check_int "5n + 5 executed rounds" (Ffc.Selftimed.schedule_length ~n:3 + 1)
+        (Ffc.Selftimed.run b).Ffc.Selftimed.total_rounds)
+    [ [ 0 ]; [ 7; 99 ]; [ 1; 2; 3 ] ]
 
 let test_probe_phase_flags () =
   let b = example_bstar () in
@@ -549,6 +542,50 @@ let test_selftimed_out_of_regime () =
         148; 153; 159; 185; 190; 192; 211; 217; 218; 225; 237; 241; 273; 274; 283; 311;
         315; 316; 327; 334; 350; 383; 386; 388; 395; 424; 454; 459; 483; 508;
       ]
+
+let test_schedules_domains_identical () =
+  (* B(2,12) has 4096 nodes, so the busy rounds of both schedules cross
+     the simulator's parallel-stepping threshold (1024 active nodes) and
+     ~domains:2 steps them concurrently. *)
+  let p = W.params ~d:2 ~n:12 in
+  List.iter
+    (fun f ->
+      let b = draw_in_regime p ~seed:3 ~f in
+      let d = Dist.run b and d2 = Dist.run ~domains:2 b in
+      let st = Ffc.Selftimed.run b and st2 = Ffc.Selftimed.run ~domains:2 b in
+      let name = Printf.sprintf "f=%d" f in
+      check_bool (name ^ " parallel rounds") true
+        (Array.exists (fun r -> r.Netsim.Simulator.active >= 1024) st2.Ffc.Selftimed.trace);
+      Alcotest.(check (list int)) (name ^ " counts") (protocol_counts d st) (protocol_counts d2 st2);
+      Alcotest.(check (array int)) (name ^ " distributed successors") d.Dist.successor
+        d2.Dist.successor;
+      Alcotest.(check (array int)) (name ^ " distributed ring") d.Dist.cycle d2.Dist.cycle;
+      Alcotest.(check (array int)) (name ^ " self-timed successors") st.Ffc.Selftimed.successor
+        st2.Ffc.Selftimed.successor;
+      Alcotest.(check (array int)) (name ^ " self-timed ring") st.Ffc.Selftimed.cycle
+        st2.Ffc.Selftimed.cycle)
+    [ 1; 3 ]
+
+(* Both schedules run the same node program, so in the self-timed regime
+   they must agree with each other and with the centralized ring. *)
+let prop_schedules_agree =
+  let gen =
+    QCheck.Gen.(
+      int_range 6 9 >>= fun n ->
+      int_range 1 (3 * n) >>= fun f ->
+      int_range 0 1_000_000 >>= fun seed -> return (n, f, seed))
+  in
+  QCheck.Test.make ~name:"both schedules run the same program" ~count:100
+    (QCheck.make ~print:(fun (n, f, seed) -> Printf.sprintf "B(2,%d) f=%d seed=%d" n f seed) gen)
+    (fun (n, f, seed) ->
+      let b = draw_in_regime (W.params ~d:2 ~n) ~seed ~f in
+      let d = Dist.run b and st = Ffc.Selftimed.run b in
+      let cent = E.of_bstar b in
+      d.Dist.successor = st.Ffc.Selftimed.successor
+      && d.Dist.successor = Fa.to_array cent.E.successor
+      && d.Dist.stats.Dist.messages = st.Ffc.Selftimed.messages
+      && d.Dist.cycle = cent.E.cycle
+      && st.Ffc.Selftimed.cycle = cent.E.cycle)
 
 let test_lemma_2_1_arc_structure () =
   (* Lemma 2.1/2.2: H traverses each necklace in contiguous arcs, one
@@ -1053,6 +1090,9 @@ let () =
             test_selftimed_out_of_regime;
           Alcotest.test_case "B(2,17) matches centralized (NETSIM_BIG=1)" `Slow
             test_distributed_b217;
+          Alcotest.test_case "domains:2 = sequential, both schedules" `Quick
+            test_schedules_domains_identical;
+          QCheck_alcotest.to_alcotest ~long:false prop_schedules_agree;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite);
     ]

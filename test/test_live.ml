@@ -180,28 +180,29 @@ let test_stats_accounting () =
    surface as Pipeline_error.Error, not Failure/assert *)
 
 let test_malformed_bstar_typed_error () =
-  (* A B* record whose [faults] list disagrees with its membership
-     arrays: node 2 is declared faulty though it lies inside the
-     fault-free B(2,3) membership.  The simulated engines then never
-     reach the root's necklace (2 blocks the probe relay through
-     {1,2,4}), the successor walk runs off the schedule's reach, and
-     both must refuse with the typed error — never a bare [Failure] or
-     an out-of-bounds crash. *)
-  let p = W.params ~d:2 ~n:3 in
-  let healthy = Option.get (B.compute ~root_hint:1 p ~faults:[]) in
-  let mangled = { healthy with B.faults = [ 2 ] } in
-  (match Ffc.Selftimed.run mangled with
-  | _ -> Alcotest.fail "Selftimed accepted a malformed B*"
-  | exception Ffc.Pipeline_error.Error err ->
-      check_bool "selftimed error names its stage" true
-        (String.length (Ffc.Pipeline_error.to_string err) > 0)
-  | exception Failure _ -> Alcotest.fail "Selftimed crash path still raises Failure");
-  match Ffc.Distributed.run mangled with
-  | _ -> Alcotest.fail "Distributed accepted a malformed B*"
-  | exception Ffc.Pipeline_error.Error err ->
-      check_bool "distributed error names its stage" true
-        (String.length (Ffc.Pipeline_error.to_string err) > 0)
-  | exception Failure _ -> Alcotest.fail "Distributed crash path still raises Failure"
+  (* B* records whose [faults] list disagrees with their membership
+     arrays: one node of the fault-free B(2,3) or B(3,3) membership is
+     declared faulty.  The probe then kills that node's necklace; the
+     rest can still close into a shorter ring, or not close at all when
+     the root's necklace dies.  Both engines must refuse every such
+     record with the typed error under their own stage name — never a
+     bare [Failure], an out-of-bounds crash or a ring that misses B*. *)
+  List.iter
+    (fun (d, n) ->
+      let p = W.params ~d ~n in
+      let healthy = Option.get (B.compute ~root_hint:1 p ~faults:[]) in
+      for x = 0 to p.W.size - 1 do
+        let mangled = { healthy with B.faults = [ x ] } in
+        let refuses stage run =
+          match run mangled with
+          | () -> Alcotest.failf "%s returned a ring for B(%d,%d) with faults = [%d]" stage d n x
+          | exception Ffc.Pipeline_error.Error err ->
+              Alcotest.(check string) "stage" stage err.Ffc.Pipeline_error.stage
+        in
+        refuses "Distributed" (fun b -> ignore (Ffc.Distributed.run b));
+        refuses "Selftimed" (fun b -> ignore (Ffc.Selftimed.run b))
+      done)
+    [ (2, 3); (3, 3) ]
 
 let test_campaign_records_errors () =
   (* The campaign aggregates typed errors instead of crashing; on
