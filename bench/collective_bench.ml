@@ -2,8 +2,12 @@
    all-gather and allreduce driven on (a) the FFC-embedded ring under
    node faults (Chapter 2) and (b) up to psi(d) edge-disjoint
    Hamiltonian rings under link faults (Chapter 3), each through BOTH
-   executors: the message-by-message netsim engine and the compiled
-   zero-copy fastpath.
+   library executors: the message-by-message netsim reference
+   Collective.Exec and the compiled zero-copy Collective.Fastpath that
+   Core's drivers run.  Every timed call builds its rings first, as
+   the drivers do: the FFC embed plus the faulty-necklace flags, the
+   first k disjoint streams, or the streams that survive the link
+   faults.
 
    Smoke: B(2,10) for the FFC cases, B(4,5) for striping, plus a
    full-scale B(2,16) bidirectional fastpath allreduce (the PR lane
@@ -33,7 +37,7 @@ let record = Jrec.record
 
 let ops = [ Core.Collective_schedule.Reduce_scatter; All_gather; Allreduce ]
 
-(* Accounted wire throughput of the whole driver call (embed/stream
+(* Accounted wire throughput of the whole timed call (ring
    construction included): 8 x wire_words / wall.  The figure the
    B(2,22) nightly rows exist for. *)
 let bytes_per_s (r : Core.Collective_exec.report) (g : Jrec.gc_timed) =
@@ -121,6 +125,36 @@ let speedup ~what ~enforce (gn : Jrec.gc_timed) (gf : Jrec.gc_timed) =
          "collective: fastpath minor-words ratio x%.1f below 100x (%s)" minor
          what)
 
+(* The rings of one request: the FFC ring avoiding the faulty
+   processors (with their necklace flags), or the first k disjoint
+   Hamiltonian rings, or the first k that survive [edge_faults]. *)
+let ffc_ring p ~faults () =
+  let e = Option.get (Core.Embed.embed p ~faults) in
+  let flags = Core.Necklace.mark_faulty_necklaces p faults in
+  ((fun v -> flags.(v)), [ e.Core.Embed.cycle ])
+
+let striped_rings ~d ~n ~k ~edge_faults () =
+  let streams =
+    match edge_faults with
+    | [] -> Core.Compose.disjoint_streams_upto ~d ~n ~k
+    | _ ->
+        List.filteri
+          (fun i _ -> i < k)
+          (Core.Edge_fault.surviving_disjoint_streams ~d ~n ~faults:edge_faults)
+  in
+  ((fun _ -> false), List.map Core.Stream.to_nodes streams)
+
+(* One timed request per executor: build the rings, then run. *)
+let netsim ?domains ?(edge_faults = []) ~p rings spec =
+  Jrec.time_gc (fun () ->
+      let faulty, rings = rings () in
+      Collective.Exec.run ?domains ~edge_faults ~p ~faulty ~rings spec)
+
+let fastpath ?domains ?(edge_faults = []) ~p rings spec =
+  Jrec.time_gc (fun () ->
+      let faulty, rings = rings () in
+      Collective.Fastpath.run ?domains ~edge_faults ~p ~faulty ~rings spec)
+
 (* Chapter-2 side: the FFC-embedded ring under seeded random node
    faults, both engines on every point. *)
 let ffc_side ~d ~n ~ranks ~chunk_words ~fault_counts ~enforce =
@@ -133,17 +167,14 @@ let ffc_side ~d ~n ~ranks ~chunk_words ~fault_counts ~enforce =
       let faults = Core.Rng.sample_distinct rng ~k:f ~bound:p.Core.Word.size in
       List.iter
         (fun op ->
-          let run engine =
-            Jrec.time_gc (fun () ->
-                Option.get
-                  (Core.collective_over_fault_free_ring ~engine ~d ~n ~faults
-                     ~op ~ranks ~chunk_words ()))
+          let spec =
+            { Core.Collective_exec.op; ranks; chunk_words; bidirectional = false }
           in
-          let r, g = run Core.Netsim in
+          let r, g = netsim ~p (ffc_ring p ~faults) spec in
           check_verified ~what:(Printf.sprintf "ffc f=%d" f) r;
           show ~engine:(Printf.sprintf "ffc-ring f=%d" f) ~op r g;
           row ~engine:"ffc-ring" ~d ~n ~f ~op r g;
-          let rf, gf = run Core.Fastpath in
+          let rf, gf = fastpath ~p (ffc_ring p ~faults) spec in
           check_verified ~what:(Printf.sprintf "ffc fastpath f=%d" f) rf;
           check_agreement ~what:(Printf.sprintf "ffc f=%d" f) r rf;
           show ~engine:(Printf.sprintf "ffc-ring fastpath f=%d" f) ~op rf gf;
@@ -161,22 +192,17 @@ let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
   Printf.printf
     " striped rings of B(%d,%d) (%d nodes), psi(%d) = %d, ranks %d, chunk %d words\n"
     d n p.Core.Word.size d k ranks chunk_words;
-  let run ?(engine = Core.Netsim) ?domains ?(bidirectional = false)
-      ?(edge_faults = []) ~k op =
-    Jrec.time_gc (fun () ->
-        Option.get
-          (Core.striped_collective_over_disjoint_rings ~engine ?domains
-             ~bidirectional ~edge_faults ~d ~n ~k ~op ~ranks ~chunk_words ()))
+  let spec ?(bidirectional = false) op =
+    { Core.Collective_exec.op; ranks; chunk_words; bidirectional }
   in
   (* Every netsim point paired with its fastpath sibling. *)
-  let pair ?bidirectional ?edge_faults ~what ~label ~k ~f op =
-    let r, g = run ?bidirectional ?edge_faults ~k op in
+  let pair ?bidirectional ?(edge_faults = []) ~what ~label ~k ~f op =
+    let rings = striped_rings ~d ~n ~k ~edge_faults in
+    let r, g = netsim ~edge_faults ~p rings (spec ?bidirectional op) in
     check_verified ~what r;
     show ~engine:label ~op r g;
     row ~engine:label ~d ~n ~f ~op r g;
-    let rf, gf =
-      run ~engine:Core.Fastpath ?bidirectional ?edge_faults ~k op
-    in
+    let rf, gf = fastpath ~edge_faults ~p rings (spec ?bidirectional op) in
     check_verified ~what:(what ^ " fastpath") rf;
     check_agreement ~what rf r;
     show ~engine:(label ^ " fastpath") ~op rf gf;
@@ -210,7 +236,8 @@ let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
       (* Parallel stepping must be bit-identical to the sequential run,
          on both engines. *)
       if op = Core.Collective_schedule.Allreduce then begin
-        let rd, gd = run ~domains:2 ~k op in
+        let rings = striped_rings ~d ~n ~k ~edge_faults:[] in
+        let rd, gd = netsim ~domains:2 ~p rings (spec op) in
         if
           rd.Core.Collective_exec.checksum <> rk.Core.Collective_exec.checksum
           || rd.Core.Collective_exec.rounds <> rk.Core.Collective_exec.rounds
@@ -221,7 +248,7 @@ let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
         show ~engine:(Printf.sprintf "striped x%d domains x2" k) ~op rd gd;
         row ~engine:(Printf.sprintf "striped x%d domains x2" k) ~d ~n ~f:0 ~op rd
           gd;
-        let rfd, gfd = run ~engine:Core.Fastpath ~domains:2 ~k op in
+        let rfd, gfd = fastpath ~domains:2 ~p rings (spec op) in
         check_agreement ~what:"fastpath domains=2" rfd rkf;
         check_verified ~what:"fastpath domains=2" rfd;
         show ~engine:(Printf.sprintf "striped x%d fastpath domains x2" k) ~op
@@ -261,10 +288,8 @@ let fastpath_scale ~d ~n ~ranks ~chunk_words ~bidirectional ~fault_counts =
       let rng = Core.Rng.create 0x5eed in
       let faults = Core.Rng.sample_distinct rng ~k:f ~bound:p.Core.Word.size in
       let r, g =
-        Jrec.time_gc (fun () ->
-            Option.get
-              (Core.collective_over_fault_free_ring ~engine:Core.Fastpath
-                 ~bidirectional ~d ~n ~faults ~op ~ranks ~chunk_words ()))
+        fastpath ~p (ffc_ring p ~faults)
+          { Core.Collective_exec.op; ranks; chunk_words; bidirectional }
       in
       check_verified ~what:(Printf.sprintf "fastpath scale f=%d" f) r;
       let label =

@@ -2,10 +2,10 @@
 
    Three studies on the streaming LFSR engine:
 
-   - streaming vs the frozen seed engine (Dhc.Reference): wall time to
-     produce a fault-avoiding Hamiltonian ring.  The seed materializes
-     dⁿ-length arrays and scans the fault list per probe; the stream is
-     a handful of closures and O(1) bitset probes.
+   - streaming vs the frozen seed engine (Oracles.Dhc_reference): wall
+     time to produce a fault-avoiding Hamiltonian ring.  The seed
+     materializes dⁿ-length arrays and scans the fault list per probe;
+     the stream is a handful of closures and O(1) bitset probes.
    - ring walks at million-node scale: the B(2,22) acceptance walk
      (4.2M-node ring checked Hamiltonian and De Bruijn edge-by-edge in
      O(1) memory), a faulted B(4,11) run, and pairwise edge-disjointness
@@ -18,7 +18,7 @@
 
 module W = Debruijn.Word
 module EF = Dhc.Edge_fault
-module R = Dhc.Reference
+module R = Oracles.Dhc_reference
 module Str = Dhc.Stream
 module Ca = Dhc.Campaign
 

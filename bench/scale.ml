@@ -1,8 +1,8 @@
 (* Simulator scale study (EXPERIMENTS.md "netsim at scale").
 
    Two workloads on fault-free B(d,n), run under the seed full-scan
-   engine (Netsim.Reference) and the worklist engine (Netsim.Simulator,
-   sequential and on OCaml domains):
+   engine (Oracles.Netsim_reference) and the worklist engine
+   (Netsim.Simulator, sequential and on OCaml domains):
 
    - flood: BFS broadcast from node 0 — each node forwards once, so
      per-round activity is only the BFS frontier.  This is the sparse
@@ -20,7 +20,7 @@
 module W = Debruijn.Word
 module DG = Graphlib.Digraph
 module S = Netsim.Simulator
-module R = Netsim.Reference
+module R = Oracles.Netsim_reference
 
 let time = Jrec.time
 
@@ -259,7 +259,9 @@ let ffc_scale ~smoke () =
   let t_imp =
     best_of reps (fun () -> ignore (Option.get (Ffc.Embed.embed p17 ~faults)))
   in
-  let t_ref = best_of reps (fun () -> ignore (Ffc.Reference.embed p17 ~faults)) in
+  let t_ref =
+    best_of reps (fun () -> ignore (Oracles.Ffc_reference.embed p17 ~faults))
+  in
   Printf.printf
     "B(2,17), f = 1 (best of %d):\n\
     \  implicit pipeline        %8.3f s\n\
@@ -271,7 +273,9 @@ let ffc_scale ~smoke () =
   let _, gc_imp =
     Jrec.time_gc (fun () -> ignore (Option.get (Ffc.Embed.embed p17 ~faults)))
   in
-  let _, gc_ref = Jrec.time_gc (fun () -> ignore (Ffc.Reference.embed p17 ~faults)) in
+  let _, gc_ref =
+    Jrec.time_gc (fun () -> ignore (Oracles.Ffc_reference.embed p17 ~faults))
+  in
   record
     [
       ("section", jstr "ffc");

@@ -160,7 +160,7 @@ let netsim_token_b47 () =
 let netsim_seed_kernel () =
   let g, flood = netsim_b47 () in
   Staged.stage (fun () ->
-      ignore (Netsim.Reference.run ~topology:g ~faulty:(fun _ -> false) flood))
+      ignore (Oracles.Netsim_reference.run ~topology:g ~faulty:(fun _ -> false) flood))
 
 let netsim_worklist_kernel () =
   let g, flood = netsim_b47 () in
@@ -177,7 +177,7 @@ let netsim_domains_kernel () =
 let netsim_token_seed_kernel () =
   let g, token = netsim_token_b47 () in
   Staged.stage (fun () ->
-      ignore (Netsim.Reference.run ~topology:g ~faulty:(fun _ -> false) token))
+      ignore (Oracles.Netsim_reference.run ~topology:g ~faulty:(fun _ -> false) token))
 
 let netsim_token_worklist_kernel () =
   let g, token = netsim_token_b47 () in
@@ -198,7 +198,7 @@ let ffc_implicit_domains_b214 () =
 
 let ffc_reference_b214 () =
   let p = W.params ~d:2 ~n:14 in
-  Staged.stage (fun () -> ignore (Ffc.Reference.embed p ~faults:[ 1 ]))
+  Staged.stage (fun () -> ignore (Oracles.Ffc_reference.embed p ~faults:[ 1 ]))
 
 let ffc_bstar_implicit_b214 () =
   let p = W.params ~d:2 ~n:14 in

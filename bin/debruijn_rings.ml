@@ -18,12 +18,31 @@ let d_arg =
 let n_arg =
   Arg.(required & opt (some int) None & info [ "n" ] ~docv:"N" ~doc:"Word length; the network has $(b,d^n) nodes.")
 
+(* An invalid argument that cmdliner cannot reject, because it depends
+   on (d, n) or comes back from the library: one error line and exit
+   code 2. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 2)
+    fmt
+
+(* A domain count of at least 1; anything else is a usage error. *)
+let domains_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv ~docv:"K" (parse, Format.pp_print_int)
+
 let words_conv d n =
   let p = Core.Word.params ~d ~n in
   fun s ->
     match Core.Word.of_string p s with
     | w -> w
-    | exception _ -> failwith (Printf.sprintf "bad node %S (expected %d digits < %d)" s n d)
+    | exception _ -> die "bad node %S (expected %d digits < %d)" s n d
 
 let render p ring =
   String.concat " " (List.map (Core.Word.to_string p) (Array.to_list ring))
@@ -93,7 +112,7 @@ let ffc_cmd =
                     t)
                 stats.Core.Distributed.phase_traces;
             ring)
-          (Core.fault_free_ring_distributed ~domains ~d ~n ~faults ())
+          (Core.fault_free_ring_distributed ~d ~n ~faults)
       else Core.fault_free_ring ~d ~n ~faults
     in
     match result with
@@ -112,7 +131,7 @@ let ffc_cmd =
     Arg.(value & flag & info [ "distributed" ] ~doc:"Run the network-level protocol on the simulator.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Run on $(docv) OCaml domains: simulator rounds with --distributed, trials with --campaign.")
+    Arg.(value & opt domains_conv 1 & info [ "domains" ] ~docv:"K" ~doc:"Run the trials of $(b,--campaign) or $(b,--churn) on $(docv) OCaml domains (statistics unchanged).")
   in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print per-phase round-by-round metrics (with --distributed).")
@@ -143,7 +162,7 @@ let ffc_cmd =
 let parse_edge d n s =
   match String.split_on_char '-' s with
   | [ u; v ] -> (words_conv d n u, words_conv d n v)
-  | _ -> failwith (Printf.sprintf "bad edge %S (expected U-V)" s)
+  | _ -> die "bad edge %S (expected U-V)" s
 
 let edge_cmd =
   let faults =
@@ -180,7 +199,7 @@ let dhc_cmd =
     Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"S" ~doc:"Campaign PRNG seed.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Parallelize campaign trials on $(docv) OCaml domains (statistics unchanged).")
+    Arg.(value & opt domains_conv 1 & info [ "domains" ] ~docv:"K" ~doc:"Parallelize campaign trials on $(docv) OCaml domains (statistics unchanged).")
   in
   let run d n fault_strs campaign trials fmax seed domains =
     let p = Core.Word.params ~d ~n in
@@ -276,14 +295,16 @@ let butterfly_cmd =
     let parse s =
       let node part =
         match String.split_on_char ',' part with
-        | [ l; c ] ->
-            Core.Butterfly_graph.encode bf ~level:(int_of_string l)
-              ~column:(words_conv d n c)
-        | _ -> failwith (Printf.sprintf "bad butterfly node %S" part)
+        | [ l; c ] -> (
+            match int_of_string_opt l with
+            | Some level when level >= 0 && level < n ->
+                Core.Butterfly_graph.encode bf ~level ~column:(words_conv d n c)
+            | _ -> die "bad butterfly level %S (expected 0..%d)" l (n - 1))
+        | _ -> die "bad butterfly node %S (expected L,COL)" part
       in
       match String.split_on_char '-' s with
       | [ u; v ] -> (node u, node v)
-      | _ -> failwith (Printf.sprintf "bad edge %S" s)
+      | _ -> die "bad edge %S (expected L,COL-L,COL)" s
     in
     let faults = List.map parse fault_strs in
     match Core.butterfly_ring_avoiding_edge_faults ~d ~n ~faults with
@@ -314,10 +335,6 @@ let collective_cmd =
     Arg.(value & opt int 8 & info [ "ranks" ] ~docv:"R"
            ~doc:"Logical participants per ring (an error when above the ring length unless $(b,--clamp-ranks) is passed).")
   in
-  let engine_arg =
-    Arg.(value & opt string "netsim" & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Executor: netsim (message-by-message simulation) or fastpath (compiled zero-copy kernel; identical counters).")
-  in
   let clamp_ranks =
     Arg.(value & flag & info [ "clamp-ranks" ]
            ~doc:"Clamp $(b,--ranks) to the ring length instead of erroring when it exceeds it.")
@@ -332,20 +349,10 @@ let collective_cmd =
   let seed =
     Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"S" ~doc:"Fault-sampling seed.")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc:"Step the simulator on $(docv) OCaml domains (bit-identical results).")
-  in
   let bidir =
     Arg.(value & flag & info [ "bidir" ] ~doc:"Also drive every ring in the reverse direction with its own payload stripe.")
   in
-  let run d n op rings_k ranks chunk_words faults seed domains bidir
-      engine_str clamp_ranks =
-    let engine =
-      match engine_str with
-      | "netsim" -> Core.Netsim
-      | "fastpath" -> Core.Fastpath
-      | s -> failwith (Printf.sprintf "bad engine %S (want netsim | fastpath)" s)
-    in
+  let run d n op rings_k ranks chunk_words faults seed bidir clamp_ranks =
     let p = Core.Word.params ~d ~n in
     let rng = Core.Rng.create seed in
     let report =
@@ -356,9 +363,8 @@ let collective_cmd =
           in
           Printf.printf "# %s over the FFC ring of B(%d,%d), %d node fault(s)\n"
             (Core.Collective_schedule.op_to_string op) d n faults;
-          Core.collective_over_fault_free_ring ~domains ~engine
-            ~bidirectional:bidir ~clamp_ranks ~d ~n ~faults:fault_nodes ~op
-            ~ranks ~chunk_words ()
+          Core.collective_over_fault_free_ring ~bidirectional:bidir ~clamp_ranks
+            ~d ~n ~faults:fault_nodes ~op ~ranks ~chunk_words ()
         end
         else begin
           let rec sample k acc =
@@ -373,13 +379,10 @@ let collective_cmd =
           Printf.printf
             "# %s striped over %d edge-disjoint ring(s) of B(%d,%d), %d link fault(s)\n"
             (Core.Collective_schedule.op_to_string op) rings_k d n faults;
-          Core.striped_collective_over_disjoint_rings ~domains ~engine
-            ~bidirectional:bidir ~clamp_ranks ~edge_faults ~d ~n ~k:rings_k ~op
-            ~ranks ~chunk_words ()
+          Core.striped_collective_over_disjoint_rings ~bidirectional:bidir
+            ~clamp_ranks ~edge_faults ~d ~n ~k:rings_k ~op ~ranks ~chunk_words ()
         end
-      with Invalid_argument msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2
+      with Invalid_argument msg -> die "%s" msg
     in
     match report with
     | None ->
@@ -402,7 +405,7 @@ let collective_cmd =
     (Cmd.info "collective"
        ~doc:"Ring collectives (reduce-scatter / all-gather / allreduce) over embedded rings.")
     Term.(const run $ d_arg $ n_arg $ op_arg $ rings $ ranks $ chunk_words $ faults
-          $ seed $ domains $ bidir $ engine_arg $ clamp_ranks)
+          $ seed $ bidir $ clamp_ranks)
 
 let route_cmd =
   let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"SRC") in

@@ -43,7 +43,7 @@ let () =
     in
     faults := fresh () :: !faults;
     let f = List.length !faults in
-    match Core.fault_free_ring_distributed ~d ~n ~faults:!faults () with
+    match Core.fault_free_ring_distributed ~d ~n ~faults:!faults with
     | None ->
         Printf.printf "%6d  network destroyed\n" f;
         continue := false

@@ -26,7 +26,7 @@ let () =
       let g = Core.Graph.b p in
       assert (Core.Cycle.is_cycle g ring);
       (* ... and the same ring emerges from the distributed protocol: *)
-      let dist, stats = Option.get (Core.fault_free_ring_distributed ~d ~n ~faults ()) in
+      let dist, stats = Option.get (Core.fault_free_ring_distributed ~d ~n ~faults) in
       assert (dist = ring);
       Printf.printf
         "Distributed protocol found the same ring in %d communication rounds\n"

@@ -1,5 +1,12 @@
 (** Execute ring-collective schedules over {!Netsim.Simulator} on
-    embedded rings of B(d,n).
+    embedded rings of B(d,n) — the reference executor.
+
+    Every relay hop is a simulator message, which makes this the
+    executable proof that the network can realize the schedule, and
+    the oracle {!Fastpath} is pinned against (reports and final
+    arenas).  Only the tests and the collective bench call {!run};
+    [Core]'s drivers and the CLI run {!Fastpath}, which shares this
+    module's types and its closed-form checker {!verify_arena}.
 
     The caller supplies the rings as node cycles — the FFC-embedded
     ring under node faults (Chapter 2, {!Ffc.Embed}), or up to ψ(d)

@@ -1,4 +1,6 @@
-(** Compiled zero-copy executor for ring collectives — the fastpath.
+(** Compiled zero-copy executor for ring collectives — the fastpath,
+    and the one executor [Core]'s collective drivers (and so the
+    [collective] CLI command) call.
 
     Same inputs, same {!Exec.report}, same payload arena as {!Exec.run},
     without the network: {!Compile.lower} flattens the (rings,

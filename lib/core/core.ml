@@ -28,29 +28,16 @@ module Rng = Util.Rng
 module Compose = Dhc.Compose
 module Collective_schedule = Collective.Schedule
 module Collective_exec = Collective.Exec
-module Collective_fastpath = Collective.Fastpath
-
-type collective_engine = Netsim | Fastpath
-
-let collective_run ~engine ?domains ?edge_faults ?clamp_ranks ~p ~faulty
-    ~rings spec =
-  match engine with
-  | Netsim ->
-      Collective.Exec.run ?domains ?edge_faults ?clamp_ranks ~p ~faulty ~rings
-        spec
-  | Fastpath ->
-      Collective.Fastpath.run ?domains ?edge_faults ?clamp_ranks ~p ~faulty
-        ~rings spec
 
 let fault_free_ring ~d ~n ~faults =
   let p = Word.params ~d ~n in
   Option.map (fun e -> e.Ffc.Embed.cycle) (Ffc.Embed.embed p ~faults)
 
-let fault_free_ring_distributed ?domains ~d ~n ~faults () =
+let fault_free_ring_distributed ~d ~n ~faults =
   let p = Word.params ~d ~n in
   Option.map
     (fun bstar ->
-      let r = Ffc.Distributed.run ?domains bstar in
+      let r = Ffc.Distributed.run bstar in
       (r.Ffc.Distributed.cycle, r.Ffc.Distributed.stats))
     (Ffc.Bstar.compute p ~faults)
 
@@ -87,22 +74,20 @@ let route ~d ~n ~faults x y =
 let necklace_count ~d ~n = Necklace_count.Count.total ~d ~n
 let necklace_count_of_length ~d ~n ~t = Necklace_count.Count.of_length ~d ~n ~t
 
-let collective_over_fault_free_ring ?domains ?(engine = Netsim)
-    ?(bidirectional = false) ?clamp_ranks ~d ~n ~faults ~op ~ranks
-    ~chunk_words () =
+let collective_over_fault_free_ring ?(bidirectional = false) ?clamp_ranks ~d
+    ~n ~faults ~op ~ranks ~chunk_words () =
   let p = Word.params ~d ~n in
   Option.map
     (fun e ->
       let flags = Necklace.mark_faulty_necklaces p faults in
-      collective_run ~engine ?domains ?clamp_ranks ~p
+      Collective.Fastpath.run ?clamp_ranks ~p
         ~faulty:(fun v -> flags.(v))
         ~rings:[ e.Ffc.Embed.cycle ]
         { Collective.Exec.op; ranks; chunk_words; bidirectional })
     (Ffc.Embed.embed p ~faults)
 
-let striped_collective_over_disjoint_rings ?domains ?(engine = Netsim)
-    ?(bidirectional = false) ?clamp_ranks ?(edge_faults = []) ~d ~n ~k ~op
-    ~ranks ~chunk_words () =
+let striped_collective_over_disjoint_rings ?(bidirectional = false)
+    ?clamp_ranks ?(edge_faults = []) ~d ~n ~k ~op ~ranks ~chunk_words () =
   let p = Word.params ~d ~n in
   let streams =
     match edge_faults with
@@ -121,7 +106,7 @@ let striped_collective_over_disjoint_rings ?domains ?(engine = Netsim)
   | _ ->
       let rings = List.map Dhc.Stream.to_nodes streams in
       Some
-        (collective_run ~engine ?domains ~edge_faults ?clamp_ranks ~p
+        (Collective.Fastpath.run ~edge_faults ?clamp_ranks ~p
            ~faulty:(fun _ -> false)
            ~rings
            { Collective.Exec.op; ranks; chunk_words; bidirectional })

@@ -17,6 +17,10 @@
     {- {!butterfly_ring_avoiding_edge_faults}: §3.4 — the butterfly
        extension;}
     {- {!de_bruijn_sequence}: a dⁿ-ary De Bruijn sequence;}
+    {- {!collective_over_fault_free_ring} and
+       {!striped_collective_over_disjoint_rings}: ring collectives over
+       the Chapter-2 and Chapter-3 rings, run by the compiled
+       {!Collective.Fastpath} executor;}
     {- necklace counting re-exports (Chapter 4).}} *)
 
 module Word = Debruijn.Word
@@ -49,7 +53,6 @@ module Rng = Util.Rng
 module Compose = Dhc.Compose
 module Collective_schedule = Collective.Schedule
 module Collective_exec = Collective.Exec
-module Collective_fastpath = Collective.Fastpath
 
 val fault_free_ring :
   d:int -> n:int -> faults:int list -> int array option
@@ -59,16 +62,10 @@ val fault_free_ring :
     survives. *)
 
 val fault_free_ring_distributed :
-  ?domains:int ->
-  d:int ->
-  n:int ->
-  faults:int list ->
-  unit ->
-  (int array * Ffc.Distributed.stats) option
+  d:int -> n:int -> faults:int list -> (int array * Ffc.Distributed.stats) option
 (** The same ring, computed by message passing on the synchronous
     network simulator; the stats report rounds and per-round metrics
-    per protocol phase.  [domains > 1] steps the big simulator rounds
-    in parallel on OCaml 5 domains (bit-identical results). *)
+    per protocol phase. *)
 
 val ring_length_guarantee : d:int -> n:int -> f:int -> int
 (** dⁿ − n·f — the Proposition 2.2 floor (valid for f ≤ d−2). *)
@@ -106,16 +103,7 @@ val necklace_count : d:int -> n:int -> int
 
 val necklace_count_of_length : d:int -> n:int -> t:int -> int
 
-type collective_engine = Netsim | Fastpath
-    (** Which executor drives a collective: [Netsim] simulates every
-        relay hop message-by-message over {!Collective.Exec};
-        [Fastpath] runs the compiled zero-copy kernel of
-        {!Collective.Fastpath}.  Identical reports for identical
-        inputs — the agreement is qcheck-pinned. *)
-
 val collective_over_fault_free_ring :
-  ?domains:int ->
-  ?engine:collective_engine ->
   ?bidirectional:bool ->
   ?clamp_ranks:bool ->
   d:int ->
@@ -128,12 +116,14 @@ val collective_over_fault_free_ring :
   Collective.Exec.report option
 (** One-call driver for the Chapter-2 setting: embed the FFC ring
     avoiding the faulty processors, then run the given collective over
-    it with the chosen [engine] (default [Netsim]), exact-verifying
-    the reduced values.  [None] when no ring survives the fault set. *)
+    it through {!Collective.Fastpath.run}, exact-verifying the reduced
+    values.  The report equals what the netsim reference executor
+    {!Collective.Exec} returns on the same ring.  [None] when no ring
+    survives the fault set.
+    @raise Invalid_argument as {!Collective.Fastpath.run} does, e.g.
+    when [ranks] exceeds the ring length without [clamp_ranks]. *)
 
 val striped_collective_over_disjoint_rings :
-  ?domains:int ->
-  ?engine:collective_engine ->
   ?bidirectional:bool ->
   ?clamp_ranks:bool ->
   ?edge_faults:(int * int) list ->
@@ -148,8 +138,9 @@ val striped_collective_over_disjoint_rings :
 (** One-call driver for the Chapter-3 setting: take [k] of the ψ(d)
     pairwise edge-disjoint Hamiltonian rings (the survivors of
     [edge_faults], when given) and stripe one collective across all of
-    them in a single run of the chosen [engine] — k× the application
-    bytes per step of the single-ring schedule.  [None] when no ring
+    them in a single {!Collective.Fastpath.run} — k× the application
+    bytes per step of the single-ring schedule.  The report equals what
+    {!Collective.Exec} returns on the same rings.  [None] when no ring
     survives.
     @raise Invalid_argument if [edge_faults] is empty and k is outside
-    [1, ψ(d)]. *)
+    [1, ψ(d)], or as {!Collective.Fastpath.run} does. *)

@@ -54,7 +54,7 @@ end
    s + C by owner lookup and probe the two insertion edges in O(1);
    composite d recurses over the factorization with the Rees product as
    a successor transformer.  The search order (s ascending over
-   non-owners, k ascending) is exactly [Reference]'s, so outputs are
+   non-owners, k ascending) is exactly the seed engine's, so outputs are
    identical node-for-node. *)
 
 let rec hc_avoiding_stream ~d ~n ~faults =
@@ -140,8 +140,8 @@ let surviving_disjoint_streams ~d ~n ~faults =
     (Compose.disjoint_hamiltonian_streams ~d ~n)
 
 (* ------------------------------------------------------------------ *)
-(* Materializing wrappers — the seed API, same outputs as [Reference]
-   (digit sequences of length dⁿ). *)
+(* Materializing wrappers — the seed API, same outputs as the seed
+   engine (digit sequences of length dⁿ). *)
 
 let hc_avoiding ~d ~n ~faults =
   Option.map Stream.to_sequence (hc_avoiding_stream ~d ~n ~faults)

@@ -15,8 +15,8 @@
     This engine works over {!Stream.t} successor functions: the search
     touches only the f faults and O(d) insertion-edge probes, never a
     dⁿ array, so rings of million-edge networks fit in O(n) memory.
-    Outputs are pinned node-for-node to the frozen seed implementation
-    in {!Reference}. *)
+    Outputs are pinned node-for-node to the frozen seed implementation,
+    a test oracle in [test/oracles]. *)
 
 type fault = int * int
 (** A faulty edge as a node pair of B(d,n). *)
@@ -52,7 +52,7 @@ val hc_avoiding_stream : d:int -> n:int -> faults:fault list -> Stream.t option
 (** The Proposition 3.3 construction as an O(n)-memory stream; [None] if
     the search fails (guaranteed to succeed for |faults| ≤ φ(d); may
     also succeed beyond).  Requires n ≥ 2.  Same search order — hence
-    same answer — as {!Reference.hc_avoiding}. *)
+    same answer — as the seed implementation's [hc_avoiding]. *)
 
 val hc_avoiding_via_disjoint_stream : d:int -> n:int -> faults:fault list -> Stream.t option
 (** Pick a fault-free member of the ψ(d) disjoint HC streams — handles

@@ -4,6 +4,8 @@
    engine is pinned against it by the qcheck suite (identical outputs on
    small d, n) and measured against it by `bench/main.exe -- dhc`. *)
 
+open Dhc
+
 module N = Numtheory
 module W = Debruijn.Word
 

@@ -11,6 +11,8 @@
    [max_rounds] guard admits [max_rounds + 1] executed rounds; [rounds]
    records the last active round index, not the executed-round count. *)
 
+open Netsim
+
 type 'm outgoing = int * 'm
 
 type ('s, 'm) protocol = ('s, 'm) Simulator.protocol = {

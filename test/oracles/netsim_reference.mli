@@ -19,6 +19,8 @@
     guard admits [max_rounds + 1] executed rounds, and sorting inboxes
     by [(src, payload)] raises on payloads containing closures. *)
 
+open Netsim
+
 type 'm outgoing = int * 'm
 
 type ('s, 'm) protocol = ('s, 'm) Simulator.protocol = {

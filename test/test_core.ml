@@ -25,7 +25,7 @@ let test_distributed_agrees () =
   let p = W.params ~d:3 ~n:3 in
   let faults = [ W.of_string p "020" ] in
   let cent = Option.get (Core.fault_free_ring ~d:3 ~n:3 ~faults) in
-  let dist, stats = Option.get (Core.fault_free_ring_distributed ~d:3 ~n:3 ~faults ()) in
+  let dist, stats = Option.get (Core.fault_free_ring_distributed ~d:3 ~n:3 ~faults) in
   Alcotest.(check (array int)) "same ring" cent dist;
   check_bool "rounds positive" true (stats.Core.Distributed.total_rounds > 0)
 
@@ -92,6 +92,73 @@ let test_counts () =
   check_int "total B(2,12)" 352 (Core.necklace_count ~d:2 ~n:12);
   check_int "length 6" 9 (Core.necklace_count_of_length ~d:2 ~n:12 ~t:6)
 
+(* Core's collective drivers run Collective.Fastpath; their reports
+   must equal what the netsim reference executor Collective.Exec
+   returns on the same rings, built here without the drivers. *)
+let check_report what (want : Core.Collective_exec.report)
+    (got : Core.Collective_exec.report) =
+  let field name sel = check_int (what ^ " " ^ name) (sel want) (sel got) in
+  field "rings" (fun (r : Core.Collective_exec.report) -> r.rings);
+  field "ranks" (fun r -> r.ranks);
+  field "phases" (fun r -> r.phases);
+  field "rounds" (fun r -> r.rounds);
+  field "delivered" (fun r -> r.delivered);
+  field "wire_words" (fun r -> r.wire_words);
+  field "payload_words" (fun r -> r.payload_words);
+  field "max_link_load" (fun r -> r.max_link_load);
+  field "max_port_load" (fun r -> r.max_port_load);
+  field "checksum" (fun r -> r.checksum);
+  Alcotest.(check (float 0.0))
+    (what ^ " bytes_per_step") want.bytes_per_step got.bytes_per_step;
+  check_bool (what ^ " reference verified") true want.verified;
+  check_bool (what ^ " verified") true got.verified
+
+let test_collective_drivers () =
+  let ranks = 8 and chunk_words = 4 in
+  (* Each op through the driver against Exec.run on [rings]. *)
+  let check_case label ~p ~faulty ~rings ?(edge_faults = []) ~bidirectional driver =
+    List.iter
+      (fun op ->
+        let want =
+          Core.Collective_exec.run ~edge_faults ~p ~faulty ~rings
+            { Core.Collective_exec.op; ranks; chunk_words; bidirectional }
+        in
+        check_report
+          (label ^ " " ^ Core.Collective_schedule.op_to_string op)
+          want
+          (Option.get (driver ~op ~ranks ~chunk_words)))
+      Core.Collective_schedule.[ Reduce_scatter; All_gather; Allreduce ]
+  in
+  (* Chapter 2: the FFC ring of B(2,8) under two seeded node faults. *)
+  let p = W.params ~d:2 ~n:8 in
+  let faults = Core.Rng.sample_distinct (Core.Rng.create 0x5eed) ~k:2 ~bound:p.W.size in
+  let flags = Core.Necklace.mark_faulty_necklaces p faults in
+  check_case "ffc" ~p
+    ~faulty:(fun v -> flags.(v))
+    ~rings:[ Option.get (Core.fault_free_ring ~d:2 ~n:8 ~faults) ]
+    ~bidirectional:false
+    (Core.collective_over_fault_free_ring ~d:2 ~n:8 ~faults ());
+  (* Chapter 3: k = 3 striped rings of B(4,3), fault-free, under one
+     link fault (the survivors), and bidirectional. *)
+  let d = 4 and n = 3 and k = 3 in
+  let first = List.hd (Core.Compose.disjoint_streams_upto ~d ~n ~k:1) in
+  let cut = (first.Core.Stream.start, first.Core.Stream.succ first.Core.Stream.start) in
+  let disjoint = Core.Compose.disjoint_streams_upto ~d ~n ~k in
+  let survivors = Core.Edge_fault.surviving_disjoint_streams ~d ~n ~faults:[ cut ] in
+  check_int "one link fault kills one ring" (k - 1) (List.length survivors);
+  List.iter
+    (fun (label, streams, edge_faults, bidirectional) ->
+      check_case label ~p:(W.params ~d ~n)
+        ~faulty:(fun _ -> false)
+        ~rings:(List.map Core.Stream.to_nodes streams)
+        ~edge_faults ~bidirectional
+        (Core.striped_collective_over_disjoint_rings ~bidirectional ~edge_faults ~d ~n ~k ()))
+    [
+      ("striped", disjoint, [], false);
+      ("striped link fault", survivors, [ cut ], false);
+      ("striped bidir", disjoint, [], true);
+    ]
+
 let () =
   Alcotest.run "core"
     [
@@ -108,5 +175,6 @@ let () =
           Alcotest.test_case "De Bruijn sequences" `Quick test_de_bruijn_sequence;
           Alcotest.test_case "routing" `Quick test_route;
           Alcotest.test_case "necklace counts" `Quick test_counts;
+          Alcotest.test_case "collective drivers" `Quick test_collective_drivers;
         ] );
     ]

@@ -13,7 +13,7 @@ module P = Dhc.Psi
 module EF = Dhc.Edge_fault
 module M = Dhc.Mdb
 module Str = Dhc.Stream
-module R = Dhc.Reference
+module R = Oracles.Dhc_reference
 module Ca = Dhc.Campaign
 
 let check_int = Alcotest.(check int)

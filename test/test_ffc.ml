@@ -957,14 +957,14 @@ let qsuite =
         let rng = Util.Rng.create seed in
         let f = min f (p.W.size - 1) in
         let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
-        match (E.embed p ~faults, Ffc.Reference.embed p ~faults) with
+        match (E.embed p ~faults, Oracles.Ffc_reference.embed p ~faults) with
         | None, None -> true
         | Some e, Some r ->
-            e.E.bstar.B.root = r.Ffc.Reference.root
-            && e.E.bstar.B.size = r.Ffc.Reference.size
-            && Fa.Byte.to_bool_array e.E.bstar.B.in_bstar = r.Ffc.Reference.in_bstar
-            && Fa.to_array e.E.successor = r.Ffc.Reference.successor
-            && e.E.cycle = r.Ffc.Reference.cycle
+            e.E.bstar.B.root = r.Oracles.Ffc_reference.root
+            && e.E.bstar.B.size = r.Oracles.Ffc_reference.size
+            && Fa.Byte.to_bool_array e.E.bstar.B.in_bstar = r.Oracles.Ffc_reference.in_bstar
+            && Fa.to_array e.E.successor = r.Oracles.Ffc_reference.successor
+            && e.E.cycle = r.Oracles.Ffc_reference.cycle
         | _ -> false);
     Test.make ~name:"length >= d^n - nf whenever f <= d-2" ~count:150 (make scenario)
       (fun (d, n, f, seed) ->

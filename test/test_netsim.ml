@@ -1,14 +1,15 @@
 (* Tests for the synchronous message-passing simulator.
 
-   [Netsim.Simulator] is the optimized worklist engine; [Netsim.Reference]
-   is the seed full-scan implementation kept as an executable spec.  The
-   qcheck suite at the bottom checks that the two agree on random
-   protocols over random B(d,n) topologies with random fault sets. *)
+   [Netsim.Simulator] is the optimized worklist engine;
+   [Oracles.Netsim_reference] is the seed full-scan implementation kept
+   as an executable spec.  The qcheck suite at the bottom checks that
+   the two agree on random protocols over random B(d,n) topologies with
+   random fault sets. *)
 
 module D = Graphlib.Digraph
 module T = Graphlib.Traversal
 module S = Netsim.Simulator
-module R = Netsim.Reference
+module R = Oracles.Netsim_reference
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

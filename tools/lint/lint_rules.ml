@@ -253,11 +253,6 @@ let r1 =
    operand is syntactically structured (list, option, tuple, record,
    array, string/float constant, constructor with arguments). *)
 
-(* The frozen seed oracles keep their documented polymorphic-compare
-   semantics verbatim. *)
-let r2_allowed_files =
-  [ "lib/netsim/reference.ml"; "lib/ffc/reference.ml"; "lib/dhc/reference.ml" ]
-
 let rec structured e =
   match e.pexp_desc with
   | Pexp_constraint (e, _) -> structured e
@@ -273,26 +268,25 @@ let r2 =
     id = "R2";
     summary = "no polymorphic =/compare/Hashtbl.hash on structured values";
     on_expr =
-      (fun emit ctx e ->
-        if not (path_allowed r2_allowed_files ctx.path) then
-          match e.pexp_desc with
-          | Pexp_apply
-              ( { pexp_desc = Pexp_ident { txt = Lident (("=" | "<>") as op); loc }; _ },
-                [ (_, a); (_, b) ] )
-            when structured a || structured b ->
-              emit ~id:"R2" ~loc
-                (Printf.sprintf
-                   "polymorphic (%s) on a structured value; pattern-match or use a typed \
-                    equality" op)
-          | Pexp_ident { txt; loc } -> (
-              match flat txt with
-              | [ "compare" ] | [ "Stdlib"; "compare" ] ->
-                  emit ~id:"R2" ~loc
-                    "bare polymorphic compare; use a typed comparator (Int.compare, ...)"
-              | [ "Hashtbl"; "hash" ] | [ "Stdlib"; "Hashtbl"; "hash" ] ->
-                  emit ~id:"R2" ~loc "polymorphic Hashtbl.hash; use a typed hash function"
-              | _ -> ())
-          | _ -> ());
+      (fun emit _ e ->
+        match e.pexp_desc with
+        | Pexp_apply
+            ( { pexp_desc = Pexp_ident { txt = Lident (("=" | "<>") as op); loc }; _ },
+              [ (_, a); (_, b) ] )
+          when structured a || structured b ->
+            emit ~id:"R2" ~loc
+              (Printf.sprintf
+                 "polymorphic (%s) on a structured value; pattern-match or use a typed \
+                  equality" op)
+        | Pexp_ident { txt; loc } -> (
+            match flat txt with
+            | [ "compare" ] | [ "Stdlib"; "compare" ] ->
+                emit ~id:"R2" ~loc
+                  "bare polymorphic compare; use a typed comparator (Int.compare, ...)"
+            | [ "Hashtbl"; "hash" ] | [ "Stdlib"; "Hashtbl"; "hash" ] ->
+                emit ~id:"R2" ~loc "polymorphic Hashtbl.hash; use a typed hash function"
+            | _ -> ())
+        | _ -> ());
     on_str_item = no_str_item;
   }
 
