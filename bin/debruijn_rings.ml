@@ -28,21 +28,38 @@ let die fmt =
       exit 2)
     fmt
 
-(* A domain count of at least 1; anything else is a usage error. *)
-let domains_conv =
+(* An integer of at least [lo] (domain and trial counts, the psi
+   argument); anything else is a usage error. *)
+let int_from lo =
+  let expected =
+    if lo = 1 then "a positive integer" else Printf.sprintf "an integer >= %d" lo
+  in
   let parse s =
     match int_of_string_opt s with
-    | Some k when k >= 1 -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | Some k when k >= lo -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
   in
   Arg.conv ~docv:"K" (parse, Format.pp_print_int)
 
-let words_conv d n =
-  let p = Core.Word.params ~d ~n in
-  fun s ->
-    match Core.Word.of_string p s with
-    | w -> w
-    | exception _ -> die "bad node %S (expected %d digits < %d)" s n d
+let positive = int_from 1
+
+(* B(d,n), checked where a command first uses it. *)
+let params d n =
+  match Core.Word.params ~d ~n with
+  | p -> p
+  | exception Invalid_argument msg -> die "%s" msg
+
+(* The Chapter-3 constructions (shift cycles, the butterfly) also need
+   n >= 2. *)
+let chapter3_params d n =
+  if n < 2 then die "n = %d: the Chapter-3 constructions need n >= 2" n;
+  params d n
+
+let words_conv p s =
+  match Core.Word.of_string p s with
+  | w -> w
+  | exception _ ->
+      die "bad node %S (expected %d digits < %d)" s p.Core.Word.n p.Core.Word.d
 
 let render p ring =
   String.concat " " (List.map (Core.Word.to_string p) (Array.to_list ring))
@@ -52,7 +69,15 @@ let ffc_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"FAULT" ~doc:"Faulty nodes as digit strings, e.g. 020 112.")
   in
   let run d n fault_strs distributed domains trace campaign churn events trials seed fcounts =
-    let p = Core.Word.params ~d ~n in
+    let p = params d n in
+    (* churn targets start at 1 fault, campaign fault counts at 0 *)
+    let lo = if churn then 1 else 0 in
+    if churn || campaign then
+      Option.iter
+        (List.iter (fun f ->
+             if f < lo || f > p.Core.Word.size then
+               die "fault count %d outside [%d, %d]" f lo p.Core.Word.size))
+        fcounts;
     if churn then begin
       Printf.printf
         "# churn campaign on B(%d,%d): %d trials x %d events per target, one live engine per domain\n"
@@ -93,7 +118,7 @@ let ffc_cmd =
         (Core.Ffc_campaign.run ~domains ~trials ~seed ?fs:fcounts ~d ~n ())
     end
     else begin
-    let faults = List.map (words_conv d n) fault_strs in
+    let faults = List.map (words_conv p) fault_strs in
     let result =
       if distributed then
         Option.map
@@ -131,7 +156,7 @@ let ffc_cmd =
     Arg.(value & flag & info [ "distributed" ] ~doc:"Run the network-level protocol on the simulator.")
   in
   let domains =
-    Arg.(value & opt domains_conv 1 & info [ "domains" ] ~docv:"K" ~doc:"Run the trials of $(b,--campaign) or $(b,--churn) on $(docv) OCaml domains (statistics unchanged).")
+    Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"K" ~doc:"Run the trials of $(b,--campaign) or $(b,--churn) on $(docv) OCaml domains (statistics unchanged).")
   in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print per-phase round-by-round metrics (with --distributed).")
@@ -143,10 +168,10 @@ let ffc_cmd =
     Arg.(value & flag & info [ "churn" ] ~doc:"Run a seeded fault/repair churn campaign through the incremental live engine.")
   in
   let events =
-    Arg.(value & opt int 100 & info [ "events" ] ~docv:"E" ~doc:"Events per trial (with --churn).")
+    Arg.(value & opt positive 100 & info [ "events" ] ~docv:"E" ~doc:"Events per trial (with --churn).")
   in
   let trials =
-    Arg.(value & opt int 20 & info [ "trials" ] ~docv:"T" ~doc:"Trials per fault count (with --campaign or --churn).")
+    Arg.(value & opt positive 20 & info [ "trials" ] ~docv:"T" ~doc:"Trials per fault count (with --campaign or --churn).")
   in
   let seed =
     Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"S" ~doc:"Campaign seed; trial outcomes depend only on (seed, f, trial).")
@@ -159,9 +184,14 @@ let ffc_cmd =
     Term.(const run $ d_arg $ n_arg $ faults $ distributed $ domains $ trace
           $ campaign $ churn $ events $ trials $ seed $ fcounts)
 
-let parse_edge d n s =
+let parse_edge p s =
   match String.split_on_char '-' s with
-  | [ u; v ] -> (words_conv d n u, words_conv d n v)
+  | [ u; v ] ->
+      let u = words_conv p u in
+      let v = words_conv p v in
+      if Core.Word.suffix p u <> Core.Word.prefix p v then
+        die "bad edge %S (not a link of B(%d,%d))" s p.Core.Word.d p.Core.Word.n;
+      (u, v)
   | _ -> die "bad edge %S (expected U-V)" s
 
 let edge_cmd =
@@ -169,8 +199,8 @@ let edge_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"EDGE" ~doc:"Faulty links as U-V, e.g. 01-12.")
   in
   let run d n fault_strs =
-    let p = Core.Word.params ~d ~n in
-    let faults = List.map (parse_edge d n) fault_strs in
+    let p = chapter3_params d n in
+    let faults = List.map (parse_edge p) fault_strs in
     Printf.printf "# tolerance MAX(psi-1, phi) = %d\n" (Core.edge_fault_tolerance d);
     match Core.hamiltonian_ring_avoiding_edge_faults ~d ~n ~faults with
     | None ->
@@ -190,19 +220,19 @@ let dhc_cmd =
     Arg.(value & flag & info [ "campaign" ] ~doc:"Run a randomized edge-fault campaign sweeping f from 0 past MAX(psi-1, phi).")
   in
   let trials =
-    Arg.(value & opt int 20 & info [ "trials" ] ~docv:"T" ~doc:"Trials per fault count (with --campaign).")
+    Arg.(value & opt positive 20 & info [ "trials" ] ~docv:"T" ~doc:"Trials per fault count (with --campaign).")
   in
   let fmax =
-    Arg.(value & opt (some int) None & info [ "fmax" ] ~docv:"F" ~doc:"Largest fault count to sweep (default 2 MAX + 2).")
+    Arg.(value & opt (some (int_from 0)) None & info [ "fmax" ] ~docv:"F" ~doc:"Largest fault count to sweep (default 2 MAX + 2).")
   in
   let seed =
     Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"S" ~doc:"Campaign PRNG seed.")
   in
   let domains =
-    Arg.(value & opt domains_conv 1 & info [ "domains" ] ~docv:"K" ~doc:"Parallelize campaign trials on $(docv) OCaml domains (statistics unchanged).")
+    Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"K" ~doc:"Parallelize campaign trials on $(docv) OCaml domains (statistics unchanged).")
   in
   let run d n fault_strs campaign trials fmax seed domains =
-    let p = Core.Word.params ~d ~n in
+    let p = chapter3_params d n in
     if campaign then begin
       Printf.printf "# campaign on B(%d,%d): %d trials per point, tolerance MAX(psi-1, phi) = %d\n"
         d n trials (Core.Psi.max_tolerance d);
@@ -216,7 +246,7 @@ let dhc_cmd =
         (Core.Campaign.run ~domains ~trials ~seed ?fmax ~d ~n ())
     end
     else begin
-      let faults = List.map (parse_edge d n) fault_strs in
+      let faults = List.map (parse_edge p) fault_strs in
       match Core.Edge_fault.best_hc_avoiding_stream ~d ~n ~faults with
       | None ->
           prerr_endline "no fault-free Hamiltonian ring found";
@@ -245,7 +275,7 @@ let dhc_cmd =
 
 let disjoint_cmd =
   let run d n =
-    let p = Core.Word.params ~d ~n in
+    let p = chapter3_params d n in
     let rings = Core.disjoint_rings ~d ~n in
     Printf.printf "# %d edge-disjoint Hamiltonian rings (psi(%d) = %d)\n"
       (List.length rings) d (Core.Psi.psi d);
@@ -263,6 +293,7 @@ let count_cmd =
     Arg.(value & opt (some int) None & info [ "weight" ] ~docv:"K" ~doc:"Restrict to nodes of weight $(docv).")
   in
   let run d n length weight =
+    ignore (params d n);
     let c =
       match (length, weight) with
       | None, None -> Core.Count.total ~d ~n
@@ -278,7 +309,7 @@ let count_cmd =
     Term.(const run $ d_arg $ n_arg $ length $ weight)
 
 let psi_cmd =
-  let d_pos = Arg.(required & pos 0 (some int) None & info [] ~docv:"D") in
+  let d_pos = Arg.(required & pos 0 (some (int_from 2)) None & info [] ~docv:"D") in
   let run d =
     Printf.printf "psi(%d) = %d\nphi(%d) = %d\nMAX(psi-1, phi) = %d\n" d (Core.Psi.psi d) d
       (Core.Psi.phi_bound d) (Core.Psi.max_tolerance d)
@@ -291,6 +322,7 @@ let butterfly_cmd =
            ~doc:"Faulty butterfly links as L,COL-L,COL e.g. 0,010-1,110.")
   in
   let run d n fault_strs =
+    let p = chapter3_params d n in
     let bf = Core.Butterfly_graph.create ~d ~n in
     let parse s =
       let node part =
@@ -298,12 +330,17 @@ let butterfly_cmd =
         | [ l; c ] -> (
             match int_of_string_opt l with
             | Some level when level >= 0 && level < n ->
-                Core.Butterfly_graph.encode bf ~level ~column:(words_conv d n c)
+                Core.Butterfly_graph.encode bf ~level ~column:(words_conv p c)
             | _ -> die "bad butterfly level %S (expected 0..%d)" l (n - 1))
         | _ -> die "bad butterfly node %S (expected L,COL)" part
       in
       match String.split_on_char '-' s with
-      | [ u; v ] -> (node u, node v)
+      | [ u; v ] ->
+          let u = node u in
+          let v = node v in
+          if not (List.mem v (Core.Butterfly_graph.successors bf u)) then
+            die "bad edge %S (not a link of F(%d,%d))" s d n;
+          (u, v)
       | _ -> die "bad edge %S (expected L,COL-L,COL)" s
     in
     let faults = List.map parse fault_strs in
@@ -353,7 +390,7 @@ let collective_cmd =
     Arg.(value & flag & info [ "bidir" ] ~doc:"Also drive every ring in the reverse direction with its own payload stripe.")
   in
   let run d n op rings_k ranks chunk_words faults seed bidir clamp_ranks =
-    let p = Core.Word.params ~d ~n in
+    let p = params d n in
     let rng = Core.Rng.create seed in
     let report =
       try
@@ -414,8 +451,8 @@ let route_cmd =
     Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"NODE" ~doc:"A faulty node (repeatable).")
   in
   let run d n src dst fault_strs =
-    let p = Core.Word.params ~d ~n in
-    let conv = words_conv d n in
+    let p = params d n in
+    let conv = words_conv p in
     let faults = List.map conv fault_strs in
     match Core.route ~d ~n ~faults (conv src) (conv dst) with
     | None ->

@@ -19,17 +19,22 @@ let rec assign_necklace (idx_of_node : Fa.t) stride d i x y =
   let y' = (y mod stride * d) + (y / stride) in
   if y' <> x then assign_necklace idx_of_node stride d i x y'
 
-let rec exit_scan p (idx_of_node : Fa.t) idx w a =
+(* The necklace exit/entry rule, over any node → necklace key table
+   that is −1 outside B*: the batch stages pass [idx_of_node] and an
+   index, [Live] its representative table and a representative. *)
+let rec exit_scan p (key : Fa.t) k w a =
   if a >= p.W.d then -1
   else
     let x = W.cons p a w in
-    if idx_of_node.{x} = idx then x else exit_scan p idx_of_node idx w (a + 1)
+    if key.{x} = k then x else exit_scan p key k w (a + 1)
+[@@lint.hot]
 
-let rec entry_scan p (idx_of_node : Fa.t) idx w b =
+let rec entry_scan p (key : Fa.t) k w b =
   if b >= p.W.d then -1
   else
     let x = W.snoc p w b in
-    if idx_of_node.{x} = idx then x else entry_scan p idx_of_node idx w (b + 1)
+    if key.{x} = k then x else entry_scan p key k w (b + 1)
+[@@lint.hot]
 
 let build ?ws (bstar : Bstar.t) =
   let p = bstar.Bstar.p in
@@ -134,17 +139,15 @@ let index_of_rep t rep =
 
 let rep_of_index t i = t.reps.(i)
 
-(* Int-returning (−1 = absent) forms of the suffix/prefix lookups: the
-   modify hot loop runs them per w-edge, so no options (and, via the
-   static scans above, no closures) there. *)
-let exit_node t idx w = exit_scan t.bstar.Bstar.p t.idx_of_node idx w 0
-let entry_node t idx w = entry_scan t.bstar.Bstar.p t.idx_of_node idx w 0
-
 let node_with_suffix t idx w =
-  match exit_node t idx w with x when x < 0 -> None | x -> Some x
+  match exit_scan t.bstar.Bstar.p t.idx_of_node idx w 0 with
+  | x when x < 0 -> None
+  | x -> Some x
 
 let node_with_prefix t idx w =
-  match entry_node t idx w with x when x < 0 -> None | x -> Some x
+  match entry_scan t.bstar.Bstar.p t.idx_of_node idx w 0 with
+  | x when x < 0 -> None
+  | x -> Some x
 
 let labels_between t i j =
   (* Arithmetic: a w-edge [X]→[Y] needs the exit node αw on [X] and an

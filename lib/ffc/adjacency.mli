@@ -45,12 +45,15 @@ val node_with_prefix : t -> int -> int -> int option
 (** [node_with_prefix t idx w] is the unique node wβ (prefix w) on the
     necklace, if any — the potential entry point for w-edges. *)
 
-val exit_node : t -> int -> int -> int
-(** {!node_with_suffix} without the option: −1 when absent (the
-    allocation-free form the modify stage runs per w-edge). *)
+val exit_scan : Debruijn.Word.params -> Graphlib.Flatarr.t -> int -> int -> int -> int
+(** [exit_scan p key k w 0] — the exit rule, shared with [Live]: the
+    node αw with [key.{αw} = k], or −1.  [key] maps nodes to necklace
+    keys, −1 outside B\u{2217} ([idx_of_node] and an index, or [Live]'s
+    representative table and a representative). *)
 
-val entry_node : t -> int -> int -> int
-(** {!node_with_prefix} without the option: −1 when absent. *)
+val entry_scan : Debruijn.Word.params -> Graphlib.Flatarr.t -> int -> int -> int -> int
+(** [entry_scan p key k w 0] — the entry rule: the node wβ with
+    [key.{wβ} = k], or −1. *)
 
 val labels_between : t -> int -> int -> int list
 (** All labels w of edges from one necklace index to another, sorted. *)

@@ -1,5 +1,6 @@
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
+module Fa = Graphlib.Flatarr
 
 type event = Fault of int | Repair of int
 
@@ -35,43 +36,45 @@ let vec_push v x =
   v.buf.(v.len) <- x;
   v.len <- v.len + 1
 
+(* Every dⁿ- or dⁿ⁻¹-sized table is off-heap ({!Graphlib.Flatarr}), so
+   the GC never scans Live's state however large B(d,n) is. *)
 type t = {
   p : W.params;
   root_hint : int option;
   domains : int option;
   ws : Workspace.t option;
   (* ---- the current fault set ---- *)
-  faulty : bool array;  (* per node *)
+  faulty : Fa.Byte.t;  (* per node, nonzero iff faulty *)
   nk_faults : (int, int) Hashtbl.t;  (* necklace rep -> faulty nodes on it *)
   mutable fault_count : int;
   mutable live_nodes : int;  (* nodes on fault-free necklaces *)
   (* ---- B* state, all node-level (index-free, so splices never
      renumber anything) ---- *)
-  in_bstar : bool array;
-  dist : int array;  (* BFS distance from root; -1 outside B* *)
-  successor : int array;  (* ring successor map; -1 outside B* *)
+  rep : Fa.t;  (* necklace representative; -1 outside B* (membership) *)
+  dist : Fa.t;  (* BFS distance from root; -1 outside B* *)
+  successor : Fa.t;  (* ring successor map; -1 outside B* *)
   mutable root : int;  (* -1 when B* is empty *)
   mutable bsize : int;
   mutable ecc : int;
   (* ---- derived necklace structure, keyed by representative ---- *)
-  chosen : int array;  (* rep -> lex-min (dist, node); -1 if not a live rep *)
-  bucket_head : int array;  (* label w -> first child rep, -1 *)
-  bucket_next : int array;  (* rep -> next child rep in its label bucket *)
+  chosen : Fa.t;  (* rep -> lex-min (dist, node); -1 if not a live rep *)
+  bucket_head : Fa.t;  (* label w -> first child rep, -1 *)
+  bucket_next : Fa.t;  (* rep -> next child rep in its label bucket *)
   (* ---- ecc maintenance ---- *)
   mutable hist : int array;  (* hist.(k) = members at distance k *)
   (* ---- per-event scratch (epoch-stamped, never cleared wholesale) ---- *)
   mutable stamp : int;
-  aff_stamp : int array;  (* node -> stamp when invalidated this event *)
-  set_stamp : int array;  (* node -> stamp when (re)settled this event *)
-  nk_stamp : int array;  (* rep -> stamp when its necklace is marked *)
-  w_stamp : int array;  (* label -> stamp when its bucket is dirty *)
-  cand : int array;  (* node -> tentative distance during repair *)
+  aff_stamp : Fa.t;  (* node -> stamp when invalidated this event *)
+  set_stamp : Fa.t;  (* node -> stamp when (re)settled this event *)
+  nk_stamp : Fa.t;  (* rep -> stamp when its necklace is marked *)
+  w_stamp : Fa.t;  (* label -> stamp when its bucket is dirty *)
+  cand : Fa.t;  (* node -> tentative distance during repair *)
   queue : vec;
   affected : vec;
   changed : vec;
   marked : vec;
   dirty : vec;
-  members : vec;
+  members : Fa.t;  (* one T_w class: at most d children and the parent *)
   mutable bq : vec array;  (* bucket queue indexed by tentative distance *)
   mutable bq_hi : int;
   (* ---- counters ---- *)
@@ -92,10 +95,10 @@ let root t = t.root
 let ecc t = t.ecc
 let ring_length t = t.bsize
 let is_empty t = t.bsize = 0
-let in_bstar t v = t.in_bstar.(v)
-let dist t v = t.dist.(v)
-let successor t v = t.successor.(v)
-let is_faulty t v = t.faulty.(v)
+let in_bstar t v = t.rep.{v} >= 0
+let dist t v = t.dist.{v}
+let successor t v = t.successor.{v}
+let is_faulty t v = t.faulty.{v} <> 0
 let fault_count t = t.fault_count
 
 let stats t =
@@ -114,7 +117,7 @@ let stats t =
 let current_faults t =
   let acc = ref [] in
   for v = t.p.W.size - 1 downto 0 do
-    if t.faulty.(v) then acc := v :: !acc
+    if t.faulty.{v} <> 0 then acc := v :: !acc
   done;
   !acc
 
@@ -167,76 +170,53 @@ let bq_reset t =
 (* full recompute: initialization and the safety-net fallback          *)
 
 let set_empty t =
-  let sz = t.p.W.size in
-  Array.fill t.in_bstar 0 sz false;
-  Array.fill t.dist 0 sz (-1);
-  Array.fill t.successor 0 sz (-1);
-  Array.fill t.chosen 0 sz (-1);
-  Array.fill t.bucket_head 0 (sz / t.p.W.d) (-1);
+  Fa.fill t.rep (-1);
+  Fa.fill t.dist (-1);
+  Fa.fill t.successor (-1);
+  Fa.fill t.chosen (-1);
+  Fa.fill t.bucket_head (-1);
   Array.fill t.hist 0 (Array.length t.hist) 0;
   t.root <- -1;
   t.bsize <- 0;
   t.ecc <- 0
 
-(* Rebuild every Live-owned structure from a finished [Embed.t].  The
+(* Rebuild every Live-owned table from a finished [Embed.t].  The
    embed's arrays may alias the shared workspace, so everything is
-   copied out: Live's arrays must survive the workspace's next use. *)
+   copied out: Live's tables must survive the workspace's next use.
+   Y and the label buckets are the batch result's own ([chosen] per
+   necklace index), re-keyed by representative. *)
 let load t (e : Embed.t) =
-  let p = t.p in
-  let sz = p.W.size in
-  let d = p.W.d in
-  let stride = sz / d in
-  let b = e.Embed.bstar in
-  (* The pipeline's arrays are off-heap ({!Graphlib.Flatarr}) and may
-     alias the workspace; copy them element-wise into Live's heap
-     arrays. *)
-  let in_bstar_flags = b.Bstar.in_bstar in
-  for v = 0 to sz - 1 do
-    t.in_bstar.(v) <- in_bstar_flags.{v} <> 0
-  done;
   let tree = e.Embed.modified.Spanning.tree in
-  Graphlib.Flatarr.blit_to_array tree.Spanning.dist t.dist;
-  Graphlib.Flatarr.blit_to_array e.Embed.successor t.successor;
-  t.root <- b.Bstar.root;
-  t.bsize <- b.Bstar.size;
+  let adj = tree.Spanning.adj in
+  let reps = adj.Adjacency.reps in
+  let idx_of_node = adj.Adjacency.idx_of_node in
+  Fa.blit tree.Spanning.dist t.dist;
+  Fa.blit e.Embed.successor t.successor;
+  t.root <- e.Embed.bstar.Bstar.root;
+  t.bsize <- e.Embed.bstar.Bstar.size;
   t.ecc <- tree.Spanning.ecc;
-  Array.fill t.chosen 0 sz (-1);
-  Array.fill t.bucket_head 0 stride (-1);
   ensure_hist t t.ecc;
   Array.fill t.hist 0 (Array.length t.hist) 0;
-  let root_rep = Nk.canonical p t.root in
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
-  (* One ascending sweep: the first unseen B* node of each necklace is
-     its representative; walking the necklace from it yields the
-     lexicographic (dist, node) minimum — the same [chosen] the batch
-     pipeline's ascending scan produces. *)
-  for v = 0 to sz - 1 do
-    if t.in_bstar.(v) then begin
-      if t.dist.(v) < 0 then
-        (* stale workspace distance on a node the BFS did reach is
-           impossible; normalize anyway for the non-member sweep below *)
-        ()
-      else hist_inc t t.dist.(v);
-      if t.aff_stamp.(v) <> stamp then begin
-        (* v is the representative of an unseen necklace *)
-        let best = ref v in
-        Nk.iter_nodes_from p v (fun y ->
-            t.aff_stamp.(y) <- stamp;
-            if
-              t.dist.(y) < t.dist.(!best)
-              || (t.dist.(y) = t.dist.(!best) && y < !best)
-            then best := y);
-        t.chosen.(v) <- !best;
-        if v <> root_rep then begin
-          let w = !best / d in
-          t.bucket_next.(v) <- t.bucket_head.(w);
-          t.bucket_head.(w) <- v
-        end
-      end
+  for v = 0 to t.p.W.size - 1 do
+    let i = idx_of_node.{v} in
+    if i >= 0 then begin
+      t.rep.{v} <- reps.(i);
+      hist_inc t t.dist.{v}
     end
-    else t.dist.(v) <- -1
-  done
+    else t.rep.{v} <- -1
+  done;
+  Fa.fill t.chosen (-1);
+  Fa.fill t.bucket_head (-1);
+  Array.iteri
+    (fun i r ->
+      let y = tree.Spanning.chosen.{i} in
+      t.chosen.{r} <- y;
+      if i <> tree.Spanning.root_idx then begin
+        let w = y / t.p.W.d in
+        t.bucket_next.{r} <- t.bucket_head.{w};
+        t.bucket_head.{w} <- r
+      end)
+    reps
 
 let recompute t =
   t.c_recomputed <- t.c_recomputed + 1;
@@ -252,51 +232,57 @@ let recompute t =
    exactly the necklaces the BFS repair touched                         *)
 
 let mark_necklace t r =
-  if t.nk_stamp.(r) <> t.stamp then begin
-    t.nk_stamp.(r) <- t.stamp;
+  if t.nk_stamp.{r} <> t.stamp then begin
+    t.nk_stamp.{r} <- t.stamp;
     vec_push t.marked r
   end
 
 let dirty_bucket t w =
-  if t.w_stamp.(w) <> t.stamp then begin
-    t.w_stamp.(w) <- t.stamp;
+  if t.w_stamp.{w} <> t.stamp then begin
+    t.w_stamp.{w} <- t.stamp;
     vec_push t.dirty w
   end
 
 let bucket_unlink t w r =
-  if t.bucket_head.(w) = r then t.bucket_head.(w) <- t.bucket_next.(r)
+  if t.bucket_head.{w} = r then t.bucket_head.{w} <- t.bucket_next.{r}
   else begin
-    let c = ref t.bucket_head.(w) in
-    while !c >= 0 && t.bucket_next.(!c) <> r do
-      c := t.bucket_next.(!c)
+    let c = ref t.bucket_head.{w} in
+    while !c >= 0 && t.bucket_next.{!c} <> r do
+      c := t.bucket_next.{!c}
     done;
-    if !c >= 0 then t.bucket_next.(!c) <- t.bucket_next.(r)
+    if !c >= 0 then t.bucket_next.{!c} <- t.bucket_next.{r}
   end
 
-(* Minimal live predecessor one level up — the batch pipeline's
-   [Spanning.find_parent], on Live's own arrays. *)
-let rec find_parent t stride d pre dv a =
-  if a = d then -1
-  else
-    let u = (a * stride) + pre in
-    if t.in_bstar.(u) && t.dist.(u) = dv - 1 then u
-    else find_parent t stride d pre dv (a + 1)
-
-let rec exit_scan t stride d w rep a =
-  if a = d then -1
-  else
-    let x = (a * stride) + w in
-    if t.in_bstar.(x) && Nk.canonical t.p x = rep then x
-    else exit_scan t stride d w rep (a + 1)
-
-let rec entry_scan t d w rep b =
-  if b = d then -1
-  else
-    let x = (w * d) + b in
-    if t.in_bstar.(x) && Nk.canonical t.p x = rep then x
-    else entry_scan t d w rep (b + 1)
+(* Step 1.2 on one live necklace: the lexicographic (dist, node) minimum
+   over the rotations of [y], walked until back at [r]. *)
+let rec earliest (dist : Fa.t) stride d r best y =
+  let best =
+    if dist.{y} < dist.{best} || (dist.{y} = dist.{best} && y < best) then y
+    else best
+  in
+  let y' = (y mod stride * d) + (y / stride) in
+  if y' = r then best else earliest dist stride d r best y'
+[@@lint.hot]
 
 exception Fallback
+
+(* Copy the bucket chain from [r] into [t.members] from slot [k] on,
+   checking that every chosen node's T′ parent lies on one necklace
+   [pr] (the height-one property), then append [pr]; returns the class
+   size.  Raises [Fallback] on a missing or split parent. *)
+let rec collect_class t stride d r k pr =
+  if r < 0 then begin
+    t.members.{k} <- pr;
+    k + 1
+  end
+  else begin
+    let y = t.chosen.{r} in
+    let py = Spanning.find_parent t.dist stride d (y / d) t.dist.{y} 0 in
+    if py < 0 || (pr >= 0 && t.rep.{py} <> pr) then raise Fallback;
+    t.members.{k} <- r;
+    collect_class t stride d t.bucket_next.{r} (k + 1) t.rep.{py}
+  end
+[@@lint.hot]
 
 (* Patch [chosen] / bucket membership / succ overrides for every
    necklace containing a changed node or a successor of one.  Raises
@@ -306,96 +292,56 @@ let patch_derived t =
   let p = t.p in
   let d = p.W.d in
   let stride = p.W.size / d in
-  let root_rep = Nk.canonical p t.root in
+  let root_rep = t.rep.{t.root} in
   vec_clear t.marked;
   vec_clear t.dirty;
   (* necklaces of changed nodes, and of their B* successors (whose
      chosen's parent pointer may silently retarget) *)
   for i = 0 to t.changed.len - 1 do
     let c = t.changed.buf.(i) in
-    mark_necklace t (Nk.canonical p c);
+    (* a node that just left B* is no longer in the table *)
+    let r = t.rep.{c} in
+    mark_necklace t (if r >= 0 then r else Nk.canonical p c);
     let sw = c mod stride * d in
     for b = 0 to d - 1 do
-      let s = sw + b in
-      if t.in_bstar.(s) then mark_necklace t (Nk.canonical p s)
+      let r = t.rep.{sw + b} in
+      if r >= 0 then mark_necklace t r
     done
   done;
   for i = 0 to t.marked.len - 1 do
     let r = t.marked.buf.(i) in
-    let old_chosen = t.chosen.(r) in
+    let old_chosen = t.chosen.{r} in
     if old_chosen >= 0 && r <> root_rep then begin
       let old_w = old_chosen / d in
       bucket_unlink t old_w r;
       dirty_bucket t old_w
     end;
-    if t.in_bstar.(r) then begin
-      let best = (ref r [@lint.allow "R7 one chosen-scan ref per marked necklace"]) in
-      Nk.iter_nodes_from p r
-        ((fun y ->
-           if
-             t.dist.(y) < t.dist.(!best)
-             || (t.dist.(y) = t.dist.(!best) && y < !best)
-           then best := y)
-        [@lint.allow
-          "R7 necklace-iterator callback: one closure per marked necklace, \
-           amortized over its <= w nodes"]);
-      t.chosen.(r) <- !best;
+    if t.rep.{r} >= 0 then begin
+      let y = earliest t.dist stride d r r r in
+      t.chosen.{r} <- y;
       if r <> root_rep then begin
-        let w = !best / d in
-        t.bucket_next.(r) <- t.bucket_head.(w);
-        t.bucket_head.(w) <- r;
+        let w = y / d in
+        t.bucket_next.{r} <- t.bucket_head.{w};
+        t.bucket_head.{w} <- r;
         dirty_bucket t w
       end
     end
-    else t.chosen.(r) <- -1
+    else t.chosen.{r} <- -1
   done;
   (* rebuild every dirty bucket: reset the suffix-w successor entries to
-     the necklace rotation, then rewrite the sorted cyclic D-edges *)
+     the necklace rotation, then relink the class with the batch
+     stage's Step-2 rule *)
   for i = 0 to t.dirty.len - 1 do
     let w = t.dirty.buf.(i) in
     for a = 0 to d - 1 do
       let x = (a * stride) + w in
-      if t.in_bstar.(x) then t.successor.(x) <- (x mod stride * d) + (x / stride)
+      if t.rep.{x} >= 0 then t.successor.{x} <- (x mod stride * d) + (x / stride)
     done;
-    vec_clear t.members;
-    let parent_rep =
-      (ref (-1) [@lint.allow "R7 one parent-consensus ref per dirty bucket"])
-    in
-    let c =
-      (ref t.bucket_head.(w) [@lint.allow "R7 one bucket-walk cursor per dirty bucket"])
-    in
-    while !c >= 0 do
-      let r = !c in
-      vec_push t.members r;
-      let y = t.chosen.(r) in
-      let py = find_parent t stride d (y / d) t.dist.(y) 0 in
-      if py < 0 then raise Fallback;
-      let pr = Nk.canonical p py in
-      if !parent_rep < 0 then parent_rep := pr
-      else if !parent_rep <> pr then raise Fallback;
-      c := t.bucket_next.(r)
-    done;
-    if t.members.len > 0 then begin
-      vec_push t.members !parent_rep;
-      (* insertion sort ascending by representative — the same order as
-         the batch pipeline's ascending-necklace-index sort *)
-      let m = t.members.buf in
-      for i = 1 to t.members.len - 1 do
-        let x = m.(i) in
-        let j = (ref (i - 1) [@lint.allow "R7 insertion-sort cursor, one per member"]) in
-        while !j >= 0 && m.(!j) > x do
-          m.(!j + 1) <- m.(!j);
-          decr j
-        done;
-        m.(!j + 1) <- x
-      done;
-      let k = t.members.len in
-      for i = 0 to k - 1 do
-        let exit = exit_scan t stride d w m.(i) 0 in
-        let entry = entry_scan t d w m.((i + 1) mod k) 0 in
-        if exit < 0 || entry < 0 then raise Fallback;
-        t.successor.(exit) <- entry
-      done
+    let head = t.bucket_head.{w} in
+    if head >= 0 then begin
+      let k = collect_class t stride d head 0 (-1) in
+      if not (Spanning.link_class p t.rep t.members k w t.successor) then
+        raise Fallback
     end
   done
 [@@lint.hot]
@@ -407,7 +353,7 @@ let rec supported t stride d pre dv a =
   if a = d then false
   else
     let u = (a * stride) + pre in
-    if t.in_bstar.(u) && t.aff_stamp.(u) <> t.stamp && t.dist.(u) = dv - 1 then
+    if t.rep.{u} >= 0 && t.aff_stamp.{u} <> t.stamp && t.dist.{u} = dv - 1 then
       true
     else supported t stride d pre dv (a + 1)
 
@@ -422,10 +368,10 @@ let remove_necklace t rep =
   (* 1. drop the necklace's nodes *)
   Nk.iter_nodes_from p rep
     ((fun y ->
-       t.in_bstar.(y) <- false;
-       hist_dec t t.dist.(y);
-       t.dist.(y) <- -1;
-       t.successor.(y) <- -1;
+       t.rep.{y} <- -1;
+       hist_dec t t.dist.{y};
+       t.dist.{y} <- -1;
+       t.successor.{y} <- -1;
        t.bsize <- t.bsize - 1;
        vec_push t.changed y)
     [@lint.allow
@@ -440,7 +386,7 @@ let remove_necklace t rep =
     let sw = y mod stride * d in
     for b = 0 to d - 1 do
       let z = sw + b in
-      if t.in_bstar.(z) then vec_push t.queue z
+      if t.rep.{z} >= 0 then vec_push t.queue z
     done
   done;
   let qi = (ref 0 [@lint.allow "R7 one invalidation-queue cursor per event"]) in
@@ -448,15 +394,15 @@ let remove_necklace t rep =
     let z = t.queue.buf.(!qi) in
     incr qi;
     if
-      t.in_bstar.(z) && t.aff_stamp.(z) <> t.stamp && z <> t.root
-      && not (supported t stride d (z / d) t.dist.(z) 0)
+      t.rep.{z} >= 0 && t.aff_stamp.{z} <> t.stamp && z <> t.root
+      && not (supported t stride d (z / d) t.dist.{z} 0)
     then begin
-      t.aff_stamp.(z) <- t.stamp;
+      t.aff_stamp.{z} <- t.stamp;
       vec_push t.affected z;
       let sw = z mod stride * d in
       for b = 0 to d - 1 do
         let s = sw + b in
-        if t.in_bstar.(s) && t.aff_stamp.(s) <> t.stamp then vec_push t.queue s
+        if t.rep.{s} >= 0 && t.aff_stamp.{s} <> t.stamp then vec_push t.queue s
       done
     end
   done;
@@ -472,10 +418,10 @@ let remove_necklace t rep =
     in
     for a = 0 to d - 1 do
       let u = (a * stride) + pre in
-      if t.in_bstar.(u) && t.aff_stamp.(u) <> t.stamp && t.dist.(u) + 1 < !best
-      then best := t.dist.(u) + 1
+      if t.rep.{u} >= 0 && t.aff_stamp.{u} <> t.stamp && t.dist.{u} + 1 < !best
+      then best := t.dist.{u} + 1
     done;
-    t.cand.(v) <- !best;
+    t.cand.{v} <- !best;
     if !best < max_int then bq_push t !best v
   done;
   let dv = (ref 0 [@lint.allow "R7 one level cursor per event"]) in
@@ -486,13 +432,13 @@ let remove_necklace t rep =
       let v = level.buf.(!li) in
       incr li;
       if
-        t.aff_stamp.(v) = t.stamp && t.set_stamp.(v) <> t.stamp
-        && t.cand.(v) = !dv
+        t.aff_stamp.{v} = t.stamp && t.set_stamp.{v} <> t.stamp
+        && t.cand.{v} = !dv
       then begin
-        t.set_stamp.(v) <- t.stamp;
-        if t.dist.(v) <> !dv then begin
-          hist_dec t t.dist.(v);
-          t.dist.(v) <- !dv;
+        t.set_stamp.{v} <- t.stamp;
+        if t.dist.{v} <> !dv then begin
+          hist_dec t t.dist.{v};
+          t.dist.{v} <- !dv;
           hist_inc t !dv;
           vec_push t.changed v
         end;
@@ -500,11 +446,11 @@ let remove_necklace t rep =
         for b = 0 to d - 1 do
           let s = sw + b in
           if
-            t.in_bstar.(s) && t.aff_stamp.(s) = t.stamp
-            && t.set_stamp.(s) <> t.stamp
-            && t.cand.(s) > !dv + 1
+            t.rep.{s} >= 0 && t.aff_stamp.{s} = t.stamp
+            && t.set_stamp.{s} <> t.stamp
+            && t.cand.{s} > !dv + 1
           then begin
-            t.cand.(s) <- !dv + 1;
+            t.cand.{s} <- !dv + 1;
             bq_push t (!dv + 1) s
           end
         done
@@ -516,11 +462,11 @@ let remove_necklace t rep =
      they leave B* (their live necklaces are now a smaller component) *)
   for i = 0 to t.affected.len - 1 do
     let v = t.affected.buf.(i) in
-    if t.set_stamp.(v) <> t.stamp then begin
-      t.in_bstar.(v) <- false;
-      hist_dec t t.dist.(v);
-      t.dist.(v) <- -1;
-      t.successor.(v) <- -1;
+    if t.set_stamp.{v} <> t.stamp then begin
+      t.rep.{v} <- -1;
+      hist_dec t t.dist.{v};
+      t.dist.{v} <- -1;
+      t.successor.{v} <- -1;
       t.bsize <- t.bsize - 1;
       vec_push t.changed v
     end
@@ -542,7 +488,7 @@ let adjacent_to_bstar t rep =
         let pre = y / d in
         let sw = y mod stride * d in
         for a = 0 to d - 1 do
-          if t.in_bstar.((a * stride) + pre) || t.in_bstar.(sw + a) then
+          if t.rep.{(a * stride) + pre} >= 0 || t.rep.{sw + a} >= 0 then
             hit := true
         done
       end);
@@ -558,14 +504,14 @@ let insert_necklace t rep =
   (* tentative levels for the revived nodes from their settled B*
      predecessors; everything else improves by relaxation *)
   Nk.iter_nodes_from p rep (fun y ->
-      t.aff_stamp.(y) <- t.stamp;
+      t.aff_stamp.{y} <- t.stamp;
       let pre = y / d in
       let best = ref max_int in
       for a = 0 to d - 1 do
         let u = (a * stride) + pre in
-        if t.in_bstar.(u) && t.dist.(u) + 1 < !best then best := t.dist.(u) + 1
+        if t.rep.{u} >= 0 && t.dist.{u} + 1 < !best then best := t.dist.{u} + 1
       done;
-      t.cand.(y) <- !best;
+      t.cand.{y} <- !best;
       if !best < max_int then bq_push t !best y);
   let dv = ref 0 in
   while !dv <= t.bq_hi do
@@ -575,39 +521,39 @@ let insert_necklace t rep =
       let v = level.buf.(!li) in
       incr li;
       let settle_revived =
-        t.aff_stamp.(v) = t.stamp && t.set_stamp.(v) <> t.stamp
-        && t.cand.(v) = !dv
+        t.aff_stamp.{v} = t.stamp && t.set_stamp.{v} <> t.stamp
+        && t.cand.{v} = !dv
       in
       let relax_existing =
-        t.aff_stamp.(v) <> t.stamp && t.in_bstar.(v) && t.dist.(v) = !dv
-        && t.set_stamp.(v) <> t.stamp
+        t.aff_stamp.{v} <> t.stamp && t.rep.{v} >= 0 && t.dist.{v} = !dv
+        && t.set_stamp.{v} <> t.stamp
       in
       if settle_revived then begin
-        t.set_stamp.(v) <- t.stamp;
-        t.in_bstar.(v) <- true;
-        t.dist.(v) <- !dv;
-        t.successor.(v) <- (v mod stride * d) + (v / stride);
+        t.set_stamp.{v} <- t.stamp;
+        t.rep.{v} <- rep;
+        t.dist.{v} <- !dv;
+        t.successor.{v} <- (v mod stride * d) + (v / stride);
         t.bsize <- t.bsize + 1;
         hist_inc t !dv;
         vec_push t.changed v
       end
-      else if relax_existing then t.set_stamp.(v) <- t.stamp;
+      else if relax_existing then t.set_stamp.{v} <- t.stamp;
       if settle_revived || relax_existing then begin
         let sw = v mod stride * d in
         for b = 0 to d - 1 do
           let s = sw + b in
-          if t.aff_stamp.(s) = t.stamp then begin
-            if t.set_stamp.(s) <> t.stamp && t.cand.(s) > !dv + 1 then begin
-              t.cand.(s) <- !dv + 1;
+          if t.aff_stamp.{s} = t.stamp then begin
+            if t.set_stamp.{s} <> t.stamp && t.cand.{s} > !dv + 1 then begin
+              t.cand.{s} <- !dv + 1;
               bq_push t (!dv + 1) s
             end
           end
-          else if t.in_bstar.(s) && t.dist.(s) > !dv + 1 then begin
+          else if t.rep.{s} >= 0 && t.dist.{s} > !dv + 1 then begin
             (* a strictly shorter path through the revived necklace:
                improvements arrive in ascending level order, so each
                existing node moves at most once *)
-            hist_dec t t.dist.(s);
-            t.dist.(s) <- !dv + 1;
+            hist_dec t t.dist.{s};
+            t.dist.{s} <- !dv + 1;
             hist_inc t (!dv + 1);
             vec_push t.changed s;
             bq_push t (!dv + 1) s
@@ -620,7 +566,7 @@ let insert_necklace t rep =
   (* the merged component is strongly connected (the removed set is a
      union of necklaces), so every revived node must have settled *)
   Nk.iter_nodes_from p rep (fun y ->
-      if t.set_stamp.(y) <> t.stamp then raise Fallback)
+      if t.set_stamp.{y} <> t.stamp then raise Fallback)
 
 (* ------------------------------------------------------------------ *)
 (* event dispatch                                                       *)
@@ -640,7 +586,7 @@ let finish_patch t =
       Recomputed
 
 let do_fault t v =
-  t.faulty.(v) <- true;
+  t.faulty.{v} <- 1;
   t.fault_count <- t.fault_count + 1;
   let rep = Nk.canonical t.p v in
   let c = nk_fault_count t rep in
@@ -652,14 +598,14 @@ let do_fault t v =
   end
   else begin
     t.live_nodes <- t.live_nodes - Nk.length t.p rep;
-    if not t.in_bstar.(rep) then begin
+    if t.rep.{rep} < 0 then begin
       (* a live-but-excluded necklace died: B* was strictly larger than
          every excluded component and those only shrank, so B*, its
          root and its distances are all unchanged *)
       t.c_unchanged <- t.c_unchanged + 1;
       Unchanged
     end
-    else if t.bsize = 0 || Nk.same t.p v t.root then begin
+    else if t.bsize = 0 || rep = t.rep.{t.root} then begin
       recompute t;
       Recomputed
     end
@@ -676,7 +622,7 @@ let do_fault t v =
   end
 
 let do_repair t v =
-  t.faulty.(v) <- false;
+  t.faulty.{v} <- 0;
   t.fault_count <- t.fault_count - 1;
   let rep = Nk.canonical t.p v in
   let c = nk_fault_count t rep in
@@ -731,8 +677,8 @@ let apply t ev =
   match ev with
   | Fault v when v < 0 || v >= sz -> reject (Out_of_range v)
   | Repair v when v < 0 || v >= sz -> reject (Out_of_range v)
-  | Fault v when t.faulty.(v) -> reject (Already_faulty v)
-  | Repair v when not t.faulty.(v) -> reject (Not_faulty v)
+  | Fault v when t.faulty.{v} <> 0 -> reject (Already_faulty v)
+  | Repair v when t.faulty.{v} = 0 -> reject (Not_faulty v)
   | Fault v ->
       t.c_events <- t.c_events + 1;
       t.c_faults <- t.c_faults + 1;
@@ -753,32 +699,32 @@ let create ?root_hint ?domains ?ws p ~faults =
       root_hint;
       domains;
       ws;
-      faulty = Array.make sz false;
+      faulty = Fa.Byte.make sz 0;
       nk_faults = Hashtbl.create 64;
       fault_count = 0;
       live_nodes = sz;
-      in_bstar = Array.make sz false;
-      dist = Array.make sz (-1);
-      successor = Array.make sz (-1);
+      rep = Fa.make sz (-1);
+      dist = Fa.make sz (-1);
+      successor = Fa.make sz (-1);
       root = -1;
       bsize = 0;
       ecc = 0;
-      chosen = Array.make sz (-1);
-      bucket_head = Array.make (sz / p.W.d) (-1);
-      bucket_next = Array.make sz (-1);
+      chosen = Fa.make sz (-1);
+      bucket_head = Fa.make (sz / p.W.d) (-1);
+      bucket_next = Fa.make sz (-1);
       hist = Array.make 64 0;
       stamp = 0;
-      aff_stamp = Array.make sz 0;
-      set_stamp = Array.make sz 0;
-      nk_stamp = Array.make sz 0;
-      w_stamp = Array.make (sz / p.W.d) 0;
-      cand = Array.make sz max_int;
+      aff_stamp = Fa.make sz 0;
+      set_stamp = Fa.make sz 0;
+      nk_stamp = Fa.make sz 0;
+      w_stamp = Fa.make (sz / p.W.d) 0;
+      cand = Fa.make sz max_int;
       queue = vec_create ();
       affected = vec_create ();
       changed = vec_create ();
       marked = vec_create ();
       dirty = vec_create ();
-      members = vec_create ();
+      members = Fa.make (p.W.d + 1) 0;
       bq = Array.init 16 (fun _ -> vec_create ());
       bq_hi = -1;
       c_events = 0;
@@ -795,8 +741,8 @@ let create ?root_hint ?domains ?ws p ~faults =
   List.iter
     (fun v ->
       if v < 0 || v >= sz then invalid_arg "Ffc.Live.create: fault out of range";
-      if not t.faulty.(v) then begin
-        t.faulty.(v) <- true;
+      if t.faulty.{v} = 0 then begin
+        t.faulty.{v} <- 1;
         t.fault_count <- t.fault_count + 1;
         let rep = Nk.canonical p v in
         let c = nk_fault_count t rep in
@@ -821,7 +767,7 @@ let ring t =
         Pipeline_error.raise_error ~stage:"Live"
           "successor map did not close into a cycle";
       c.(i) <- !x;
-      x := t.successor.(!x)
+      x := t.successor.{!x}
     done;
     if !x <> t.root then
       Pipeline_error.raise_error ~stage:"Live"

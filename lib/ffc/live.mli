@@ -16,7 +16,10 @@
     - the necklace-level structure (chosen nodes Y, labels, T_w
       buckets, the cyclic D-edge overrides of §2.3) is then rebuilt for
       exactly the necklaces whose nodes — or whose parent pointers —
-      moved.
+      moved, with the batch stages' own rules: the T′ parent
+      ({!Spanning.find_parent}), the necklace exit/entry nodes
+      ({!Adjacency.exit_scan}/{!Adjacency.entry_scan}) and the T_w
+      linking ({!Spanning.link_class}).
 
     After every event the engine's state is {e bit-identical} to a full
     {!Embed.embed} recompute on the current fault set: same membership,
@@ -30,9 +33,11 @@
     On B(2,22) a typical event touches a few dozen nodes: microseconds
     against the ~1.7 s batch recompute (see [bench live]).
 
-    A [Live.t] owns all of its arrays; the optional workspace is used
-    only for the embedded batch fallback, so one [Live.t] plus one
-    {!Workspace.t} per domain is the intended churn-campaign setup. *)
+    A [Live.t] owns all of its tables, off-heap ({!Graphlib.Flatarr}),
+    with B\u{2217} membership keyed by necklace representative; the
+    optional workspace is used only for the embedded batch fallback, so
+    one [Live.t] plus one {!Workspace.t} per domain is the intended
+    churn-campaign setup. *)
 
 type event =
   | Fault of int  (** the node becomes faulty *)

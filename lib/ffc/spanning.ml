@@ -14,15 +14,20 @@ type tree = {
   chosen : Fa.t;
 }
 
-(* Module-level so the per-node parent search allocates no closure — a
+let fail reason = Pipeline_error.raise_error ~stage:"Spanning" reason
+
+(* The T′ parent rule (Step 1.1), shared with [Live]: the minimal
+   predecessor one BFS level up.  Reading [dist] alone suffices — it is
+   −1 outside B* in both engines, and callers ask only for dv ≥ 1.
+   Module-level so the per-node parent search allocates no closure — a
    capturing [let rec] in the scan loop would cost ~9 minor words per
    live node. *)
-let rec find_parent (in_bstar : Fa.Byte.t) (dist : Fa.t) stride d pre dv a =
+let rec find_parent (dist : Fa.t) stride d pre dv a =
   if a = d then -1
   else
     let u = (a * stride) + pre in
-    if in_bstar.{u} <> 0 && dist.{u} = dv - 1 then u
-    else find_parent in_bstar dist stride d pre dv (a + 1)
+    if dist.{u} = dv - 1 then u else find_parent dist stride d pre dv (a + 1)
+[@@lint.hot]
 
 (* The T′ parent scan writes one slot per reached node, each a pure
    function of the (already final) dist array — so chunking the
@@ -30,13 +35,12 @@ let rec find_parent (in_bstar : Fa.Byte.t) (dist : Fa.t) stride d pre dv a =
    deterministic: every slot gets the same value no matter which domain
    writes it.  Worth parallelizing: at B(2,22) this pass is a quarter
    of the pipeline. *)
-let fill_parents ?domains ~(bfs : It.bfs) ~in_bstar ~node_parent ~stride ~d ()
-    =
+let fill_parents ?domains ~(bfs : It.bfs) ~node_parent ~stride ~d () =
   let dist = bfs.It.dist in
   let order = bfs.It.order in
   let scan i =
     let v = order.{i} in
-    node_parent.{v} <- find_parent in_bstar dist stride d (v / d) dist.{v} 0
+    node_parent.{v} <- find_parent dist stride d (v / d) dist.{v} 0
   in
   match domains with
   | Some k when k > 1 && bfs.It.count >= It.par_threshold ->
@@ -90,8 +94,7 @@ let build ?domains ?ws (adj : Adjacency.t) =
         w.Workspace.node_parent
   in
   let stride = size / p.W.d in
-  fill_parents ?domains ~bfs ~in_bstar:in_bstar_arr ~node_parent ~stride
-    ~d:p.W.d ();
+  fill_parents ?domains ~bfs ~node_parent ~stride ~d:p.W.d ();
   let m = Array.length adj.Adjacency.reps in
   let root_idx = adj.Adjacency.idx_of_node.{root} in
   (* Necklace-level arrays: workspace capacity is the fault-free
@@ -122,10 +125,10 @@ let build ?domains ?ws (adj : Adjacency.t) =
   done;
   for i = 0 to m - 1 do
     let y = chosen.{i} in
-    assert (y >= 0);
+    if y < 0 then fail "a necklace of B* has no reached node";
     if i <> root_idx then begin
       let par_node = node_parent.{y} in
-      assert (par_node >= 0);
+      if par_node < 0 then fail "a necklace's earliest node has no T' parent";
       parent.{i} <- idx_of_node.{par_node};
       label.{i} <- W.prefix p y
     end
@@ -154,6 +157,41 @@ let check_height_one t =
 
 type modified = { tree : tree; succ_override : Fa.t }
 
+let not_height_one = "a label class T_w has two parents"
+
+(* Insert [x] into the ascending run [a.{0 .. j}]. *)
+let rec sift (a : Fa.t) x j =
+  if j >= 0 && a.{j} > x then begin
+    a.{j + 1} <- a.{j};
+    sift a x (j - 1)
+  end
+  else a.{j + 1} <- x
+[@@lint.hot]
+
+let rec link_from p key (members : Fa.t) k w (out : Fa.t) i =
+  if i = k then true
+  else
+    let exit = Adjacency.exit_scan p key members.{i} w 0 in
+    let entry = Adjacency.entry_scan p key members.{(i + 1) mod k} w 0 in
+    if exit < 0 || entry < 0 then false
+    else begin
+      out.{exit} <- entry;
+      link_from p key members k w out (i + 1)
+    end
+[@@lint.hot]
+
+(* Step 2, shared with [Live]: sort the k keys of one T_w class
+   ascending in [members.{0 .. k−1}] (a T_w is tiny, two members is
+   typical) and record the directed w-cycle through them as node-level
+   D-edges, exit(i) → entry(i+1 mod k), in [out].  False when a member
+   has no exit or entry node for w. *)
+let link_class p key (members : Fa.t) k w (out : Fa.t) =
+  for i = 1 to k - 1 do
+    sift members members.{i} (i - 1)
+  done;
+  link_from p key members k w out 0
+[@@lint.hot]
+
 (* Bucket the non-root necklaces by their parent-edge label w — labels
    are ints below wsize, so two arrays replace the seed's Hashtbl.
    Height-one means all w-edges share one parent, so each bucket records
@@ -170,7 +208,7 @@ let label_buckets t =
       let w = t.label.{i} in
       let par = t.parent.{i} in
       if bucket_par.(w) < 0 then bucket_par.(w) <- par
-      else assert (bucket_par.(w) = par);
+      else if bucket_par.(w) <> par then fail not_height_one;
       bucket_children.(w) <- i :: bucket_children.(w)
     end
   done;
@@ -214,7 +252,7 @@ let modify ?ws t =
       let w = t.label.{i} in
       let par = t.parent.{i} in
       if bucket_par.{w} < 0 then bucket_par.{w} <- par
-      else assert (bucket_par.{w} = par);
+      else if bucket_par.{w} <> par then fail not_height_one;
       bucket_next.{i} <- bucket_head.{w};
       bucket_head.{w} <- i
     end
@@ -237,26 +275,10 @@ let modify ?ws t =
         incr k;
         c := bucket_next.{!c}
       done;
-      let k = !k in
-      (* Insertion sort over necklace indices: representatives ascend
-         with index, so index order IS increasing-representative order;
-         a T_w is tiny (two members is typical). *)
-      for i = 1 to k - 1 do
-        let x = scratch.{i} in
-        c := i - 1;
-        while !c >= 0 && scratch.{!c} > x do
-          scratch.{!c + 1} <- scratch.{!c};
-          decr c
-        done;
-        scratch.{!c + 1} <- x
-      done;
-      for i = 0 to k - 1 do
-        let idx = scratch.{i} and next = scratch.{(i + 1) mod k} in
-        let exit = Adjacency.exit_node adj idx w in
-        let entry = Adjacency.entry_node adj next w in
-        assert (exit >= 0 && entry >= 0);
-        succ_override.{exit} <- entry
-      done
+      (* Representatives ascend with index, so index order IS
+         increasing-representative order. *)
+      if not (link_class p adj.Adjacency.idx_of_node scratch !k w succ_override)
+      then fail "a T_w member has no exit or entry node"
     end
   done;
   { tree = t; succ_override }

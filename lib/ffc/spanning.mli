@@ -34,11 +34,18 @@ type tree = {
   chosen : Graphlib.Flatarr.t;  (** per necklace: the earliest-reached node Y *)
 }
 
+val find_parent : Graphlib.Flatarr.t -> int -> int -> int -> int -> int -> int
+(** [find_parent dist stride d pre dv 0] — the T′ parent rule (Step 1.1),
+    shared with [Live]: the least predecessor [a·stride + pre] at
+    distance [dv − 1] (dv ≥ 1), or −1.  [dist] is −1 outside B\u{2217}. *)
+
 val build : ?domains:int -> ?ws:Workspace.t -> Adjacency.t -> tree
 (** With [?ws], [dist]/[node_parent]/[parent]/[label]/[chosen] alias
     workspace arrays (valid until its next use; in particular [dist]
     lives in the shared traversal scratch and is clobbered by any later
-    BFS on the same workspace). *)
+    BFS on the same workspace).
+    @raise Pipeline_error.Error (stage ["Spanning"]) on a malformed
+    B\u{2217} record: a necklace with no reached node, or a Y without a T′ parent. *)
 
 val check_height_one : tree -> bool
 (** Every label class T_w has a single common parent — guaranteed by
@@ -57,10 +64,22 @@ type modified = {
           at most one node per suffix w, so the node {e is} the key. *)
 }
 
+val link_class :
+  Debruijn.Word.params -> Graphlib.Flatarr.t -> Graphlib.Flatarr.t -> int -> int ->
+  Graphlib.Flatarr.t -> bool
+(** [link_class p key members k w out] — the T_w linking rule (Step 2),
+    shared with [Live]: sort the k keys in [members.{0 .. k−1}]
+    ascending and write the w-cycle through them, exit(i) → entry(i+1
+    mod k) by {!Adjacency.exit_scan}/{!Adjacency.entry_scan} over [key],
+    into the node-level table [out].  [false] if an exit or entry is
+    missing. *)
+
 val modify : ?ws:Workspace.t -> tree -> modified
 (** Step 2: each T_w (parent and children) becomes the directed cycle
     that steps through its members in increasing representative order
-    and wraps.  With [?ws], [succ_override] aliases the workspace. *)
+    and wraps.  With [?ws], [succ_override] aliases the workspace.
+    @raise Pipeline_error.Error (stage ["Spanning"]) when a T_w has two
+    parents or a member lacks its exit or entry node. *)
 
 val groups : modified -> (int * int list) list
 (** Label w → members of T_w sorted by representative, for w ascending.

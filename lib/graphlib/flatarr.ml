@@ -49,13 +49,6 @@ let to_array (a : t) = sub_to_array a 0 (length a)
 let blit (src : t) (dst : t) =
   Bigarray.Array1.blit src (Bigarray.Array1.sub dst 0 (length src))
 
-let blit_to_array (a : t) (dst : int array) =
-  let n = length a in
-  if Array.length dst < n then invalid_arg "Flatarr.blit_to_array: dst too small";
-  for i = 0 to n - 1 do
-    dst.(i) <- a.{i}
-  done
-
 module Byte = struct
   type t = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -2,8 +2,8 @@
 
     [t] is a [Bigarray.Array1] of kind [int] (unboxed 63-bit ints in
     malloc'd storage): the GC never scans or moves its contents, so the
-    pipeline's ~8-words-per-node working set costs the collector
-    nothing.  Access with the standard bigarray syntax [a.{i}] /
+    pipeline's ~8-words-per-node working set and [Ffc.Live]'s tables
+    cost the collector nothing.  Access with the standard bigarray syntax [a.{i}] /
     [a.{i} <- v] (bounds-checked, same cost profile as [.(i)] on a
     heap array), or the named {!get}/{!set}.
 
@@ -37,11 +37,8 @@ val sub_to_array : t -> int -> int -> int array
 
 val blit : t -> t -> unit
 (** Copy every element of the source into the (at least as long)
-    destination's prefix. *)
-
-val blit_to_array : t -> int array -> unit
-(** Copy every element into the (at least as long) heap array — how
-    [Ffc.Live] snapshots workspace-aliased results it must outlive. *)
+    destination's prefix — how [Ffc.Live] snapshots workspace-aliased
+    results into its own tables. *)
 
 (** One-byte 0/1 flag arrays (kind [int8_unsigned]): the off-heap
     replacement for the pipeline's node-level [bool array]s, at 1/8 the

@@ -578,9 +578,6 @@ let test_flatarr_basics () =
   Alcotest.(check (array int)) "of_array/to_array round-trip" [| 1; 2; 3 |]
     (Fa.to_array b);
   Alcotest.(check (array int)) "sub_to_array" [| 2; 3 |] (Fa.sub_to_array b 1 2);
-  let dst = Array.make 4 9 in
-  Fa.blit_to_array b dst;
-  Alcotest.(check (array int)) "blit_to_array prefix" [| 1; 2; 3; 9 |] dst;
   let c = Fa.create 5 in
   Fa.blit b c;
   check_int "blit prefix" 2 c.{1};

@@ -168,6 +168,15 @@ let test_empty_to_full_cycle () =
   | Error _ -> Alcotest.fail "repair from empty rejected");
   check_bool "revived = oracle" true (oracle_agrees live p [ 0; 3 ])
 
+let test_heap_footprint () =
+  (* Every dⁿ- and dⁿ⁻¹-sized table of a [Live.t] is off-heap, so the
+     heap it reaches stays far below one word per node. *)
+  let p = W.params ~d:2 ~n:16 in
+  let live = Lv.create ~root_hint:1 p ~faults:[] in
+  let words = Obj.reachable_words (Obj.repr live) in
+  if words >= p.W.size / 16 then
+    Alcotest.failf "a Live.t of B(2,16) reaches %d heap words" words
+
 let test_stats_accounting () =
   let p = W.params ~d:2 ~n:6 in
   let live = Lv.create ~root_hint:1 p ~faults:[] in
@@ -202,7 +211,27 @@ let test_malformed_bstar_typed_error () =
         refuses "Distributed" (fun b -> ignore (Ffc.Distributed.run b));
         refuses "Selftimed" (fun b -> ignore (Ffc.Selftimed.run b))
       done)
-    [ (2, 3); (3, 3) ]
+    [ (2, 3); (3, 3) ];
+  (* Membership mangling: one node of the fault-free B(2,3), B(2,5) or
+     B(3,3) leaves [in_bstar] while its necklace-mates stay.  The batch
+     pipeline must refuse such a record with the typed error or return a
+     ring that still verifies (a dropped one-node necklace leaves a
+     well-formed B* behind) — never an [Assert_failure]. *)
+  List.iter
+    (fun (d, n) ->
+      let p = W.params ~d ~n in
+      let healthy = Option.get (B.compute ~root_hint:1 p ~faults:[]) in
+      for x = 0 to p.W.size - 1 do
+        let in_bstar = Graphlib.Flatarr.Byte.make p.W.size 0 in
+        Bigarray.Array1.blit healthy.B.in_bstar in_bstar;
+        in_bstar.{x} <- 0;
+        match E.of_bstar { healthy with B.in_bstar; size = healthy.B.size - 1 } with
+        | e ->
+            if not (E.verify e) then
+              Alcotest.failf "Embed returned a bad ring for B(%d,%d) without node %d" d n x
+        | exception Ffc.Pipeline_error.Error _ -> ()
+      done)
+    [ (2, 3); (2, 5); (3, 3) ]
 
 let test_campaign_records_errors () =
   (* The campaign aggregates typed errors instead of crashing; on
@@ -297,6 +326,7 @@ let () =
             test_fault_far_from_root_patches;
           Alcotest.test_case "empty and back" `Quick test_empty_to_full_cycle;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+          Alcotest.test_case "heap footprint" `Quick test_heap_footprint;
         ] );
       ( "crash-paths",
         [
