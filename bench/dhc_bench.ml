@@ -192,8 +192,9 @@ let campaigns ~smoke () =
       let points, gt = Jrec.time_gc (fun () -> Ca.run ~domains ~trials ~d ~n ()) in
       (* Whole-campaign allocation summary, next to the per-point
          steady-state counters the points now carry themselves.
-         Gc.counters is per-domain, so this figure depends on the domain
-         count — the engine name keeps the gate off this row. *)
+         Jrec.time_gc counts the calling domain only, so this figure
+         depends on the domain count — the engine name keeps the gate
+         off this row. *)
       record
         ([
            ("section", jstr "dhc-campaign-gc");

@@ -1,15 +1,18 @@
 (* Simulator scale study (EXPERIMENTS.md "netsim at scale").
 
-   Two workloads on fault-free B(d,n), run under the seed full-scan
-   engine (Oracles.Netsim_reference) and the worklist engine
-   (Netsim.Simulator, sequential and on OCaml domains):
+   Three workloads on fault-free B(d,n), run under the seed full-scan
+   engine (Oracles.Netsim_reference, list protocols over a
+   materialized Digraph) and the worklist engine (Netsim.Simulator,
+   flat-mailbox protocols over the implicit B(d,n)):
 
    - flood: BFS broadcast from node 0 — each node forwards once, so
      per-round activity is only the BFS frontier.  This is the sparse
      regime the worklist engine was built for.
    - spin k: every node XOR-accumulates its inbox and forwards along
-     its rotl edge for k rounds — all nodes active every round, a pure
-     throughput measurement (rounds/sec with n nodes stepping).
+     its first De Bruijn edge for k rounds — all nodes active every
+     round, a pure throughput measurement (rounds/sec with n nodes
+     stepping).
+   - token k: one token hops along first edges for k rounds.
 
    Both network-level FFC engines are then timed at f >> d - 2 on
    B(2,10) (the "distributed" rows), and the section ends with the
@@ -45,12 +48,20 @@ let jnum = Jrec.jnum
 let jbool = Jrec.jbool
 let record = Jrec.record
 
+(* Each workload twice: as a seed-style list protocol for the
+   reference engine, and as a flat-mailbox protocol for the worklist
+   engine, same behavior message for message.  Protocol state is
+   mutable, so every run takes a fresh protocol. *)
+
+(* The first De Bruijn successor of [v], x₂…xₙ0. *)
+let first_succ (p : W.params) v = v mod (p.W.size / p.W.d) * p.W.d
+
 (* BFS broadcast: a node forwards to all out-neighbors on first
    receipt; node 0 kicks off in round 0 (where every node steps once,
    so the uninformed must stay silent on an empty inbox). *)
-let flood g =
+let flood_r g =
   {
-    S.initial = (fun v -> v = 0);
+    R.initial = (fun v -> v = 0);
     step =
       (fun ~round v informed inbox ->
         if round = 0 then
@@ -60,17 +71,32 @@ let flood g =
     wants_step = (fun _ -> false);
   }
 
-(* Single token hopping along rotl edges for k rounds — one active
+let flood (p : W.params) =
+  let informed = Bytes.make p.W.size '\000' in
+  Bytes.set informed 0 '\001';
+  let to_all v send = W.iter_succs p v (fun w -> send w ()) in
+  {
+    S.step =
+      (fun ~round v inbox ~send ->
+        if round = 0 then (if v = 0 then to_all v send)
+        else if Bytes.get informed v = '\000' && S.Inbox.length inbox > 0 then begin
+          Bytes.set informed v '\001';
+          to_all v send
+        end);
+    wants_step = (fun _ -> false);
+  }
+
+(* Single token hopping along first edges for k rounds — one active
    node per round, the regime where the seed's per-round full scan is
    pure overhead.  State is the remaining hop count for the holder,
    −1 for everyone else. *)
-let token g k =
+let token_r g k =
   let next =
     Array.init (DG.n_nodes g) (fun v ->
         match DG.succs g v with w :: _ -> w | [] -> v)
   in
   {
-    S.initial = (fun v -> if v = 1 then k else -1);
+    R.initial = (fun v -> if v = 1 then k else -1);
     step =
       (fun ~round:_ v st inbox ->
         let st = List.fold_left (fun _ (_, m) -> m) st inbox in
@@ -78,20 +104,51 @@ let token g k =
     wants_step = (fun _ -> false);
   }
 
-(* All-nodes-active round loop: k rounds of send-along-rotl. *)
-let spin g k =
+let token (p : W.params) k =
+  let hold = Array.make p.W.size (-1) in
+  hold.(1) <- k;
+  {
+    S.step =
+      (fun ~round:_ v inbox ~send ->
+        let len = S.Inbox.length inbox in
+        let st = if len > 0 then S.Inbox.msg inbox (len - 1) else hold.(v) in
+        if st > 0 then begin
+          hold.(v) <- -1;
+          send (first_succ p v) (st - 1)
+        end
+        else hold.(v) <- st);
+    wants_step = (fun _ -> false);
+  }
+
+(* All-nodes-active round loop: k rounds of send-along-first-edge. *)
+let spin_r g k =
   let next =
     Array.init (DG.n_nodes g) (fun v ->
         match DG.succs g v with w :: _ -> w | [] -> v)
   in
   {
-    S.initial = (fun v -> (v, k));
+    R.initial = (fun v -> (v, k));
     step =
       (fun ~round:_ v (acc, rem) inbox ->
         let acc = List.fold_left (fun a (s, m) -> a lxor (s + m)) acc inbox in
         if rem = 0 then ((acc, 0), [])
         else ((acc, rem - 1), [ (next.(v), acc) ]));
     wants_step = (fun (_, rem) -> rem > 0);
+  }
+
+let spin (p : W.params) k =
+  let acc = Array.init p.W.size Fun.id and rem = Array.make p.W.size k in
+  {
+    S.step =
+      (fun ~round:_ v inbox ~send ->
+        for i = 0 to S.Inbox.length inbox - 1 do
+          acc.(v) <- acc.(v) lxor (S.Inbox.src inbox i + S.Inbox.msg inbox i)
+        done;
+        if rem.(v) > 0 then begin
+          rem.(v) <- rem.(v) - 1;
+          send (first_succ p v) acc.(v)
+        end);
+    wants_step = (fun v -> rem.(v) > 0);
   }
 
 let row ~ctx:(d, n, workload) name (g : Jrec.gc_timed) rounds delivered =
@@ -110,48 +167,37 @@ let row ~ctx:(d, n, workload) name (g : Jrec.gc_timed) rounds delivered =
     @ Jrec.gc_fields g
     @ [ ("rounds", jint rounds); ("delivered", jint delivered) ])
 
-let engines ~ctx ~domains ~with_seed ~g proto_s proto_r =
+let engines ~ctx ~p ~with_seed proto_s proto_r =
   if with_seed then begin
+    let g = Debruijn.Graph.b p in
     let r, gt =
       Jrec.time_gc (fun () ->
-          R.run ~max_rounds:10_000 ~topology:g ~faulty:no_fault proto_r)
+          R.run ~max_rounds:10_000 ~topology:g ~faulty:no_fault (proto_r g))
     in
     row ~ctx "seed full-scan" gt r.R.rounds r.R.delivered
   end
   else print_endline "  seed full-scan               (skipped: too slow at this size)";
-  let r, gt = Jrec.time_gc (fun () -> proto_s ~domains:1) in
-  row ~ctx "worklist" gt r.S.rounds r.S.delivered;
-  if domains > 1 then begin
-    let r, gt = Jrec.time_gc (fun () -> proto_s ~domains) in
-    row ~ctx
-      (Printf.sprintf "worklist x%d domains" domains)
-      gt r.S.rounds r.S.delivered
-  end
+  let r, gt =
+    Jrec.time_gc (fun () ->
+        S.run ~max_rounds:10_000 ~topology:(S.de_bruijn p) ~faulty:no_fault (proto_s p))
+  in
+  row ~ctx "worklist" gt r.S.rounds r.S.delivered
 
-let workload ~domains ~with_seed ~d ~n ~k =
+let workload ~with_seed ~d ~n ~k =
   let p = W.params ~d ~n in
-  let g = Debruijn.Graph.b p in
-  Printf.printf "B(%d,%d): %d nodes, %d edges\n" d n p.W.size (DG.n_edges g);
+  Printf.printf "B(%d,%d): %d nodes, %d edges\n" d n p.W.size (p.W.size * d);
   Printf.printf " flood (frontier-sparse)\n";
-  engines ~ctx:(d, n, "flood") ~domains ~with_seed ~g
-    (fun ~domains ->
-      S.run ~max_rounds:10_000 ~domains ~topology:g ~faulty:no_fault (flood g))
-    (flood g);
+  engines ~ctx:(d, n, "flood") ~p ~with_seed flood flood_r;
   Printf.printf " spin k=%d (all nodes active)\n" k;
-  engines ~ctx:(d, n, "spin") ~domains ~with_seed ~g
-    (fun ~domains ->
-      S.run ~max_rounds:10_000 ~domains ~topology:g ~faulty:no_fault (spin g k))
-    (spin g k);
+  engines ~ctx:(d, n, "spin") ~p ~with_seed (fun p -> spin p k) (fun g -> spin_r g k);
   let tk = 512 in
   Printf.printf " token k=%d (one node active per round)\n" tk;
-  engines ~ctx:(d, n, "token") ~domains
+  engines ~ctx:(d, n, "token") ~p
     ~with_seed:(with_seed && p.W.size <= 20_000)
-    ~g
-    (fun ~domains ->
-      S.run ~max_rounds:10_000 ~domains ~topology:g ~faulty:no_fault (token g tk))
-    (token g tk)
+    (fun p -> token p tk)
+    (fun g -> token_r g tk)
 
-let distributed_acceptance ~domains =
+let distributed_acceptance () =
   let p = W.params ~d:2 ~n:17 in
   let faults = [ 1 ] in
   print_endline (String.make 78 '-');
@@ -164,11 +210,11 @@ let distributed_acceptance ~domains =
       let emb, t_emb = time (fun () -> Ffc.Embed.of_bstar b) in
       Printf.printf "  centralized Embed.of_bstar      %8.3f s (ring length %d)\n"
         t_emb (Array.length emb.Ffc.Embed.cycle);
-      let dist, t_dist = time (fun () -> Ffc.Distributed.run ~domains b) in
+      let dist, t_dist = time (fun () -> Ffc.Distributed.run b) in
       let st = dist.Ffc.Distributed.stats in
       Printf.printf
-        "  distributed run (x%d domains)    %8.3f s (%d rounds, %d messages)\n"
-        domains t_dist st.Ffc.Distributed.total_rounds
+        "  distributed run                 %8.3f s (%d rounds, %d messages)\n"
+        t_dist st.Ffc.Distributed.total_rounds
         st.Ffc.Distributed.messages;
       let same_succ =
         dist.Ffc.Distributed.successor
@@ -207,7 +253,6 @@ let distributed_rows () =
   List.iter
     (fun f ->
       let b = draw f in
-      ignore (Lazy.force b.Ffc.Bstar.graph);
       let row engine (gt : Jrec.gc_timed) rounds delivered ring =
         Printf.printf "  f = %3d  %-12s %8.3f s %4d rounds %7d messages  ring %d\n" f
           engine gt.Jrec.wall_s rounds delivered ring;
@@ -335,15 +380,14 @@ let run ?(json = false) ?(smoke = false) () =
   print_endline
     "SIMULATOR AT SCALE - seed full-scan vs worklist engine, B(4,7) .. B(2,20)";
   print_endline (String.make 78 '-');
-  let domains = min 4 (Domain.recommended_domain_count ()) in
-  workload ~domains ~with_seed:true ~d:4 ~n:7 ~k:32;
+  workload ~with_seed:true ~d:4 ~n:7 ~k:32;
   if not smoke then begin
-    workload ~domains ~with_seed:true ~d:2 ~n:14 ~k:32;
-    workload ~domains ~with_seed:true ~d:2 ~n:17 ~k:16;
-    workload ~domains ~with_seed:false ~d:2 ~n:20 ~k:8
+    workload ~with_seed:true ~d:2 ~n:14 ~k:32;
+    workload ~with_seed:true ~d:2 ~n:17 ~k:16;
+    workload ~with_seed:false ~d:2 ~n:20 ~k:8
   end;
   ffc_scale ~smoke ();
   distributed_rows ();
-  if not smoke then distributed_acceptance ~domains;
+  if not smoke then distributed_acceptance ();
   print_newline ();
   if json then Jrec.write "BENCH_scale.json"

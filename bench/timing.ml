@@ -116,15 +116,20 @@ let de_bruijn_sequence_kernel () =
   Staged.stage (fun () -> ignore (Core.de_bruijn_sequence ~d:2 ~n:12))
 
 (* Simulator engine comparison: the same protocol round loop on B(4,7)
-   (16384 nodes) under the seed full-scan engine and the worklist
-   engine — the speedup recorded in EXPERIMENTS.md "netsim at scale". *)
+   (16384 nodes) under the seed full-scan engine (list protocol over a
+   materialized Digraph) and the worklist engine (flat-mailbox protocol
+   over the implicit topology) — the speedup recorded in EXPERIMENTS.md
+   "netsim at scale".  Protocol state is mutable, so each run builds
+   its protocol. *)
 
-let netsim_b47 () =
-  let p = W.params ~d:4 ~n:7 in
-  let g = Debruijn.Graph.b p in
+let b47 = W.params ~d:4 ~n:7
+let b47_topology = Netsim.Simulator.de_bruijn b47
+
+let netsim_seed_kernel () =
+  let g = Debruijn.Graph.b b47 in
   let sends v = List.map (fun w -> (w, ())) (Graphlib.Digraph.succs g v) in
   let flood =
-    Netsim.Simulator.
+    Oracles.Netsim_reference.
       {
         initial = (fun v -> v = 0);
         step =
@@ -135,17 +140,37 @@ let netsim_b47 () =
         wants_step = (fun _ -> false);
       }
   in
-  (g, flood)
+  Staged.stage (fun () ->
+      ignore (Oracles.Netsim_reference.run ~topology:g ~faulty:(fun _ -> false) flood))
 
-let netsim_token_b47 () =
-  let p = W.params ~d:4 ~n:7 in
-  let g = Debruijn.Graph.b p in
+let netsim_worklist_kernel () =
+  let flood () =
+    let informed = Bytes.make b47.W.size '\000' in
+    let to_all v send = W.iter_succs b47 v (fun w -> send w ()) in
+    Netsim.Simulator.
+      {
+        step =
+          (fun ~round v inbox ~send ->
+            if round = 0 then (if v = 0 then to_all v send)
+            else if Bytes.get informed v = '\000' && Inbox.length inbox > 0 then begin
+              Bytes.set informed v '\001';
+              to_all v send
+            end);
+        wants_step = (fun _ -> false);
+      }
+  in
+  Staged.stage (fun () ->
+      ignore
+        (Netsim.Simulator.run ~topology:b47_topology ~faulty:(fun _ -> false) (flood ())))
+
+let netsim_token_seed_kernel () =
+  let g = Debruijn.Graph.b b47 in
   let next =
-    Array.init p.W.size (fun v ->
+    Array.init b47.W.size (fun v ->
         match Graphlib.Digraph.succs g v with w :: _ -> w | [] -> v)
   in
   let token =
-    Netsim.Simulator.
+    Oracles.Netsim_reference.
       {
         initial = (fun v -> if v = 1 then 256 else -1);
         step =
@@ -155,34 +180,30 @@ let netsim_token_b47 () =
         wants_step = (fun _ -> false);
       }
   in
-  (g, token)
-
-let netsim_seed_kernel () =
-  let g, flood = netsim_b47 () in
-  Staged.stage (fun () ->
-      ignore (Oracles.Netsim_reference.run ~topology:g ~faulty:(fun _ -> false) flood))
-
-let netsim_worklist_kernel () =
-  let g, flood = netsim_b47 () in
-  Staged.stage (fun () ->
-      ignore (Netsim.Simulator.run ~topology:g ~faulty:(fun _ -> false) flood))
-
-let netsim_domains_kernel () =
-  let g, flood = netsim_b47 () in
-  Staged.stage (fun () ->
-      ignore
-        (Netsim.Simulator.run ~domains:4 ~topology:g ~faulty:(fun _ -> false)
-           flood))
-
-let netsim_token_seed_kernel () =
-  let g, token = netsim_token_b47 () in
   Staged.stage (fun () ->
       ignore (Oracles.Netsim_reference.run ~topology:g ~faulty:(fun _ -> false) token))
 
 let netsim_token_worklist_kernel () =
-  let g, token = netsim_token_b47 () in
+  let token () =
+    let hold = Array.make b47.W.size (-1) in
+    hold.(1) <- 256;
+    Netsim.Simulator.
+      {
+        step =
+          (fun ~round:_ v inbox ~send ->
+            let len = Inbox.length inbox in
+            let st = if len > 0 then Inbox.msg inbox (len - 1) else hold.(v) in
+            if st > 0 then begin
+              hold.(v) <- -1;
+              send (v mod (b47.W.size / b47.W.d) * b47.W.d) (st - 1)
+            end
+            else hold.(v) <- st);
+        wants_step = (fun _ -> false);
+      }
+  in
   Staged.stage (fun () ->
-      ignore (Netsim.Simulator.run ~topology:g ~faulty:(fun _ -> false) token))
+      ignore
+        (Netsim.Simulator.run ~topology:b47_topology ~faulty:(fun _ -> false) (token ())))
 
 (* Centralized-pipeline comparison: the implicit/flat rewrite against
    the frozen list-based reference on B(2,14) (16384 nodes, one fault)
@@ -230,7 +251,6 @@ let tests () =
       Test.make ~name:"ffc/bstar-B(2,14)-implicit" (ffc_bstar_implicit_b214 ());
       Test.make ~name:"netsim/flood-B(4,7)-seed" (netsim_seed_kernel ());
       Test.make ~name:"netsim/flood-B(4,7)-worklist" (netsim_worklist_kernel ());
-      Test.make ~name:"netsim/flood-B(4,7)-worklist-x4" (netsim_domains_kernel ());
       Test.make ~name:"netsim/token256-B(4,7)-seed" (netsim_token_seed_kernel ());
       Test.make ~name:"netsim/token256-B(4,7)-worklist"
         (netsim_token_worklist_kernel ());

@@ -36,45 +36,46 @@ let run_broadcast p ~rings ~parts =
         fun v -> Hashtbl.find tbl v)
       succ
   in
-  let proto : (state, int * part) S.protocol =
+  let states =
+    Array.init p.W.size (fun v ->
+        let st = { seen = Hashtbl.create 64; queues = Array.init nring (fun _ -> Queue.create ()) } in
+        for i = 0 to parts - 1 do
+          let part = { origin = v; index = i } in
+          Hashtbl.replace st.seen part ();
+          Queue.push part st.queues.(i mod nring)
+        done;
+        st)
+  in
+  let proto : (int * part) S.protocol =
     {
-      initial =
-        (fun v ->
-          let st = { seen = Hashtbl.create 64; queues = Array.init nring (fun _ -> Queue.create ()) } in
-          for i = 0 to parts - 1 do
-            let part = { origin = v; index = i } in
-            Hashtbl.replace st.seen part ();
-            Queue.push part st.queues.(i mod nring)
-          done;
-          st);
       step =
-        (fun ~round:_ v st inbox ->
-          List.iter
-            (fun (_, (r, part)) ->
-              if not (Hashtbl.mem st.seen part) then begin
-                Hashtbl.replace st.seen part ();
-                if part.origin <> v then Queue.push part st.queues.(r)
-              end)
-            inbox;
+        (fun ~round:_ v inbox ~send ->
+          let st = states.(v) in
+          for i = 0 to S.Inbox.length inbox - 1 do
+            let r, part = S.Inbox.msg inbox i in
+            if not (Hashtbl.mem st.seen part) then begin
+              Hashtbl.replace st.seen part ();
+              if part.origin <> v then Queue.push part st.queues.(r)
+            end
+          done;
           (* one unit per ring link per round *)
-          let sends = ref [] in
           Array.iteri
             (fun r q ->
               if not (Queue.is_empty q) then begin
                 let part = Queue.pop q in
-                if succ_fn.(r) v <> v then sends := (succ_fn.(r) v, (r, part)) :: !sends
+                if succ_fn.(r) v <> v then send (succ_fn.(r) v) (r, part)
               end)
-            st.queues;
-          (st, !sends));
-      wants_step = (fun st -> Array.exists (fun q -> not (Queue.is_empty q)) st.queues);
+            st.queues);
+      wants_step = (fun v -> Array.exists (fun q -> not (Queue.is_empty q)) states.(v).queues);
     }
   in
-  let g = Core.Graph.b p in
-  let result = S.run ~max_rounds:(parts * p.W.size * 4) ~topology:g ~faulty:(fun _ -> false) proto in
+  let result =
+    S.run ~max_rounds:(parts * p.W.size * 4)
+      ~topology:(S.de_bruijn p)
+      ~faulty:(fun _ -> false) proto
+  in
   let complete =
-    Array.for_all
-      (fun st -> Hashtbl.length st.seen = p.W.size * parts)
-      result.S.states
+    Array.for_all (fun st -> Hashtbl.length st.seen = p.W.size * parts) states
   in
   (result.S.rounds, complete)
 

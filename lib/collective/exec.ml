@@ -33,14 +33,8 @@ type role =
 
 (* [free] recycles the chunk arrays of consumed receives into the
    node's own later sends — each rank allocates at most two [cw]-word
-   arrays over the whole run instead of one per phase.  The pool is
-   private to the node state, so the simulator's ?domains stepping
-   never shares a buffer across domains. *)
-type nstate = {
-  mutable started : bool;
-  roles : role array;
-  mutable free : int array list;
-}
+   arrays over the whole run instead of one per phase. *)
+type nstate = { roles : role array; mutable free : int array list }
 
 type msg = { ring : int; chunk : int; data : int array }
 
@@ -101,8 +95,15 @@ let verify_arena op ~init ~rings ~ranks ~chunk_words:cw buf =
   [@lint.hot];
   (!ok, !sum)
 
-let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
-    spec =
+let topology ~(p : W.params) ~bidirectional probe =
+  let faulted = not (Compile.Fault_probe.is_empty probe) in
+  let mem_edge u v =
+    (W.is_edge p u v || (bidirectional && W.is_edge p v u))
+    && not (faulted && Compile.Fault_probe.mem probe u v)
+  in
+  { Netsim.Simulator.nodes = p.W.size; mem_edge }
+
+let run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings spec =
   let c =
     Compile.lower ~what:"Collective.Exec.run" ~clamp_ranks ~edge_faults
       ~bidirectional:spec.bidirectional ~ranks:spec.ranks
@@ -116,8 +117,8 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
   let cw = spec.chunk_words in
   let ph = Schedule.phases spec.op ~ranks in
   (* Flat payload arena: rank r of ring j owns the [ranks·cw]-word
-     slice at [((j·ranks) + r)·ranks·cw].  A step writes only the
-     stepped node's own slice — the ?domains safety contract. *)
+     slice at [((j·ranks) + r)·ranks·cw]; a step writes only the
+     stepped node's own slice. *)
   (* [create], not [make]: the fill below writes every word. *)
   let buf = Fa.create (nrings * ranks * ranks * cw) in
   let base_of ~ring ~rank = ((ring * ranks) + rank) * ranks * cw in
@@ -143,22 +144,28 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
         cycle;
       Array.iteri (fun r pos -> rank_of.(j).(cycle.(pos)) <- r) bounds)
     cycles;
-  (* Topology: the implicit De Bruijn edge set, materialized once for
-     the simulator's neighbor check; symmetric closure under
-     bidirectional traffic; faulty links removed through the O(1)
-     packed-key probe (so a ring crossing one would be caught as an
-     illegal send, not silently excused). *)
-  let topology =
-    let g = Graphlib.Digraph.of_successors p.W.size (W.successors p) in
-    let g = if spec.bidirectional then Graphlib.Digraph.undirected_view g else g in
-    if Compile.Fault_probe.is_empty c.Compile.probe then g
-    else
-      Graphlib.Digraph.remove_edges g (fun (u, v) ->
-          Compile.Fault_probe.mem c.Compile.probe u v)
+  let states =
+    Array.init p.W.size (fun v ->
+        let roles =
+          Array.init nrings (fun j ->
+              let r = rank_of.(j).(v) in
+              if r >= 0 then
+                Rank
+                  {
+                    rank = r;
+                    next = next_of.(j).(v);
+                    base = base_of ~ring:j ~rank:r;
+                    phase = 0;
+                  }
+              else if next_of.(j).(v) >= 0 then Relay { next = next_of.(j).(v) }
+              else Off)
+        in
+        { roles; free = [] })
   in
-  (* One send: copy the chunk out of the rank's slice into a pooled
-     array, so later slice writes never mutate in-flight payloads. *)
-  let mk_send st ~next ~ring ~base ~phase ~rank =
+  (* One rank send: copy the chunk out of the rank's slice into a
+     pooled array, so later slice writes never mutate in-flight
+     payloads. *)
+  let send_chunk st ~send ~ring ~rank ~next ~base ~phase =
     let chunk = Schedule.send_chunk ~ranks ~rank ~phase in
     let data =
       match st.free with
@@ -174,106 +181,54 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
     for w = 0 to cw - 1 do
       data.(w) <- buf.{base + (chunk * cw) + w}
     done;
-    ((next, { ring; chunk; data })
-    [@lint.allow
-      "R7 the (dest, message) pair and the message record are the simulator's \
-       wire format — one fixed-size box pair per send"])
+    send next
+      ({ ring; chunk; data }
+      [@lint.allow "R7 one message record per rank send; relays forward it as-is"])
   [@@lint.hot]
   in
-  let proto =
-    {
-      Netsim.Simulator.initial =
-        (fun v ->
-          let roles =
-            Array.init nrings (fun j ->
-                let r = rank_of.(j).(v) in
-                if r >= 0 then
-                  Rank
-                    {
-                      rank = r;
-                      next = next_of.(j).(v);
-                      base = base_of ~ring:j ~rank:r;
-                      phase = 0;
-                    }
-                else if next_of.(j).(v) >= 0 then Relay { next = next_of.(j).(v) }
-                else Off)
-          in
-          { started = false; roles; free = [] });
-      step =
-        ((fun ~round:_ _v st inbox ->
-           let sends =
-             (ref []
-             [@lint.allow
-               "R7 send-list accumulator: one cell per step, demanded by the \
-                (state, sends) simulator API"])
-           in
-           (if not st.started then begin
-              st.started <- true;
-              Array.iteri
-                (fun j role ->
-                  match role with
-                  | Rank rk ->
-                      sends :=
-                        mk_send st ~next:rk.next ~ring:j ~base:rk.base ~phase:0
-                          ~rank:rk.rank
-                        :: !sends
-                  | Relay _ | Off -> ())
-                st.roles
-            end)
-           [@lint.allow
-             "R7 start-up branch: runs once per node before the steady state, \
-              off the hot path"];
-           List.iter
-             ((fun (_src, m) ->
-                match st.roles.(m.ring) with
-                | Relay { next } ->
-                    sends :=
-                      (((next, m) :: !sends)
-                      [@lint.allow
-                        "R7 relay hop: the forwarded message is reused as-is; \
-                         the cons and address pair are the send-list API"])
-                | Rank rk ->
-                    let red = Schedule.reduces spec.op ~ranks ~phase:rk.phase in
-                    let off = rk.base + (m.chunk * cw) in
-                    for w = 0 to cw - 1 do
-                      buf.{off + w} <-
-                        (if red then buf.{off + w} + m.data.(w) else m.data.(w))
-                    done;
-                    (* The payload has been folded into the arena; the
-                       array is ours to recycle (the next send reads the
-                       arena, not the consumed message). *)
-                    st.free <-
-                      ((m.data :: st.free)
-                      [@lint.allow
-                        "R7 recycling-pool push: one cons per consumed message \
-                         saves allocating a cw-word payload array"]);
-                    rk.phase <- rk.phase + 1;
-                    if rk.phase < ph then
-                      sends :=
-                        ((mk_send st ~next:rk.next ~ring:m.ring ~base:rk.base
-                            ~phase:rk.phase ~rank:rk.rank
-                          :: !sends)
-                        [@lint.allow
-                          "R7 the per-phase send must enter the round's \
-                           send list; one cons per phase advance"])
-                | Off -> ())
-             [@lint.allow
-               "R7 inbox traversal closure: one block per step capturing this \
-                step's state, amortized over the per-hop word copies"])
-             inbox;
-           ((st, List.rev !sends)
-           [@lint.allow
-             "R7 the (state, sends) return pair and send-order reversal are \
-              the simulator contract; both are proportional to this step's \
-              sends, not the payload"]))
-        [@lint.hot]);
-      wants_step = (fun st -> not st.started);
-    }
+  (* Round 0 steps every live node: each rank sends its phase-0 chunk.
+     From then on a node reacts to its inbox only. *)
+  let step ~round v inbox ~send =
+    let st = states.(v) in
+    if round = 0 then
+      for j = 0 to nrings - 1 do
+        match st.roles.(j) with
+        | Rank { rank; next; base; _ } ->
+            send_chunk st ~send ~ring:j ~rank ~next ~base ~phase:0
+        | Relay _ | Off -> ()
+      done;
+    for i = 0 to Netsim.Simulator.Inbox.length inbox - 1 do
+      let m = Netsim.Simulator.Inbox.msg inbox i in
+      match st.roles.(m.ring) with
+      | Relay { next } -> send next m
+      | Rank rk ->
+          let red = Schedule.reduces spec.op ~ranks ~phase:rk.phase in
+          let off = rk.base + (m.chunk * cw) in
+          for w = 0 to cw - 1 do
+            buf.{off + w} <- (if red then buf.{off + w} + m.data.(w) else m.data.(w))
+          done;
+          (* The payload has been folded into the arena; the array is
+             ours to recycle (the next send reads the arena, not the
+             consumed message). *)
+          st.free <-
+            ((m.data :: st.free)
+            [@lint.allow
+              "R7 recycling-pool push: one cons per consumed message saves \
+               allocating a cw-word payload array"]);
+          rk.phase <- rk.phase + 1;
+          if rk.phase < ph then
+            send_chunk st ~send ~ring:m.ring ~rank:rk.rank ~next:rk.next
+              ~base:rk.base ~phase:rk.phase
+      | Off -> ()
+    done
+  [@@lint.hot]
   in
   let res =
-    Netsim.Simulator.run ~domains
+    Netsim.Simulator.run
       ~payload_words:(fun m -> Array.length m.data)
-      ~topology ~faulty proto
+      ~topology:(topology ~p ~bidirectional:spec.bidirectional c.Compile.probe)
+      ~faulty
+      { Netsim.Simulator.step; wants_step = (fun _ -> false) }
   in
   (* Exact word-for-word verification against the closed-form final
      arena. *)
@@ -307,16 +262,16 @@ let run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
   in
   (report, buf)
 
-let run ?(domains = 1) ?(edge_faults = []) ?(clamp_ranks = false)
-    ?(init = default_init) ~p ~faulty ~rings spec =
+let run ?(edge_faults = []) ?(clamp_ranks = false) ?(init = default_init) ~p
+    ~faulty ~rings spec =
   fst
-    (run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+    (run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
        spec)
 
-let run_with_payload ?(domains = 1) ?(edge_faults = []) ?(clamp_ranks = false)
+let run_with_payload ?(edge_faults = []) ?(clamp_ranks = false)
     ?(init = default_init) ~p ~faulty ~rings spec =
   let report, buf =
-    run_internal ~domains ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
+    run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings
       spec
   in
   (report, Fa.to_array buf)

@@ -28,9 +28,9 @@
 
     Payload words live in one off-heap {!Graphlib.Flatarr} buffer
     carved into per-(ring, rank) slices; a step writes only the
-    stepped node's own slice, which is what makes the protocol safe
-    under the simulator's [?domains] parallel stepping (bit-identical
-    results, same contract as every other protocol in the repo).
+    stepped node's own slice.  The topology is implicit: the O(1)
+    De Bruijn edge test {!Debruijn.Word.is_edge}, reversed too under
+    [bidirectional], minus the faulted links ({!topology}).
 
     Verification is exact: every word of the final arena is compared
     against the closed-form result of the ring schedule
@@ -80,7 +80,6 @@ type report = {
 }
 
 val run :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
@@ -109,12 +108,9 @@ val run :
     {!Netsim.Simulator.Illegal_send}, so a clean return {e proves} the
     rings avoid the fault set.
 
-    [init] gives the integer payload (defaults to {!default_init});
-    [domains] is passed to the simulator and is bit-identical by its
-    contract. *)
+    [init] gives the integer payload (defaults to {!default_init}). *)
 
 val run_with_payload :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
@@ -127,6 +123,17 @@ val run_with_payload :
     then rank-major, then chunk-major slices of [chunk_words] words) —
     the word-for-word comparison target of the Fastpath agreement
     qcheck. *)
+
+val topology :
+  p:Debruijn.Word.params ->
+  bidirectional:bool ->
+  Compile.Fault_probe.t ->
+  Netsim.Simulator.topology
+(** The links a run may use, as the simulator's O(1) edge test: the
+    De Bruijn edges u → v ({!Debruijn.Word.is_edge}), plus their
+    reversals under [bidirectional], minus every pair the probe holds —
+    the edge set of [Digraph.remove_edges] over the (symmetric closure
+    of) [Debruijn.Graph.b p], without building either. *)
 
 val default_init : ring:int -> rank:int -> chunk:int -> word:int -> int
 (** The default integer payload: a fixed arithmetic mix of the

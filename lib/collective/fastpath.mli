@@ -32,7 +32,8 @@
     {!Graphlib.Sched.parallel_for} under the deterministic-commit
     discipline — each phase's items write pairwise disjoint arena
     chunks and read phase-stable sources, so results are bit-identical
-    for any [?domains] (same contract as Exec, qcheck-pinned). *)
+    for any [?domains] (qcheck-pinned, and against the sequential
+    {!Exec}). *)
 
 val run :
   ?domains:int ->

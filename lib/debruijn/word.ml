@@ -116,6 +116,11 @@ let iter_preds p x f =
     f ((a * stride) + w)
   done
 
+(* suffix u = prefix v, by arithmetic and range-checked without
+   raising: the O(1) edge test of B(d,n) as a message topology. *)
+let is_edge p u v =
+  u >= 0 && u < p.size && v >= 0 && v < p.size && u mod (p.size / p.d) = v / p.d
+
 let edge_code p u v =
   check p u;
   check p v;

@@ -75,6 +75,12 @@ val iter_succs : params -> int -> (int -> unit) -> unit
 val iter_preds : params -> int -> (int -> unit) -> unit
 (** Likewise for {!predecessors}. *)
 
+val is_edge : params -> int -> int -> bool
+(** [is_edge p u v]: is u → v an edge of B(d,n), i.e. suffix u =
+    prefix v?  O(1) arithmetic, loops at the constant words included —
+    the same edge set as [Graph.b p].  False, never an exception, when
+    [u] or [v] lies outside [0, dⁿ). *)
+
 val edge_code : params -> int -> int -> int
 (** [edge_code p u v] packs the De Bruijn edge u → v into the integer
     u·d + vₙ ∈ [0, dⁿ·d) — the (n+1)-digit window as a number, the key

@@ -62,13 +62,17 @@ let point ~domains ~trials ~seed ~d ~n f =
   let minor = Array.make trials 0. in
   let major = Array.make trials 0. in
   (* GC counters are read around each trial, in the trial's own domain
-     (Gc.counters is domain-local; map_trials runs a trial wholly in
-     one worker). *)
+     (map_trials runs a trial wholly in one worker): minor words from
+     Gc.minor_words, which is exact there (Gc.counters misreads them on
+     OCaml 5.1), major words from Gc.counters, read outside that
+     window. *)
   let outcomes =
     map_trials ~domains ~trials (fun trial ->
-        let m0, _, j0 = Gc.counters () in
+        let _, _, j0 = Gc.counters () in
+        let m0 = Gc.minor_words () in
         let outcome = run_trial ~d ~n ~f (trial_rng ~seed ~f ~trial) in
-        let m1, _, j1 = Gc.counters () in
+        let m1 = Gc.minor_words () in
+        let _, _, j1 = Gc.counters () in
         minor.(trial) <- m1 -. m0;
         major.(trial) <- j1 -. j0;
         outcome)

@@ -10,13 +10,17 @@
     All computations here are {e implicit}: they traverse B(d,n) through
     the arithmetic neighbor iterators ([Debruijn.Word.iter_succs]), so
     nothing graph-shaped is allocated.  The [graph] field materializes
-    the full B(d,n) as a [Digraph.t] lazily — only the netsim-backed
-    distributed engines (which need a message topology) force it. *)
+    the full B(d,n) as a [Digraph.t] lazily.  No library code forces it
+    any more — the netsim-backed engines run on the arithmetic edge test
+    [Debruijn.Word.is_edge] — and only the repository benchmark's
+    [distributed-ffc] workload still does, so it goes at that
+    benchmark's next re-anchor. *)
 
 type t = {
   p : Debruijn.Word.params;
   graph : Graphlib.Digraph.t Lazy.t;
-      (** the full B(d,n), materialized on first force *)
+      (** the full B(d,n), materialized on first force; forced only by
+          [bench/suite] (see above) *)
   faults : int list;  (** the faulty nodes as given *)
   necklace_faulty : Graphlib.Flatarr.Byte.t;
       (** node-level: nonzero iff the node lies on a faulty necklace *)

@@ -63,14 +63,18 @@ let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
      trials w, w+nworkers, …  Outcomes land at their trial index, so
      aggregation order — and every derived statistic — is independent
      of scheduling.  GC counters are read per trial, in the trial's own
-     domain (Gc.counters is domain-local). *)
+     domain: minor words from Gc.minor_words, which is exact there
+     (Gc.counters misreads them on OCaml 5.1), major words from
+     Gc.counters, read outside that window. *)
   let worker w =
     let ws = if Array.length wss = 0 then None else Some wss.(w) in
     let i = ref w in
     while !i < trials do
-      let m0, _, j0 = Gc.counters () in
+      let _, _, j0 = Gc.counters () in
+      let m0 = Gc.minor_words () in
       out.(!i) <- run_trial ~p ~ws ~seed ~f !i;
-      let m1, _, j1 = Gc.counters () in
+      let m1 = Gc.minor_words () in
+      let _, _, j1 = Gc.counters () in
       minor.(!i) <- m1 -. m0;
       major.(!i) <- j1 -. j0;
       i := !i + nworkers
@@ -247,9 +251,11 @@ let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
     let ws = if Array.length wss = 0 then None else Some wss.(w) in
     let i = ref w in
     while !i < trials do
-      let m0, _, j0 = Gc.counters () in
+      let _, _, j0 = Gc.counters () in
+      let m0 = Gc.minor_words () in
       out.(!i) <- churn_trial ~p ~ws ~seed ~target ~events ~ev_wall !i;
-      let m1, _, j1 = Gc.counters () in
+      let m1 = Gc.minor_words () in
+      let _, _, j1 = Gc.counters () in
       minor.(!i) <- (m1 -. m0) /. float_of_int events;
       major.(!i) <- (j1 -. j0) /. float_of_int events;
       i := !i + nworkers

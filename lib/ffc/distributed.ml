@@ -5,170 +5,214 @@ module S = Netsim.Simulator
 module Node = struct
   type phase = Probe | Broadcast | Choose | Exchange | Membership
   type candidate = { cdist : int; cnode : int; cparent : int }
-  type entry = { digit : int; rep : int }
 
-  (* fragment: label w → membership entries for a T_w this necklace is in *)
-  type fragment = (int * entry list) list
-
+  (* A fragment: the T_w membership entries a necklace knows, one int
+     per entry packing (w, rep, digit) as (w·dⁿ + rep)·d + digit,
+     ascending and duplicate-free.  Each T_w is then a contiguous run in
+     ascending representative order — the order [Spanning.link_class]
+     links its members in.  A fragment is never mutated once built, so
+     messages share it. *)
   type msg =
     | Relay of { origin : int; hops : int }  (* necklace probe *)
     | Flood of int  (* sender's distance *)
     | Nominate of { cand : candidate; chops : int }
     | Announce of { a_digit : int; child_rep : int; parent_rep : int }
-    | Member of { mfrag : fragment; mhops : int }
+    | Member of { mfrag : int array; mhops : int }
 
-  (* Mutable and updated in place: a step writes only the stepped
-     node's record, which keeps parallel stepping race-free without a
-     copy per update. *)
-  type state = {
-    mutable live : bool;  (* my necklace is fault-free *)
-    mutable dist : int;  (* −1 = not reached *)
-    mutable parent : int;
-    mutable best : candidate option;  (* elected Y of my necklace *)
-    mutable frag : fragment;
+  (* One slot per node of B(d,n) in each table, updated in place; a
+     step writes only the stepped node's slots. *)
+  type t = {
+    bstar : Bstar.t;
+    p : W.params;
+    live : Bytes.t;  (* '\001': my necklace is fault-free *)
+    dist : int array;  (* −1 = not reached *)
+    parent : int array;
+    best : candidate array;  (* elected Y of my necklace; [none] until one *)
+    frag : int array array;
   }
 
-  type t = { bstar : Bstar.t; nodes : state array }
+  let none = { cdist = -1; cnode = -1; cparent = -1 }
+  let has_best t v = t.best.(v).cdist >= 0
 
   let create (bstar : Bstar.t) =
-    let fresh _ = { live = false; dist = -1; parent = -1; best = None; frag = [] } in
-    { bstar; nodes = Array.init bstar.Bstar.p.W.size fresh }
+    let p = bstar.Bstar.p in
+    let size = p.W.size in
+    (* Packed entries stay below (dⁿ)². *)
+    if size > max_int / size then
+      invalid_arg "Distributed.Node.create: d^n too large for packed fragment entries";
+    {
+      bstar;
+      p;
+      live = Bytes.make size '\000';
+      dist = Array.make size (-1);
+      parent = Array.make size (-1);
+      best = Array.make size none;
+      frag = Array.make size [||];
+    }
 
+  let is_live t v = Bytes.get t.live v <> '\000'
   let better a b = if a.cdist <> b.cdist then a.cdist < b.cdist else a.cnode < b.cnode
 
-  let consider st cand =
-    match st.best with
-    | Some b when not (better cand b) -> ()
-    | _ -> st.best <- Some cand
+  let consider t v cand =
+    let b = t.best.(v) in
+    if b.cdist < 0 || better cand b then t.best.(v) <- cand
 
   (* The root necklace is recognizable locally: its elected candidate
      has no broadcast parent. *)
   let is_root_necklace best = best.cparent < 0
 
-  (* Declaration-order (digit, rep) lexicographic — the order polymorphic
-     [compare] used to give, so merged fragments stay bit-identical. *)
-  let entry_compare a b =
-    match Int.compare a.digit b.digit with 0 -> Int.compare a.rep b.rep | c -> c
+  let entry (p : W.params) ~w ~rep ~digit = (((w * p.W.size) + rep) * p.W.d) + digit
+  let entry_w (p : W.params) e = e / (p.W.size * p.W.d)
+  let entry_rep (p : W.params) e = e / p.W.d mod p.W.size
+  let entry_digit (p : W.params) e = e mod p.W.d
 
-  let merge_fragment frag w entries =
-    let existing = Option.value ~default:[] (List.assoc_opt w frag) in
-    (w, List.sort_uniq entry_compare (entries @ existing)) :: List.remove_assoc w frag
+  (* One linear merge of two fragments: [emit k e] is called on the
+     k-th entry of their union; returns the union's length. *)
+  let rec merge (a : int array) (b : int array) emit i j k =
+    let la = Array.length a and lb = Array.length b in
+    if i = la && j = lb then k
+    else if j = lb || (i < la && a.(i) < b.(j)) then begin
+      emit k a.(i);
+      merge a b emit (i + 1) j (k + 1)
+    end
+    else begin
+      emit k b.(j);
+      merge a b emit (if i < la && a.(i) = b.(j) then i + 1 else i) (j + 1) (k + 1)
+    end
 
-  let merge_fragments a b = List.fold_left (fun acc (w, es) -> merge_fragment acc w es) a b
-  let to_all p v m sends = List.fold_left (fun acc s -> (s, m) :: acc) sends (W.successors p v)
+  (* [a] or [b] itself when the other adds nothing, so a fragment
+     already known costs no allocation. *)
+  let union a b =
+    let k = merge a b (fun _ _ -> ()) 0 0 0 in
+    if k = Array.length a then a
+    else if k = Array.length b then b
+    else begin
+      let out = Array.make k 0 in
+      ignore (merge a b (fun k e -> out.(k) <- e) 0 0 0);
+      out
+    end
 
-  let receive (p : W.params) v st sends (src, m) =
+  (* [m] to every successor x₂…xₙa of [v], by arithmetic. *)
+  let to_all (p : W.params) v m send =
+    let base = v mod (p.W.size / p.W.d) * p.W.d in
+    for a = 0 to p.W.d - 1 do
+      send (base + a) m
+    done
+
+  let receive t v src m send =
+    let p = t.p in
     match m with
     | Relay { origin; hops } ->
-        if origin = v then begin
-          st.live <- true;
-          sends
-        end
-        else if hops < p.W.n then (W.rotl p v, Relay { origin; hops = hops + 1 }) :: sends
-        else sends
+        if origin = v then Bytes.set t.live v '\001'
+        else if hops < p.W.n then send (W.rotl p v) (Relay { origin; hops = hops + 1 })
     | Flood d ->
         (* First receipt wins; the inbox is sorted by source, so of
            simultaneous arrivals the minimal sender becomes the parent —
            exactly the thesis's tie-break. *)
-        if st.live && st.dist < 0 then begin
-          st.dist <- d + 1;
-          st.parent <- src;
-          to_all p v (Flood (d + 1)) sends
+        if is_live t v && t.dist.(v) < 0 then begin
+          t.dist.(v) <- d + 1;
+          t.parent.(v) <- src;
+          to_all p v (Flood (d + 1)) send
         end
-        else sends
     | Nominate { cand; chops } ->
-        consider st cand;
-        if chops < p.W.n then (W.rotl p v, Nominate { cand; chops = chops + 1 }) :: sends
-        else sends
+        consider t v cand;
+        if chops < p.W.n then send (W.rotl p v) (Nominate { cand; chops = chops + 1 })
     | Announce { a_digit; child_rep; parent_rep } ->
-        (match st.best with
-        | None -> ()
-        | Some best ->
-            let my_rep = Nk.canonical p v in
-            let as_child = (not (is_root_necklace best)) && v = best.cnode in
-            if parent_rep = my_rep || as_child then begin
-              (* Self entry: in both roles the local digit is the last
-                 digit of the receiving node wγ.  A child also records
-                 its parent's entry. *)
-              let entries =
-                { digit = W.last_digit p v; rep = my_rep }
-                :: { digit = a_digit; rep = child_rep }
-                ::
-                (if as_child then
-                   [ { digit = W.first_digit p best.cparent; rep = Nk.canonical p best.cparent } ]
-                 else [])
-              in
-              st.frag <- merge_fragment st.frag (W.prefix p v) entries
-            end);
-        sends
+        let best = t.best.(v) in
+        if best.cdist >= 0 then begin
+          let my_rep = Nk.canonical p v in
+          let as_child = (not (is_root_necklace best)) && v = best.cnode in
+          if parent_rep = my_rep || as_child then begin
+            (* Self entry: in both roles the local digit is the last
+               digit of the receiving node wγ.  A child also records
+               its parent's entry. *)
+            let w = W.prefix p v in
+            let entries =
+              entry p ~w ~rep:my_rep ~digit:(W.last_digit p v)
+              :: entry p ~w ~rep:child_rep ~digit:a_digit
+              ::
+              (if as_child then
+                 [
+                   entry p ~w ~rep:(Nk.canonical p best.cparent)
+                     ~digit:(W.first_digit p best.cparent);
+                 ]
+               else [])
+            in
+            t.frag.(v) <- union t.frag.(v) (Array.of_list (List.sort_uniq Int.compare entries))
+          end
+        end
     | Member { mfrag; mhops } ->
-        st.frag <- merge_fragments st.frag mfrag;
-        if mhops < p.W.n then (W.rotl p v, Member { mfrag; mhops = mhops + 1 }) :: sends
-        else sends
+        t.frag.(v) <- union t.frag.(v) mfrag;
+        if mhops < p.W.n then send (W.rotl p v) (Member { mfrag; mhops = mhops + 1 })
 
-  let open_phase (bstar : Bstar.t) phase v st sends =
-    let p = bstar.Bstar.p in
+  let open_phase t phase v send =
+    let p = t.p in
     match phase with
-    | Probe -> (W.rotl p v, Relay { origin = v; hops = 1 }) :: sends
+    | Probe -> send (W.rotl p v) (Relay { origin = v; hops = 1 })
     | Broadcast ->
-        if v = bstar.Bstar.root && st.live then begin
-          st.dist <- 0;
-          to_all p v (Flood 0) sends
+        if v = t.bstar.Bstar.root && is_live t v then begin
+          t.dist.(v) <- 0;
+          to_all p v (Flood 0) send
         end
-        else sends
     | Choose ->
-        if st.live && st.dist >= 0 then begin
-          let cand = { cdist = st.dist; cnode = v; cparent = st.parent } in
-          consider st cand;
-          (W.rotl p v, Nominate { cand; chops = 1 }) :: sends
+        if is_live t v && t.dist.(v) >= 0 then begin
+          let cand = { cdist = t.dist.(v); cnode = v; cparent = t.parent.(v) } in
+          consider t v cand;
+          send (W.rotl p v) (Nominate { cand; chops = 1 })
         end
-        else sends
-    | Exchange -> (
+    | Exchange ->
         (* The exit node αw = π⁻¹(Y) of each non-root necklace announces
            to all its successors wγ. *)
-        match st.best with
-        | Some best when (not (is_root_necklace best)) && W.rotl p v = best.cnode ->
-            let m =
-              Announce
-                {
-                  a_digit = W.first_digit p v;
-                  child_rep = Nk.canonical p v;
-                  parent_rep = Nk.canonical p best.cparent;
-                }
-            in
-            to_all p v m sends
-        | _ -> sends)
-    | Membership -> (
-        (* Pattern-match, not polymorphic [<> []]/[<> None]: [frag]
-           carries records and [best] an option, the exact structural
-           shapes lint rule R2 bans comparing polymorphically. *)
-        match (st.frag, st.best) with
-        | (_ :: _ as mfrag), Some _ -> (W.rotl p v, Member { mfrag; mhops = 1 }) :: sends
-        | _ -> sends)
+        let best = t.best.(v) in
+        if best.cdist >= 0 && (not (is_root_necklace best)) && W.rotl p v = best.cnode then
+          to_all p v
+            (Announce
+               {
+                 a_digit = W.first_digit p v;
+                 child_rep = Nk.canonical p v;
+                 parent_rep = Nk.canonical p best.cparent;
+               })
+            send
+    | Membership ->
+        let mfrag = t.frag.(v) in
+        if Array.length mfrag > 0 && has_best t v then
+          send (W.rotl p v) (Member { mfrag; mhops = 1 })
 
-  let step t opening v inbox =
-    let st = t.nodes.(v) in
-    let sends = List.fold_left (receive t.bstar.Bstar.p v st) [] inbox in
-    match opening with None -> sends | Some phase -> open_phase t.bstar phase v st sends
+  let step t opening v inbox ~send =
+    for i = 0 to S.Inbox.length inbox - 1 do
+      receive t v (S.Inbox.src inbox i) (S.Inbox.msg inbox i) send
+    done;
+    match opening with None -> () | Some phase -> open_phase t phase v send
 
-  let successor_of (p : W.params) v frag =
+  (* H-successor of [v]: the next member after v's necklace in v's T_w
+     run, w = suffix v, wrapping to the run's first; π(v) outside every
+     T_w; −1 if v's own entry is missing (an inconsistent B\u{2217}). *)
+  let successor_of t v =
+    let p = t.p in
     let w = W.suffix p v in
-    match List.assoc_opt w frag with
-    | None -> W.rotl p v
-    | Some entries ->
-        let my_rep = Nk.canonical p v in
-        let arr = Array.of_list (List.sort (fun a b -> Int.compare a.rep b.rep) entries) in
-        let k = Array.length arr in
-        let rec find i = if arr.(i).rep = my_rep then i else find (i + 1) in
-        W.snoc p w arr.((find 0 + 1) mod k).digit
+    let frag = t.frag.(v) in
+    let k = Array.length frag in
+    let rec first i = if i < k && entry_w p frag.(i) < w then first (i + 1) else i in
+    let lo = first 0 in
+    let rec last i = if i < k && entry_w p frag.(i) = w then last (i + 1) else i in
+    let hi = last lo in
+    if lo = hi then W.rotl p v
+    else
+      let my_rep = Nk.canonical p v in
+      let rec find i =
+        if i = hi then -1
+        else if entry_rep p frag.(i) = my_rep then
+          W.snoc p w (entry_digit p frag.(if i + 1 < hi then i + 1 else lo))
+        else find (i + 1)
+      in
+      find lo
 
   let read_out ~stage t =
     let bstar = t.bstar in
-    let p = bstar.Bstar.p in
-    let successor = Array.make p.W.size (-1) in
-    Array.iteri
-      (fun v st -> if Option.is_some st.best then successor.(v) <- successor_of p v st.frag)
-      t.nodes;
+    let successor = Array.make t.p.W.size (-1) in
+    for v = 0 to t.p.W.size - 1 do
+      if has_best t v then successor.(v) <- successor_of t v
+    done;
     (* The walk fails on a −1 successor (a node no candidate reached),
        and it can also close early: the necklaces that were reached
        still link into a shorter ring around the others, so the ring
@@ -200,30 +244,25 @@ type t = {
 
 (* One phase of the phased schedule: open it at round 0 of a fresh
    simulator run, then run to quiescence. *)
-let run_phase ?domains ~faulty (nodes : Node.t) phase =
+let run_phase ~faulty (nodes : Node.t) phase =
   let opening = Some phase in
-  let proto : (unit, Node.msg) S.protocol =
+  S.run ~topology:(S.de_bruijn nodes.Node.p) ~faulty
     {
-      initial = ignore;
-      step =
-        (fun ~round v () inbox ->
-          ((), Node.step nodes (if round = 0 then opening else None) v inbox));
-      wants_step = (fun () -> false);
+      S.step =
+        (fun ~round v inbox ~send ->
+          Node.step nodes (if round = 0 then opening else None) v inbox ~send);
+      wants_step = (fun _ -> false);
     }
-  in
-  S.run ?domains ~topology:(Lazy.force nodes.Node.bstar.Bstar.graph) ~faulty proto
 
 let live_necklace_flags bstar =
   let nodes = Node.create bstar in
   let r = run_phase ~faulty:(Bstar.fault_probe bstar) nodes Node.Probe in
-  (Array.map (fun st -> st.Node.live) nodes.Node.nodes, r.S.rounds)
+  (Array.init bstar.Bstar.p.W.size (Node.is_live nodes), r.S.rounds)
 
-let run ?domains (bstar : Bstar.t) =
-  (* One O(1) fault probe shared by all five phases: the simulator
-     calls it once per node and once per send. *)
+let run (bstar : Bstar.t) =
   let faulty = Bstar.fault_probe bstar in
   let nodes = Node.create bstar in
-  let phase = run_phase ?domains ~faulty nodes in
+  let phase = run_phase ~faulty nodes in
   let r1 = phase Node.Probe in
   let r2 = phase Node.Broadcast in
   let r3 = phase Node.Choose in

@@ -29,13 +29,19 @@
     simulator run, and the next phase starts once the network is quiet:
     n rounds for the probe, eccentricity(R) + 1 for the broadcast, ≤ n
     for choose, 1 for the exchange and ≤ n for membership — O(K + n)
-    for any fault pattern. *)
+    for any fault pattern.
+
+    Both schedules run on B(d,n) as an implicit topology (the
+    arithmetic edge test {!Debruijn.Word.is_edge}); nothing
+    graph-shaped is built. *)
 
 (** The node program both schedules run. *)
 module Node : sig
   type t
-  (** Every node's state for one run over a B\u{2217}: one mutable
-      record per node of B(d,n), updated in place by {!step}. *)
+  (** Every node's state for one run over a B\u{2217}: flat per-node
+      tables over B(d,n), updated in place by {!step}.  A node's
+      fragment of the T_w memberships is a sorted array of packed
+      (w, rep, digit) ints, merged linearly. *)
 
   type msg
   (** The messages of all five phases. *)
@@ -43,13 +49,21 @@ module Node : sig
   type phase = Probe | Broadcast | Choose | Exchange | Membership
 
   val create : Bstar.t -> t
-  (** Every node before the probe: no necklace known live, none reached. *)
+  (** Every node before the probe: no necklace known live, none reached.
+      @raise Invalid_argument if (dⁿ)² overflows an int (packed
+      fragment entries). *)
 
-  val step : t -> phase option -> int -> (int * msg) list -> (int * msg) list
-  (** [step t opening v inbox] is node [v]'s move in one round: it
-      handles every message of [inbox] (sorted by source), then makes
-      [opening]'s opening move, if any.  It writes [v]'s record only, so
-      distinct nodes can step concurrently.  Returns [v]'s sends. *)
+  val step :
+    t ->
+    phase option ->
+    int ->
+    msg Netsim.Simulator.Inbox.t ->
+    send:(int -> msg -> unit) ->
+    unit
+  (** [step t opening v inbox ~send] is node [v]'s move in one round:
+      it handles every message of [inbox] (sorted by source), then
+      makes [opening]'s opening move, if any, sending through [send].
+      It writes [v]'s slots only. *)
 
   val read_out : stage:string -> t -> int array * int array
   (** Every node's H-successor (−1 where no Y was elected) and the ring
@@ -89,7 +103,7 @@ type t = {
   stats : stats;
 }
 
-val run : ?domains:int -> Bstar.t -> t
+val run : Bstar.t -> t
 (** Execute all phases on B(d,n) with the fault set of the given B\u{2217}
     (the B\u{2217} itself is only used for the root choice and for reading
     off the final cycle; every decision inside the phases is made by the

@@ -22,24 +22,29 @@ let opening ~n round =
   else if round = (4 * n) + 4 then Some Node.Membership
   else None
 
-let run ?domains (bstar : Bstar.t) =
-  let n = bstar.Bstar.p.W.n in
+let run (bstar : Bstar.t) =
+  let p = bstar.Bstar.p in
+  let n = p.W.n in
   let total = schedule_length ~n in
   let nodes = Node.create bstar in
-  (* A node's simulator state is the round it last stepped in: it stays
-     awake, mail or not, until the schedule ends. *)
-  let proto : (int, Node.msg) S.protocol =
+  (* Every live node steps every round until the schedule ends, mail or
+     not, so the round last stepped is all the schedule state there
+     is. *)
+  let clock = ref 0 in
+  let proto =
     {
-      initial = (fun _ -> 0);
-      step = (fun ~round v _ inbox -> (round, Node.step nodes (opening ~n round) v inbox));
-      wants_step = (fun last -> last < total);
+      S.step =
+        (fun ~round v inbox ~send ->
+          clock := round;
+          Node.step nodes (opening ~n round) v inbox ~send);
+      wants_step = (fun _ -> !clock < total);
     }
   in
   let r =
     (* Out of regime, floods from late-reached nodes can still be in
        flight when the wind-down budget runs out. *)
     try
-      S.run ?domains ~max_rounds:(total + 8) ~topology:(Lazy.force bstar.Bstar.graph)
+      S.run ~max_rounds:(total + 8) ~topology:(S.de_bruijn p)
         ~faulty:(Bstar.fault_probe bstar) proto
     with S.Did_not_converge _ ->
       Pipeline_error.raise_error ~stage:"Selftimed" "traffic outlived the fixed schedule"

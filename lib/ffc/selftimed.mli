@@ -38,9 +38,9 @@ type t = {
 val schedule_length : n:int -> int
 (** 5n + 4. *)
 
-val run : ?domains:int -> Bstar.t -> t
-(** Execute the protocol on the fixed schedule.  [domains] is passed to
-    {!Netsim.Simulator.run} for parallel stepping of the big rounds.
+val run : Bstar.t -> t
+(** Execute the protocol on the fixed schedule, in one simulator run
+    over the implicit B(d,n).
     @raise Pipeline_error.Error (stage ["Selftimed"]) if the ring does
     not cover B\u{2217} — the successor map does not close, or closes
     into a ring shorter than [bstar.size] around necklaces the

@@ -1,9 +1,31 @@
-type 'm outgoing = int * 'm
+type topology = { nodes : int; mem_edge : int -> int -> bool }
 
-type ('s, 'm) protocol = {
-  initial : int -> 's;
-  step : round:int -> int -> 's -> (int * 'm) list -> 's * 'm outgoing list;
-  wants_step : 's -> bool;
+let de_bruijn (p : Debruijn.Word.params) =
+  { nodes = p.Debruijn.Word.size; mem_edge = Debruijn.Word.is_edge p }
+
+(* The engine writes [srcs]/[msgs] at the round switch and moves the
+   [lo, lo + len) window from node to node; a protocol only reads. *)
+module Inbox = struct
+  type 'm t = {
+    mutable srcs : int array;
+    mutable msgs : 'm array;
+    mutable lo : int;
+    mutable len : int;
+  }
+
+  let length ib = ib.len
+
+  let index ib i =
+    if i < 0 || i >= ib.len then invalid_arg "Simulator.Inbox: index out of range";
+    ib.lo + i
+
+  let src ib i = ib.srcs.(index ib i)
+  let msg ib i = ib.msgs.(index ib i)
+end
+
+type 'm protocol = {
+  step : round:int -> int -> 'm Inbox.t -> send:(int -> 'm -> unit) -> unit;
+  wants_step : int -> bool;
 }
 
 type round_metrics = {
@@ -14,9 +36,8 @@ type round_metrics = {
   wall_ns : float;
 }
 
-type 's result = {
+type result = {
   rounds : int;
-  states : 's array;
   delivered : int;
   max_inflight : int;
   max_port_load : int;
@@ -28,79 +49,142 @@ exception Illegal_send of { round : int; src : int; dst : int }
 exception Did_not_converge of int
 
 (* ------------------------------------------------------------------ *)
-(* Flat, reusable per-node mailboxes: parallel (srcs, msgs) growth
-   arrays.  [clear] only resets the length, so the backing store is
-   reused round after round — no per-round allocation proportional to
-   the network size, only to the traffic.  Cleared slots keep their old
-   payload references until overwritten; peak retention is bounded by
-   the peak per-node traffic of the run. *)
+(* Engine state.  The round being executed reads [inbox] and appends
+   its sends, in send order, to the flat send buffer
+   [sdst]/[ssrc]/[smsg]; [count.(v)] counts the buffered messages for
+   [v].  Nodes step in ascending order, so the buffer is sorted by
+   source, and the stable counting sort at the round switch leaves
+   every inbox sorted by source with same-source messages in send
+   order — payloads are never compared.  Both buffers are reused round
+   after round; slots past the live length keep stale payload
+   references until overwritten, so retention is bounded by the run's
+   peak round traffic. *)
 
-type 'm mailbox = {
-  mutable srcs : int array;
-  mutable msgs : 'm array;
-  mutable mlen : int;
+type 'm engine = {
+  n : int;
+  live : Bytes.t;  (* '\001' iff the node is not faulty *)
+  scheduled : Bytes.t;  (* '\001' iff in [next] *)
+  count : int array;
+  mutable next : int array;  (* nodes scheduled for the next round, distinct *)
+  mutable nnext : int;
+  mutable work : int array;  (* this round's nodes, ascending *)
+  mutable nwork : int;
+  stop : int array;  (* stop.(i): end of work.(i)'s inbox slice *)
+  inbox : 'm Inbox.t;
+  mutable sdst : int array;
+  mutable ssrc : int array;
+  mutable smsg : 'm array;
+  mutable nsend : int;
+  (* the step in progress *)
+  mutable round : int;
+  mutable cur : int;
+  mutable port : int;
+  mutable sent : int;  (* sends this round, drops to faulty nodes included *)
+  mutable payload : int;  (* payload words accepted this round *)
 }
 
-let mb_create () = { srcs = [||]; msgs = [||]; mlen = 0 }
+let illegal_send ~round ~src ~dst = raise (Illegal_send { round; src; dst })
+let did_not_converge max_rounds = raise (Did_not_converge max_rounds)
 
-let mb_push mb src msg =
-  let cap = Array.length mb.srcs in
-  if mb.mlen = cap then begin
-    let cap' = if cap = 0 then 4 else 2 * cap in
-    let srcs' = Array.make cap' src and msgs' = Array.make cap' msg in
-    Array.blit mb.srcs 0 srcs' 0 mb.mlen;
-    Array.blit mb.msgs 0 msgs' 0 mb.mlen;
-    mb.srcs <- srcs';
-    mb.msgs <- msgs'
-  end;
-  mb.srcs.(mb.mlen) <- src;
-  mb.msgs.(mb.mlen) <- msg;
-  mb.mlen <- mb.mlen + 1
-
-let mb_clear mb = mb.mlen <- 0
-
-(* Inbox as the protocol sees it: (src, payload) list in push order.
-   Pushes happen in ascending-sender order (the worklist is sorted
-   before stepping), so the list is sorted by source with same-source
-   messages in send order — no comparison of payloads ever happens. *)
-let mb_to_list mb =
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) ((mb.srcs.(i), mb.msgs.(i)) :: acc)
+(* Doubling growth of the send buffer; [msg] fills the fresh slots. *)
+let grow_send e msg =
+  let cap = max 16 (2 * Array.length e.sdst) in
+  let grow a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 e.nsend;
+    a'
   in
-  build (mb.mlen - 1) []
+  e.sdst <- grow e.sdst 0;
+  e.ssrc <- grow e.ssrc 0;
+  e.smsg <- grow e.smsg msg
 
-(* A growable int vector for the round worklists. *)
-type vec = { mutable a : int array; mutable vlen : int }
-
-let vec_create () = { a = [||]; vlen = 0 }
-
-let vec_push v x =
-  let cap = Array.length v.a in
-  if v.vlen = cap then begin
-    let cap' = if cap = 0 then 16 else 2 * cap in
-    let a' = Array.make cap' x in
-    Array.blit v.a 0 a' 0 v.vlen;
-    v.a <- a'
-  end;
-  v.a.(v.vlen) <- x;
-  v.vlen <- v.vlen + 1
-
-let int_cmp (x : int) (y : int) = if x < y then -1 else if x > y then 1 else 0
-
-let vec_sort v =
-  if v.vlen = Array.length v.a then Array.sort int_cmp v.a
-  else begin
-    let s = Array.sub v.a 0 v.vlen in
-    Array.sort int_cmp s;
-    Array.blit s 0 v.a 0 v.vlen
+let schedule e v =
+  if Bytes.unsafe_get e.scheduled v = '\000' then begin
+    Bytes.unsafe_set e.scheduled v '\001';
+    e.next.(e.nnext) <- v;
+    e.nnext <- e.nnext + 1
   end
 
-(* ------------------------------------------------------------------ *)
+(* In-place heapsort of [a.(0 .. k−1)]: the sparse-round worklist
+   sort, with no scratch array. *)
+let rec sift (a : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let t = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- t;
+      sift a c len
+    end
+  end
 
-(* Below this many active nodes a round is stepped sequentially even
-   when [domains > 1]: spawning is ~20–50 µs per domain and would
-   dominate small rounds. *)
-let par_threshold = 1024
+let sort_prefix a k =
+  for i = (k / 2) - 1 downto 0 do
+    sift a i k
+  done;
+  for last = k - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- t;
+    sift a 0 last
+  done
+
+(* The round switch: the scheduled nodes become the (ascending)
+   worklist, and the send buffer is counting-sorted into the inbox.
+   Dense rounds (≥ n/4 nodes scheduled) rebuild the worklist by a
+   linear scan of the flags — O(n), cache-friendly and sorted for free
+   — instead of paying the O(k log k) sort. *)
+let switch e =
+  let w = e.next in
+  e.next <- e.work;
+  e.work <- w;
+  let k = e.nnext in
+  e.nnext <- 0;
+  if 4 * k >= e.n then begin
+    let j = ref 0 in
+    for v = 0 to e.n - 1 do
+      if Bytes.unsafe_get e.scheduled v <> '\000' then begin
+        Bytes.unsafe_set e.scheduled v '\000';
+        w.(!j) <- v;
+        incr j
+      end
+    done
+  end
+  else begin
+    for i = 0 to k - 1 do
+      Bytes.unsafe_set e.scheduled w.(i) '\000'
+    done;
+    sort_prefix w k
+  end;
+  e.nwork <- k;
+  let ib = e.inbox in
+  if Array.length ib.Inbox.msgs < e.nsend then begin
+    let cap = max e.nsend (2 * Array.length ib.Inbox.msgs) in
+    ib.Inbox.srcs <- Array.make cap 0;
+    ib.Inbox.msgs <- Array.make cap e.smsg.(0)
+  end;
+  (* Offsets in worklist order; [count] becomes each slice's cursor. *)
+  let off = ref 0 in
+  for i = 0 to k - 1 do
+    let v = w.(i) in
+    let c = e.count.(v) in
+    e.count.(v) <- !off;
+    off := !off + c;
+    e.stop.(i) <- !off
+  done;
+  let srcs = ib.Inbox.srcs and msgs = ib.Inbox.msgs in
+  for j = 0 to e.nsend - 1 do
+    let d = e.sdst.(j) in
+    let pos = e.count.(d) in
+    srcs.(pos) <- e.ssrc.(j);
+    msgs.(pos) <- e.smsg.(j);
+    e.count.(d) <- pos + 1
+  done;
+  for i = 0 to k - 1 do
+    e.count.(w.(i)) <- 0
+  done;
+  e.nsend <- 0
 
 let now_ns () =
   (Unix.gettimeofday () [@lint.allow "R1 per-round wall-clock trace metrics: reported, never branched on"]) *. 1e9
@@ -110,164 +194,107 @@ let now_ns () =
    is strictly opt-in. *)
 let zero_payload _ = 0
 
-let run ?max_rounds ?(domains = 1) ?(payload_words = zero_payload) ~topology
-    ~faulty proto =
-  let n = Graphlib.Digraph.n_nodes topology in
+let run ?max_rounds ?(payload_words = zero_payload) ~topology ~faulty proto =
+  let n = topology.nodes in
   let max_rounds = Option.value max_rounds ~default:((4 * n) + 64) in
-  let domains = max 1 domains in
-  let live v = not (faulty v) in
-  let states = Array.init n proto.initial in
-  let cur = ref (Array.init n (fun _ -> mb_create ())) in
-  let nxt = ref (Array.init n (fun _ -> mb_create ())) in
-  (* Worklist of the round being executed (sorted ascending before the
-     step sweep) and the one being accumulated for the next round.
-     [scheduled] marks membership in [nextw]; a node appears at most
-     once however many messages it receives. *)
-  let work = ref (vec_create ()) in
-  let nextw = ref (vec_create ()) in
-  let scheduled = Array.make n false in
+  let mem_edge = topology.mem_edge in
+  let e =
+    {
+      n;
+      live = Bytes.init n (fun v -> if faulty v then '\000' else '\001');
+      scheduled = Bytes.make n '\000';
+      count = Array.make n 0;
+      next = Array.make n 0;
+      nnext = 0;
+      work = Array.make n 0;
+      nwork = 0;
+      stop = Array.make n 0;
+      inbox = { Inbox.srcs = [||]; msgs = [||]; lo = 0; len = 0 };
+      sdst = [||];
+      ssrc = [||];
+      smsg = [||];
+      nsend = 0;
+      round = 0;
+      cur = 0;
+      port = 0;
+      sent = 0;
+      payload = 0;
+    }
+  in
+  (* Round 0 steps every live node, in node order. *)
   for v = 0 to n - 1 do
-    if live v then vec_push !work v
+    if Bytes.get e.live v <> '\000' then begin
+      e.work.(e.nwork) <- v;
+      e.nwork <- e.nwork + 1
+    end
   done;
-  (* The initial worklist is built in node order. *)
-  let work_sorted = ref true in
+  let send dst msg =
+    e.port <- e.port + 1;
+    if dst < 0 || dst >= n || not (mem_edge e.cur dst) then
+      illegal_send ~round:e.round ~src:e.cur ~dst;
+    if Bytes.unsafe_get e.live dst <> '\000' then begin
+      if e.nsend = Array.length e.sdst then grow_send e msg;
+      let j = e.nsend in
+      e.sdst.(j) <- dst;
+      e.ssrc.(j) <- e.cur;
+      e.smsg.(j) <- msg;
+      e.nsend <- j + 1;
+      e.count.(dst) <- e.count.(dst) + 1;
+      e.payload <- e.payload + payload_words msg;
+      schedule e dst
+    end
+  [@@lint.hot]
+  in
   let delivered = ref 0 in
   let max_inflight = ref 0 in
   let max_port_load = ref 0 in
   let payload_total = ref 0 in
   let trace = ref [] in
-  let executed = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    if !work.vlen = 0 then finished := true
-    else begin
-      (* The guard runs before the round executes, so a run performs at
-         most [max_rounds] rounds (indices 0 .. max_rounds − 1). *)
-      if !executed >= max_rounds then raise (Did_not_converge max_rounds);
-      let t0 = now_ns () in
-      let r = !executed in
-      if not !work_sorted then vec_sort !work;
-      let wa = !work.a and k = !work.vlen in
-      let cur_boxes = !cur and nxt_boxes = !nxt in
-      let round_delivered = ref 0 and round_sent = ref 0 in
-      let round_payload = ref 0 in
-      (* Deliver the sends of node [v] (stepped this round) and schedule
-         the recipients.  Called in ascending-sender order, which keeps
-         every next-round inbox sorted by source. *)
-      let apply v (state', sends) =
-        let mb = cur_boxes.(v) in
-        round_delivered := !round_delivered + mb.mlen;
-        mb_clear mb;
-        states.(v) <- state';
-        let port = ref 0 in
-        List.iter
-          (fun (dst, payload) ->
-            incr port;
-            if not (Graphlib.Digraph.mem_edge topology v dst) then
-              raise (Illegal_send { round = r; src = v; dst });
-            if live dst then begin
-              round_payload := !round_payload + payload_words payload;
-              mb_push nxt_boxes.(dst) v payload;
-              if not scheduled.(dst) then begin
-                scheduled.(dst) <- true;
-                vec_push !nextw dst
-              end
-            end)
-          sends;
-        round_sent := !round_sent + !port;
-        max_port_load := max !max_port_load !port;
-        if (not scheduled.(v)) && proto.wants_step states.(v) then begin
-          scheduled.(v) <- true;
-          vec_push !nextw v
-        end
-      in
-      if domains > 1 && k >= par_threshold then begin
-        (* Parallel stepping: [step] is a function of the round number
-           and the node's own (state, inbox), all frozen at round
-           start, so stepping distinct nodes commutes.  Sends are
-           merged sequentially afterwards, in worklist order, to keep
-           the execution bit-identical to the sequential mode. *)
-        let results = Array.make k (Error Exit) in
-        let chunk = (k + domains - 1) / domains in
-        let worker lo hi =
-          for i = lo to hi - 1 do
-            let v = wa.(i) in
-            results.(i) <-
-              (try Ok (proto.step ~round:r v states.(v) (mb_to_list cur_boxes.(v)))
-               with e -> Error e)
-          done
-        in
-        let spawned =
-          List.init (domains - 1) (fun j ->
-              let lo = (j + 1) * chunk in
-              let hi = min k (lo + chunk) in
-              Domain.spawn (fun () -> if lo < hi then worker lo hi))
-        in
-        worker 0 (min k chunk);
-        List.iter Domain.join spawned;
-        for i = 0 to k - 1 do
-          match results.(i) with
-          | Ok res -> apply wa.(i) res
-          | Error e -> raise e
-        done
-      end
-      else
-        for i = 0 to k - 1 do
-          let v = wa.(i) in
-          apply v (proto.step ~round:r v states.(v) (mb_to_list cur_boxes.(v)))
-        done;
-      delivered := !delivered + !round_delivered;
-      max_inflight := max !max_inflight !round_delivered;
-      payload_total := !payload_total + !round_payload;
-      trace :=
-        {
-          active = k;
-          delivered_in_round = !round_delivered;
-          sent = !round_sent;
-          payload_words = !round_payload;
+  let ib = e.inbox in
+  (while e.nwork > 0 do
+     (* The guard runs before the round executes, so a run performs at
+        most [max_rounds] rounds (indices 0 .. max_rounds − 1). *)
+     if e.round >= max_rounds then did_not_converge max_rounds;
+     let t0 = now_ns () in
+     let r = e.round in
+     e.sent <- 0;
+     e.payload <- 0;
+     ib.Inbox.lo <- 0;
+     ib.Inbox.len <- 0;
+     for i = 0 to e.nwork - 1 do
+       let v = e.work.(i) in
+       let stop = e.stop.(i) in
+       ib.Inbox.lo <- ib.Inbox.lo + ib.Inbox.len;
+       ib.Inbox.len <- stop - ib.Inbox.lo;
+       e.cur <- v;
+       e.port <- 0;
+       proto.step ~round:r v ib ~send;
+       e.sent <- e.sent + e.port;
+       if e.port > !max_port_load then max_port_load := e.port;
+       if Bytes.unsafe_get e.scheduled v = '\000' && proto.wants_step v then
+         schedule e v
+     done;
+     let round_delivered = ib.Inbox.lo + ib.Inbox.len in
+     delivered := !delivered + round_delivered;
+     if round_delivered > !max_inflight then max_inflight := round_delivered;
+     payload_total := !payload_total + e.payload;
+     trace :=
+       ({
+          active = e.nwork;
+          delivered_in_round = round_delivered;
+          sent = e.sent;
+          payload_words = e.payload;
           wall_ns = now_ns () -. t0;
         }
-        :: !trace;
-      (* Swap mailbox generations and worklists; every stepped node's
-         current mailbox was cleared above, so [nxt] is all-empty after
-         the swap.  Quiescence is the next worklist being empty — no
-         O(n) rescan. *)
-      let t = !cur in
-      cur := !nxt;
-      nxt := t;
-      let tw = !work in
-      tw.vlen <- 0;
-      work := !nextw;
-      nextw := tw;
-      (* Clear the membership flags and establish sort order for the
-         new worklist.  Dense rounds (≥ n/4 nodes scheduled) rebuild it
-         by a linear scan of the flags — O(n), cache-friendly, and
-         sorted for free — instead of paying the O(k log k) sort; on
-         an all-active workload that is the difference between this
-         engine and the seed's full scan. *)
-      let w = !work in
-      if 4 * w.vlen >= n then begin
-        w.vlen <- 0;
-        for v = 0 to n - 1 do
-          if scheduled.(v) then begin
-            scheduled.(v) <- false;
-            vec_push w v
-          end
-        done;
-        work_sorted := true
-      end
-      else begin
-        for i = 0 to w.vlen - 1 do
-          scheduled.(w.a.(i)) <- false
-        done;
-        work_sorted := false
-      end;
-      incr executed
-    end
-  done;
+        :: !trace
+       [@lint.allow "R7 one trace record per executed round, not per message"]);
+     (* Quiescence is the next worklist being empty — no O(n) rescan. *)
+     switch e;
+     e.round <- r + 1
+   done)
+  [@lint.hot];
   {
-    rounds = !executed;
-    states;
+    rounds = e.round;
     delivered = !delivered;
     max_inflight = !max_inflight;
     max_port_load = !max_port_load;

@@ -17,11 +17,19 @@
       send its first messages).
     - Round r ≥ 1: messages sent in round r−1 are delivered; each live
       node with a nonempty inbox — plus any node that [wants_step] —
-      runs [step].  Nodes that neither hold mail nor want to step are
-      not visited at all (the engine keeps an active-node worklist, so
-      a round costs O(active + messages), not O(network)).
+      runs [step], in ascending node order.  Nodes that neither hold
+      mail nor want to step are not visited at all (the engine keeps an
+      active-node worklist, so a round costs O(active + messages), not
+      O(network)).
     - The run ends when no messages are in flight and no node wants to
       step, or when [max_rounds] is hit.
+
+    The interface allocates nothing per message.  A step reads its
+    inbox as a slice of the round's flat mailbox, sends through the
+    [send] callback into one flat send buffer (counting-sorted by
+    destination at the round switch), and keeps whatever node state
+    it needs itself, mutated in place.  The topology is a node count
+    plus an O(1) edge test, so B(d,n) need never be materialized.
 
     Round accounting (pinned by the unit tests):
     - [rounds] is the {e number of rounds executed}, i.e. the number of
@@ -33,21 +41,47 @@
       [0 .. max_rounds − 1]) and raises {!Did_not_converge} the moment
       a [max_rounds + 1]-th round would start. *)
 
-type 'm outgoing = int * 'm
-(** (destination, payload).  The destination must be an out-neighbor of
-    the sender in the topology, else the send is rejected. *)
+type topology = {
+  nodes : int;  (** node ids are [0, nodes) *)
+  mem_edge : int -> int -> bool;
+      (** [mem_edge u v]: is u → v a link?  Called once per send, only
+          with ids inside [0, nodes); O(1) keeps a round at
+          O(active + messages), as in {!de_bruijn} *)
+}
 
-type ('s, 'm) protocol = {
-  initial : int -> 's;  (** initial state per node id *)
-  step : round:int -> int -> 's -> (int * 'm) list -> 's * 'm outgoing list;
-      (** [step ~round v state inbox] — inbox is [(source, payload)]
-          sorted by source id; several messages from the same source
-          arrive in their send order.  Payloads are never compared or
-          hashed by the engine, so they may contain closures.  Returns
-          the new state and sends. *)
-  wants_step : 's -> bool;
-      (** Request a step next round even with an empty inbox — used for
-          spontaneous phase transitions (e.g. a timeout after n rounds). *)
+val de_bruijn : Debruijn.Word.params -> topology
+(** B(d,n): dⁿ nodes and the arithmetic edge test
+    {!Debruijn.Word.is_edge}; nothing is materialized. *)
+
+(** A node's inbox for one step: the messages sent to it in the
+    previous round, sorted by source id, several messages from the
+    same source in their send order.  A read-only view of the engine's
+    mailbox, valid only during the step that received it.  Payloads
+    are never compared or hashed, so they may contain closures. *)
+module Inbox : sig
+  type 'm t
+
+  val length : 'm t -> int
+
+  val src : 'm t -> int -> int
+  (** [src ib i] for 0 ≤ i < [length ib].
+      @raise Invalid_argument outside that range. *)
+
+  val msg : 'm t -> int -> 'm
+  (** [msg ib i], the payload sent by [src ib i]. *)
+end
+
+type 'm protocol = {
+  step : round:int -> int -> 'm Inbox.t -> send:(int -> 'm -> unit) -> unit;
+      (** [step ~round v inbox ~send] — node [v]'s move in [round].
+          [send dst msg] queues [msg] for [dst], which must be an
+          out-neighbor of [v]; it raises {!Illegal_send} otherwise, and
+          is valid only during this step.  Node state belongs to the
+          protocol: a step mutates [v]'s own state in place. *)
+  wants_step : int -> bool;
+      (** [wants_step v], asked right after [v] steps: request a step
+          next round even with an empty inbox — used for spontaneous
+          phase transitions (e.g. a timeout after n rounds). *)
 }
 
 type round_metrics = {
@@ -61,9 +95,8 @@ type round_metrics = {
   wall_ns : float;  (** wall-clock nanoseconds spent executing the round *)
 }
 
-type 's result = {
+type result = {
   rounds : int;  (** number of rounds executed (see round accounting above) *)
-  states : 's array;  (** final state of every node (faulty included, at their initial state) *)
   delivered : int;  (** total messages delivered over the run *)
   max_inflight : int;  (** peak messages delivered in a single round *)
   max_port_load : int;
@@ -81,7 +114,8 @@ type 's result = {
 }
 
 exception Illegal_send of { round : int; src : int; dst : int }
-(** Raised when a node tries to send to a non-neighbor. *)
+(** Raised by [send] when a node sends to a non-neighbor or to an id
+    outside [0, nodes). *)
 
 exception Did_not_converge of int
 (** Raised when the [max_rounds] budget is exhausted; carries the
@@ -89,35 +123,19 @@ exception Did_not_converge of int
 
 val run :
   ?max_rounds:int ->
-  ?domains:int ->
   ?payload_words:('m -> int) ->
-  topology:Graphlib.Digraph.t ->
+  topology:topology ->
   faulty:(int -> bool) ->
-  ('s, 'm) protocol ->
-  's result
-(** Execute the protocol on all non-faulty nodes of the topology.
-    [max_rounds] defaults to [4 * n_nodes + 64].  Messages sent to or
-    from faulty nodes are silently dropped — receivers cannot tell a
-    dead neighbor from a silent one, exactly as in the thesis's fault
-    model.
-
-    [faulty] is called once per node when the run starts and once per
-    send that passes the edge check (on the destination), always from
-    the coordinating domain.  The O(active + messages) round cost
-    assumes it is O(1) — a [List.mem] over f faults makes every send
-    O(f); precompute a mask instead (as [Ffc.Bstar.fault_probe] does).
-
-    [domains] (default 1) enables parallel stepping on OCaml 5
-    domains: rounds with at least ~1000 active nodes are split across
-    [domains] domains, stepped concurrently, and their sends merged
-    deterministically in node order — the result is bit-identical to
-    the sequential mode.  Requires [step] to be safe to run
-    concurrently for {e distinct} nodes (pure, or mutating only the
-    stepped node's own state), which holds for every protocol in this
-    repository.  Rounds below the threshold run sequentially, so small
-    protocols pay no spawn overhead.
+  'm protocol ->
+  result
+(** Execute the protocol on all non-faulty nodes of the topology, in
+    one sequential round loop.  [max_rounds] defaults to
+    [4 * nodes + 64].  Messages sent to faulty nodes are silently
+    dropped and faulty nodes never step — receivers cannot tell a dead
+    neighbor from a silent one, exactly as in the thesis's fault
+    model.  [faulty] is called once per node when the run starts.
 
     [payload_words] sizes a message's payload in words for the traffic
     accounting ([round_metrics.payload_words] / [payload_total]); it is
-    called once per message accepted for delivery, from the
-    coordinating domain.  Defaults to [fun _ -> 0]. *)
+    called once per message accepted for delivery.  Defaults to
+    [fun _ -> 0]. *)

@@ -15,7 +15,7 @@ open Netsim
 
 type 'm outgoing = int * 'm
 
-type ('s, 'm) protocol = ('s, 'm) Simulator.protocol = {
+type ('s, 'm) protocol = {
   initial : int -> 's;
   step : round:int -> int -> 's -> (int * 'm) list -> 's * 'm outgoing list;
   wants_step : 's -> bool;

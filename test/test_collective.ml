@@ -127,12 +127,12 @@ let test_reduce_scatter_prefix () =
 let hamiltonian_ring ~d ~n =
   Str.to_nodes (List.hd (Co.disjoint_streams_upto ~d ~n ~k:1))
 
-let run_ring ?domains ?(bidirectional = false) ?rings ~d ~n ~ranks ~chunk_words op =
+let run_ring ?(bidirectional = false) ?rings ~d ~n ~ranks ~chunk_words op =
   let p = W.params ~d ~n in
   let rings =
     match rings with Some r -> r | None -> [ hamiltonian_ring ~d ~n ]
   in
-  E.run ?domains ~p
+  E.run ~p
     ~faulty:(fun _ -> false)
     ~rings
     { E.op; ranks; chunk_words; bidirectional }
@@ -173,15 +173,60 @@ let test_exec_striped_and_bidir () =
   check_bool "bidirectional verified" true rb.E.verified;
   check_int "both directions" (2 * k) rb.E.rings
 
+(* The seed-era name for the striped allreduce's bit-identity pin: the
+   netsim executor against the compiled one, report and final arena. *)
 let test_exec_domains_bit_identical () =
   let d = 4 and n = 3 in
+  let p = W.params ~d ~n in
   let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:3) in
-  let a = run_ring ~rings ~d ~n ~ranks:8 ~chunk_words:2 S.Allreduce in
-  let b = run_ring ~domains:2 ~rings ~d ~n ~ranks:8 ~chunk_words:2 S.Allreduce in
-  check_bool "domains=2 verified" true b.E.verified;
+  let spec = { E.op = S.Allreduce; ranks = 8; chunk_words = 2; bidirectional = false } in
+  let a, pa = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+  let b, pb = Collective.Fastpath.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+  check_bool "verified" true a.E.verified;
   check_int "same rounds" a.E.rounds b.E.rounds;
   check_int "same delivered" a.E.delivered b.E.delivered;
-  check_int "same checksum" a.E.checksum b.E.checksum
+  check_int "same checksum" a.E.checksum b.E.checksum;
+  check_bool "same arena" true (pa = pb)
+
+(* The simulator's topology for a run is implicit: the De Bruijn edge
+   test, reversed too under [bidirectional], minus the faulted links.
+   It must be exactly the edge set the materialized construction gave,
+   [remove_edges] over the (symmetric closure of) [Graph.b], on every
+   ordered pair — including fault "links" that are not edges and
+   faults naming nodes outside the network. *)
+let test_exec_topology () =
+  List.iter
+    (fun (d, n, seed) ->
+      let p = W.params ~d ~n in
+      let size = p.W.size in
+      let rng = Util.Rng.create seed in
+      let faults =
+        List.init 6 (fun i ->
+            let u = Util.Rng.int rng size in
+            if i = 5 then (u, size + 3)
+            else if i mod 2 = 0 then (u, W.snoc p (W.suffix p u) (Util.Rng.int rng d))
+            else (u, Util.Rng.int rng size))
+      in
+      List.iter
+        (fun bidirectional ->
+          let probe = Collective.Compile.Fault_probe.make ~size ~bidirectional faults in
+          let g = Debruijn.Graph.b p in
+          let g = if bidirectional then Graphlib.Digraph.undirected_view g else g in
+          let g =
+            Graphlib.Digraph.remove_edges g (fun (u, v) ->
+                Collective.Compile.Fault_probe.mem probe u v)
+          in
+          let t = E.topology ~p ~bidirectional probe in
+          check_int "node count" size t.Netsim.Simulator.nodes;
+          for u = 0 to size - 1 do
+            for v = 0 to size - 1 do
+              if t.Netsim.Simulator.mem_edge u v <> Graphlib.Digraph.mem_edge g u v then
+                Alcotest.failf "B(%d,%d) seed %d bidirectional %b: %d -> %d" d n seed
+                  bidirectional u v
+            done
+          done)
+        [ true; false ])
+    [ (2, 5, 1); (2, 5, 2); (3, 3, 3); (4, 2, 4) ]
 
 let test_exec_validation () =
   let d = 2 and n = 4 in
@@ -527,16 +572,23 @@ let qsuite =
                 }
             in
             r.E.verified);
+    (* The seed-era name: the netsim executor against the compiled one
+       at every ?domains split it still has. *)
     Test.make ~name:"domains stepping is bit-identical" ~count:10
       (pair (int_range 2 4) (int_range 1 2))
       (fun (domains, cw) ->
         let d = 2 and n = 5 in
-        let a = run_ring ~d ~n ~ranks:6 ~chunk_words:cw S.Allreduce in
-        let b = run_ring ~domains ~d ~n ~ranks:6 ~chunk_words:cw S.Allreduce in
+        let p = W.params ~d ~n in
+        let spec = { E.op = S.Allreduce; ranks = 6; chunk_words = cw; bidirectional = false } in
+        let rings = [ hamiltonian_ring ~d ~n ] in
+        let a, pa = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let b, pb =
+          Collective.Fastpath.run_with_payload ~domains ~p ~faulty:(fun _ -> false) ~rings spec
+        in
         a.E.checksum = b.E.checksum
         && a.E.rounds = b.E.rounds
         && a.E.delivered = b.E.delivered
-        && b.E.verified);
+        && a.E.verified && b.E.verified && pa = pb);
     (* The tentpole pin: identical report counters and word-identical
        payload arenas across ops x ranks x chunk_words x bidirectional
        x node-fault draws (FFC rings, relay-lengthened segments). *)
@@ -667,6 +719,8 @@ let () =
             test_exec_striped_and_bidir;
           Alcotest.test_case "domains bit-identity" `Quick
             test_exec_domains_bit_identical;
+          Alcotest.test_case "implicit topology = remove_edges (undirected_view ...)"
+            `Quick test_exec_topology;
           Alcotest.test_case "validation" `Quick test_exec_validation;
         ] );
       ( "fastpath",

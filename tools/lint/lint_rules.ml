@@ -292,8 +292,8 @@ let r2 =
 
 (* ------------------------------------------------------------------ *)
 (* R3 — no mutable toplevel state in code reachable from the
-   [Domain.]-using units (Graphlib.Itopo, Ffc.Campaign, Dhc.Campaign,
-   Netsim.Simulator, and the bench executable): shared toplevel cells
+   [Domain.]-using units (Graphlib.Sched, Ffc.Campaign,
+   Dhc.Campaign, and the bench executable): shared toplevel cells
    race under [Domain.spawn], and toplevel [lazy] forcing raises
    across domains.  Annotate genuinely safe state with
    [@@lint.domain_safe "why"]. *)
