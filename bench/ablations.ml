@@ -3,8 +3,6 @@
 module W = Debruijn.Word
 module B = Ffc.Bstar
 module A = Ffc.Adjacency
-module Tr = Graphlib.Traversal
-module DG = Graphlib.Digraph
 
 let hr = String.make 78 '-'
 
@@ -22,12 +20,14 @@ let parent_rule_ablation () =
     match B.compute p ~faults with
     | None -> 0
     | Some b ->
-        let g = Lazy.force b.B.graph in
         let in_bstar v = b.B.in_bstar.{v} <> 0 in
-        let dist = Tr.bfs_dist_restricted g in_bstar b.B.root in
+        let dist =
+          Graphlib.Itopo.bfs_dist ~n:p.W.size ~succs:(W.iter_succs p) ~keep:in_bstar
+            b.B.root
+        in
         let parent_of v =
           let preds =
-            List.filter (fun u -> in_bstar u && dist.(u) = dist.(v) - 1) (DG.preds g v)
+            List.filter (fun u -> in_bstar u && dist.(u) = dist.(v) - 1) (W.predecessors p v)
           in
           rule v (List.sort Int.compare preds)
         in

@@ -10,7 +10,6 @@
 
 module W = Debruijn.Word
 module B = Ffc.Bstar
-module Tr = Graphlib.Traversal
 
 let hr = String.make 78 '-'
 

@@ -3,14 +3,6 @@ let b p = Graphlib.Digraph.of_successors p.Word.size (Word.successors p)
 let iter_succs = Word.iter_succs
 let iter_preds = Word.iter_preds
 
-let iter_ub_neighbors p x f =
-  (* Successors first, then the predecessors that are not also
-     successors — y is both iff prefix y = suffix x — with loops
-     dropped; each UB neighbor is emitted exactly once. *)
-  let s = Word.suffix p x in
-  Word.iter_succs p x (fun y -> if y <> x then f y);
-  Word.iter_preds p x (fun y -> if y <> x && Word.prefix p y <> s then f y)
-
 let ub p =
   let n = p.Word.size in
   let bld = Graphlib.Digraph.Builder.create n in

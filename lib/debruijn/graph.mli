@@ -12,16 +12,12 @@ val ub : Word.params -> Graphlib.Digraph.t
     Represented as a symmetric digraph with one edge per direction. *)
 
 val iter_succs : Word.params -> int -> (int -> unit) -> unit
-(** Arithmetic edge iterators — B(d,n)/UB(d,n) as implicit topologies
-    for [Graphlib.Itopo], no graph built.  [iter_succs] and
+(** Arithmetic edge iterators — B(d,n) as an implicit topology for
+    [Graphlib.Itopo], no graph built.  [iter_succs] and
     [iter_preds] are {!Word.iter_succs}/{!Word.iter_preds} re-exported
     under the graph-flavored name. *)
 
 val iter_preds : Word.params -> int -> (int -> unit) -> unit
-
-val iter_ub_neighbors : Word.params -> int -> (int -> unit) -> unit
-(** The UB(d,n) neighbors of a node, each exactly once, loops dropped
-    (successors in digit order, then non-successor predecessors). *)
 
 val degree_census : Graphlib.Digraph.t -> (int * int) list
 (** Sorted [(degree, how_many)] pairs of out-degrees — for UB this

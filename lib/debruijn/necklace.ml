@@ -36,9 +36,6 @@ let all_representatives p =
 
 let count p = List.length (all_representatives p)
 
-let representatives_of_nodes p xs =
-  List.sort_uniq Int.compare (List.map (canonical p) xs)
-
 let mark_faulty_necklaces_into p faults buf =
   if Array.length buf <> p.Word.size then
     invalid_arg "Necklace.mark_faulty_necklaces_into: buffer sized wrong";

@@ -38,10 +38,6 @@ val count : Word.params -> int
 (** Number of necklaces (cross-checked against Chapter 4's formula in
     the tests). *)
 
-val representatives_of_nodes : Word.params -> int list -> int list
-(** Deduplicated sorted representatives of the necklaces meeting the
-    given node list. *)
-
 val mark_faulty_necklaces : Word.params -> int list -> bool array
 (** [mark_faulty_necklaces p faults] flags every node lying on a
     necklace that contains a faulty node — the node set removed from

@@ -1,14 +1,8 @@
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
 module Fa = Graphlib.Flatarr
-module Csr = Graphlib.Csr
 
-type t = {
-  bstar : Bstar.t;
-  reps : int array;
-  idx_of_node : Fa.t;
-  graph : Csr.t Lazy.t;
-}
+type t = { bstar : Bstar.t; reps : int array; idx_of_node : Fa.t }
 
 (* Module-level recursion: a capturing [let rec] inside the loops below
    would heap-allocate one closure per necklace (the compiler cannot
@@ -75,35 +69,7 @@ let build ?ws (bstar : Bstar.t) =
     end
   done;
   let reps = Fa.sub_to_array !reps_buf 0 !count in
-  (* N* itself (unlabeled, on necklace indices) is only needed by
-     consumers that genuinely walk it — build it on demand.  Group live
-     nodes by their (n−1)-suffix w: the nodes {αw} with a common w
-     induce a w-labeled clique (all pairs, both directions) between
-     their — necessarily distinct — necklaces. *)
-  let graph =
-    lazy
-      (let bld = Csr.Builder.create (Array.length reps) in
-       let wsize = size / p.W.d in
-       let members = Array.make p.W.d 0 in
-       for w = 0 to wsize - 1 do
-         let k = ref 0 in
-         for a = 0 to p.W.d - 1 do
-           let x = W.cons p a w in
-           if in_bstar.{x} <> 0 then begin
-             members.(!k) <- idx_of_node.{x};
-             incr k
-           end
-         done;
-         for i = 0 to !k - 1 do
-           for j = i + 1 to !k - 1 do
-             Csr.Builder.add_edge bld members.(i) members.(j);
-             Csr.Builder.add_edge bld members.(j) members.(i)
-           done
-         done
-       done;
-       Csr.Builder.build bld)
-  in
-  { bstar; reps; idx_of_node; graph }
+  { bstar; reps; idx_of_node }
 
 let edges t =
   let p = t.bstar.Bstar.p in
@@ -137,8 +103,6 @@ let index_of_rep t rep =
   in
   go 0
 
-let rep_of_index t i = t.reps.(i)
-
 let node_with_suffix t idx w =
   match exit_scan t.bstar.Bstar.p t.idx_of_node idx w 0 with
   | x when x < 0 -> None
@@ -169,11 +133,21 @@ let labels_between t i j =
     List.sort Int.compare !acc
   end
 
+(* N* as an implicit topology, read from [idx_of_node] the way the
+   batch stages read it: necklace i's neighbours are the live necklaces
+   holding another node βw with the (n−1)-suffix w of one of i's nodes
+   αw.  The w-edges come in twin pairs, so reachability from one
+   necklace is connectivity. *)
+let iter_neighbors t i f =
+  let p = t.bstar.Bstar.p in
+  Nk.iter_nodes_from p t.reps.(i) (fun x ->
+      let w = W.suffix p x in
+      for b = 0 to p.W.d - 1 do
+        let y = W.cons p b w in
+        if y <> x && t.idx_of_node.{y} >= 0 then f t.idx_of_node.{y}
+      done)
+
 let is_connected t =
-  Array.length t.reps <= 1
-  ||
-  let g = Lazy.force t.graph in
-  Graphlib.Itopo.is_strongly_connected ~n:(Csr.n_nodes g)
-    ~succs:(fun v f -> Csr.iter_succs g v f)
-    ~preds:(fun v f -> Csr.iter_preds g v f)
-    ()
+  let n = Array.length t.reps in
+  n <= 1
+  || (Graphlib.Itopo.bfs ~n ~succs:(iter_neighbors t) 0).Graphlib.Itopo.count = n

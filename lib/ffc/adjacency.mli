@@ -8,17 +8,16 @@
     rotations preserve weight), which makes entry/exit points unique.
 
     The necklace index ([reps]/[idx_of_node]) is built in one ascending
-    arithmetic pass; N\u{2217} itself is materialized lazily as a compact
-    {!Graphlib.Csr.t} — the spanning/embedding stages never force it,
-    they work on B\u{2217} directly. *)
+    arithmetic pass and is the only N\u{2217} state kept: edges are read
+    from [idx_of_node] when needed (the w-edges at a node αw go to the
+    necklaces of the live nodes βw, β ≠ α), so N\u{2217} is never
+    materialized. *)
 
 type t = {
   bstar : Bstar.t;
   reps : int array;  (** necklace representatives in B\u{2217}, increasing *)
   idx_of_node : Graphlib.Flatarr.t;
       (** node → necklace index, −1 outside B\u{2217} (off-heap) *)
-  graph : Graphlib.Csr.t Lazy.t;
-      (** N\u{2217} on necklace indices, unlabeled; built on first force *)
 }
 
 val build : ?ws:Workspace.t -> Bstar.t -> t
@@ -34,8 +33,6 @@ val edges : t -> (int * int * int) list
 
 val index_of_rep : t -> int -> int
 (** Necklace index of a representative. @raise Not_found if absent. *)
-
-val rep_of_index : t -> int -> int
 
 val node_with_suffix : t -> int -> int -> int option
 (** [node_with_suffix t idx w] is the unique node αw (suffix w) on the
@@ -60,4 +57,5 @@ val labels_between : t -> int -> int -> int list
 
 val is_connected : t -> bool
 (** N\u{2217} is connected iff B\u{2217} was a single component — always true by
-    construction; exposed for tests (forces [graph]). *)
+    construction; exposed for tests.  One {!Graphlib.Itopo.bfs} over
+    the necklace indices, with neighbours read from [idx_of_node]. *)

@@ -150,7 +150,7 @@ let necklace_count t =
   done;
   !count
 
-let eccentricity_of_root ?domains ?ws t =
+let eccentricity_of_root ?ws t =
   let itws =
     match ws with
     | None -> None
@@ -159,7 +159,7 @@ let eccentricity_of_root ?domains ?ws t =
         Some w.Workspace.it
   in
   let in_bstar = t.in_bstar in
-  It.eccentricity ?domains ?ws:itws ~n:t.p.W.size ~succs:(succs t.p)
+  It.eccentricity ?ws:itws ~n:t.p.W.size ~succs:(succs t.p)
     ~keep:(fun v -> in_bstar.{v} <> 0)
     t.root
 

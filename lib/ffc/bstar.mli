@@ -76,7 +76,7 @@ val nodes : t -> int list
 val necklace_count : t -> int
 (** Number of live necklaces inside B\u{2217}. *)
 
-val eccentricity_of_root : ?domains:int -> ?ws:Workspace.t -> t -> int
+val eccentricity_of_root : ?ws:Workspace.t -> t -> int
 (** max distance from the root within B\u{2217} — the broadcast round count
     of Step 1.1.  (With [?ws] this clobbers the workspace's traversal
     state, including any [Spanning.tree.dist] aliasing it.) *)

@@ -41,7 +41,6 @@ let vec_push v x =
 type t = {
   p : W.params;
   root_hint : int option;
-  domains : int option;
   ws : Workspace.t option;
   (* ---- the current fault set ---- *)
   faulty : Fa.Byte.t;  (* per node, nonzero iff faulty *)
@@ -221,9 +220,7 @@ let load t (e : Embed.t) =
 let recompute t =
   t.c_recomputed <- t.c_recomputed + 1;
   let faults = current_faults t in
-  match
-    Embed.embed ?root_hint:t.root_hint ?domains:t.domains ?ws:t.ws t.p ~faults
-  with
+  match Embed.embed ?root_hint:t.root_hint ?ws:t.ws t.p ~faults with
   | None -> set_empty t
   | Some e -> load t e
 
@@ -690,14 +687,13 @@ let apply t ev =
 
 (* ------------------------------------------------------------------ *)
 
-let create ?root_hint ?domains ?ws p ~faults =
+let create ?root_hint ?ws p ~faults =
   (match ws with Some w -> Workspace.check w p | None -> ());
   let sz = p.W.size in
   let t =
     {
       p;
       root_hint;
-      domains;
       ws;
       faulty = Fa.Byte.make sz 0;
       nk_faults = Hashtbl.create 64;
@@ -750,9 +746,7 @@ let create ?root_hint ?domains ?ws p ~faults =
         if c = 0 then t.live_nodes <- t.live_nodes - Nk.length p rep
       end)
     faults;
-  (match
-     Embed.embed ?root_hint ?domains ?ws p ~faults:(current_faults t)
-   with
+  (match Embed.embed ?root_hint ?ws p ~faults:(current_faults t) with
   | None -> set_empty t
   | Some e -> load t e);
   t

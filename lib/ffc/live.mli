@@ -70,16 +70,15 @@ type t
 
 val create :
   ?root_hint:int ->
-  ?domains:int ->
   ?ws:Workspace.t ->
   Debruijn.Word.params ->
   faults:int list ->
   t
 (** Build the engine's initial state with one batch embedding of the
-    given fault set (duplicates tolerated).  [root_hint], [domains] and
-    [ws] are remembered and forwarded to every batch fallback, so the
-    state stays comparable to [Embed.embed ?root_hint ?domains ?ws]
-    throughout.
+    given fault set (duplicates tolerated).  [root_hint] and [ws] are
+    remembered and forwarded to every batch fallback, so the state
+    stays comparable to [Embed.embed ?root_hint ?ws] throughout; the
+    fallbacks run sequentially.
     @raise Invalid_argument on an out-of-range fault or a workspace
     built for a different (d, n). *)
 

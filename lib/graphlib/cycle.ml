@@ -76,62 +76,17 @@ let of_successor_map ~start succ =
   in
   go [] start 0
 
-let of_successor_map_n ~n ~start succ =
-  if start < 0 || start >= n then
-    invalid_arg "Cycle.of_successor_map_n: start out of range";
-  (* Flat variant of [of_successor_map]: a bitset instead of a Hashtbl,
-     and the cycle accumulated directly into an array — following a
-     Hamiltonian successor rule over millions of nodes stays
-     allocation-light. *)
-  let seen = Bitset.create n in
-  (* A simple cycle has at most n nodes, so the buffer never grows. *)
-  let buf = Array.make n 0 in
-  let len = ref 0 in
-  let rec go v =
-    if v = start && !len > 0 then Some (Array.sub buf 0 !len)
-    else if v < 0 || v >= n || Bitset.mem seen v then None
-    else begin
-      Bitset.add seen v;
-      buf.(!len) <- v;
-      incr len;
-      go (succ v)
-    end
-  in
-  go start
-
-let of_successor_array_into ~seen ~(buf : int array) ~start (succ : int array) =
-  let n = Array.length succ in
-  if start < 0 || start >= n then
-    invalid_arg "Cycle.of_successor_array_into: start out of range";
-  if Bitset.length seen < n || Array.length buf < n then
-    invalid_arg "Cycle.of_successor_array_into: scratch too small";
-  (* Same walk as [of_successor_map_n] with the successor map given
-     flat — the per-step closure call disappears, which matters when
-     the step runs dⁿ times.  Caller-provided scratch makes the walk
-     allocation-free: the cycle's nodes land in [buf.(0 .. len−1)]. *)
-  Bitset.clear seen;
-  let len = ref 0 in
-  let rec go v =
-    if v = start && !len > 0 then Some !len
-    else if v < 0 || v >= n || Bitset.mem seen v then None
-    else begin
-      Bitset.add seen v;
-      buf.(!len) <- v;
-      incr len;
-      go succ.(v)
-    end
-  in
-  go start
-
 let of_successor_flat_into ~seen ~(buf : Flatarr.t) ~start (succ : Flatarr.t) =
   let n = Flatarr.length succ in
   if start < 0 || start >= n then
     invalid_arg "Cycle.of_successor_flat_into: start out of range";
   if Bitset.length seen < n || Flatarr.length buf < n then
     invalid_arg "Cycle.of_successor_flat_into: scratch too small";
-  (* [of_successor_array_into] with both the successor map and the node
-     buffer off-heap — the walk the Bigarray-backed FFC workspace closes
-     its ring with. *)
+  (* [of_successor_map] over node ids [0 .. n−1] with the successor map
+     given flat: a bitset instead of a Hashtbl and no per-step closure
+     call, which matters when the step runs dⁿ times.  Caller-provided
+     off-heap scratch makes the walk allocation-free — the walk the
+     Bigarray-backed FFC workspace closes its ring with. *)
   Bitset.clear seen;
   let len = ref 0 in
   let rec go v =
@@ -160,8 +115,18 @@ let of_successor_array_n ~start (succ : int array) =
   let n = Array.length succ in
   if start < 0 || start >= n then
     invalid_arg "Cycle.of_successor_array_n: start out of range";
+  (* The walk of [of_successor_flat_into] over a heap successor map. *)
   let seen = Bitset.create n in
   let buf = Array.make n 0 in
-  Option.map
-    (fun len -> Array.sub buf 0 len)
-    (of_successor_array_into ~seen ~buf ~start succ)
+  let len = ref 0 in
+  let rec go v =
+    if v = start && !len > 0 then Some (Array.sub buf 0 !len)
+    else if v < 0 || v >= n || Bitset.mem seen v then None
+    else begin
+      Bitset.add seen v;
+      buf.(!len) <- v;
+      incr len;
+      go succ.(v)
+    end
+  in
+  go start

@@ -9,9 +9,6 @@ val is_cycle : Digraph.t -> int array -> bool
     is an edge.  Singleton cycles require a loop edge; the empty array
     is not a cycle. *)
 
-val is_simple_closed : int array -> bool
-(** Just the distinctness/nonemptiness part (no graph needed). *)
-
 val is_hamiltonian : Digraph.t -> ?subset:(int -> bool) -> int array -> bool
 (** [is_hamiltonian g c] — [c] is a cycle visiting every node of [g]
     ([?subset] restricts "every node" to those satisfying the predicate,
@@ -19,8 +16,6 @@ val is_hamiltonian : Digraph.t -> ?subset:(int -> bool) -> int array -> bool
 
 val edges_of_cycle : int array -> (int * int) list
 (** The k directed edges of the cycle, including the wrap edge. *)
-
-val edge_set_of_cycle : int array -> (int * int, unit) Hashtbl.t
 
 val edge_disjoint : int array -> int array -> bool
 (** No directed edge (including wrap edges) occurs in both cycles. *)
@@ -46,23 +41,12 @@ val of_successor_map : start:int -> (int -> int) -> int array option
     [start], failing with [None] if a node repeats before closing or
     after 2{^30} steps. *)
 
-val of_successor_map_n : n:int -> start:int -> (int -> int) -> int array option
-(** Flat-state variant of {!of_successor_map} for node ids in [0 .. n−1]
-    (bitset + array instead of a Hashtbl — use it whenever [n] is
-    known).  Additionally fails with [None] if the successor function
-    ever leaves the id range. *)
-
 val of_successor_array_n : start:int -> int array -> int array option
-(** {!of_successor_map_n} with the successor map as a flat array
-    ([n = Array.length succ]); negative entries fail the walk, so −1
-    works as "no successor". *)
-
-val of_successor_array_into :
-  seen:Bitset.t -> buf:int array -> start:int -> int array -> int option
-(** Allocation-free {!of_successor_array_n} into caller scratch: [seen]
-    is cleared, the walk's nodes land in [buf.(0 .. len−1)], and the
-    result is [Some len] iff the walk closes into a simple cycle.  Both
-    scratch structures must span at least [Array.length succ]. *)
+(** Flat-state variant of {!of_successor_map} with the successor map as
+    an array over node ids [0 .. n−1] ([n = Array.length succ]): a
+    bitset instead of a Hashtbl.  Also fails with [None] if the walk
+    leaves the id range; negative entries fail it, so −1 works as "no
+    successor". *)
 
 val of_successor_flat_n : start:int -> Flatarr.t -> int array option
 (** {!of_successor_array_n} over an off-heap successor map (the cycle
@@ -70,5 +54,8 @@ val of_successor_flat_n : start:int -> Flatarr.t -> int array option
 
 val of_successor_flat_into :
   seen:Bitset.t -> buf:Flatarr.t -> start:int -> Flatarr.t -> int option
-(** {!of_successor_array_into} with the successor map and node buffer
-    both off-heap. *)
+(** Allocation-free {!of_successor_flat_n} into caller scratch, with the
+    successor map and node buffer both off-heap: [seen] is cleared, the
+    walk's nodes land in [buf.{0 .. len−1}], and the result is
+    [Some len] iff the walk closes into a simple cycle.  Both scratch
+    structures must span at least [Flatarr.length succ]. *)

@@ -1,5 +1,10 @@
 let edges_in_one_component g =
-  let label, _ = Traversal.weak_components g in
+  let label =
+    Itopo.weak_labels ~n:(Digraph.n_nodes g)
+      ~succs:(fun v f -> List.iter f (Digraph.succs g v))
+      ~preds:(fun v f -> List.iter f (Digraph.preds g v))
+      ()
+  in
   let witness = ref (-1) in
   try
     Digraph.iter_edges

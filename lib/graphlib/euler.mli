@@ -7,7 +7,8 @@
     circuit-partition of a balanced digraph's edges. *)
 
 val is_eulerian : Digraph.t -> bool
-(** Balanced and all edges lie in one weak component. *)
+(** Balanced and all edges lie in one weak component (labelled by
+    {!Itopo.weak_labels} over the successor and predecessor lists). *)
 
 val euler_circuit : Digraph.t -> int list option
 (** A closed walk traversing every edge exactly once, as the node

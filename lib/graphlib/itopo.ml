@@ -252,11 +252,11 @@ let bfs ?(domains = 1) ?(chunk = chunk_size) ?ws ~n ~succs ?(keep = keep_all)
       end;
       { dist; order; count = !count })
 
-let bfs_dist ?domains ?chunk ~n ~succs ?keep src =
-  Flatarr.to_array (bfs ?domains ?chunk ~n ~succs ?keep src).dist
+let bfs_dist ~n ~succs ?keep src =
+  Flatarr.to_array (bfs ~n ~succs ?keep src).dist
 
-let eccentricity ?domains ?chunk ?ws ~n ~succs ?keep src =
-  let r = bfs ?domains ?chunk ?ws ~n ~succs ?keep src in
+let eccentricity ?ws ~n ~succs ?keep src =
+  let r = bfs ?ws ~n ~succs ?keep src in
   (* BFS discovers nodes by nondecreasing distance, so the last
      discovery is the farthest. *)
   if r.count = 0 then 0 else r.dist.{r.order.{r.count - 1}}
@@ -336,8 +336,8 @@ let lwc_sweep ~par ~n ~both ~visited ~order =
       flood ~par ~succs:both ~visited ~order ~count seed;
       let size = !count - start in
       (* strict [>]: ties go to the earlier seed, i.e. the component
-         containing the smallest node — matching
-         Traversal.largest_weak_component. *)
+         containing the smallest node — matching the seed's
+         Oracles.Traversal.largest_weak_component. *)
       if size > !best_size then begin
         best_size := size;
         best_start := start
@@ -382,8 +382,7 @@ let weak_labels ~n ~succs ~preds ?(keep = keep_all) () =
   done;
   label
 
-let is_strongly_connected ?domains ?chunk ~n ~succs ~preds ?(keep = keep_all)
-    () =
+let is_strongly_connected ~n ~succs ~preds ?(keep = keep_all) () =
   let root = ref (-1) in
   let kept = ref 0 in
   for v = n - 1 downto 0 do
@@ -394,8 +393,8 @@ let is_strongly_connected ?domains ?chunk ~n ~succs ~preds ?(keep = keep_all)
   done;
   !kept <= 1
   ||
-  let fwd = bfs ?domains ?chunk ~n ~succs ~keep !root in
+  let fwd = bfs ~n ~succs ~keep !root in
   fwd.count = !kept
   &&
-  let bwd = bfs ?domains ?chunk ~n ~succs:preds ~keep !root in
+  let bwd = bfs ~n ~succs:preds ~keep !root in
   bwd.count = !kept

@@ -1,17 +1,22 @@
-(** Traversals over {e implicit} topologies.
+(** Traversals over {e implicit} topologies — the library's one
+    traversal engine.
 
     Every algorithm here takes the graph as neighbor-iterator closures
     instead of a materialized {!Digraph.t}: [succs v f] must call [f] on
     each successor of [v] (in a fixed order), likewise [preds].  For De
     Bruijn graphs the iterators are pure arithmetic
     ([Debruijn.Word.iter_succs]), so million-node traversals run without
-    building any adjacency structure at all.  State is flat and
-    off-heap: distances and discovery order in {!Flatarr.t}s (the BFS
-    queue {e is} the discovery-order array — every node is pushed at
-    most once, so no ring buffer is needed), visited marks in
-    {!Bitset}.
+    building any adjacency structure at all; a [Digraph.t] is walked
+    through its successor lists ([fun v f -> List.iter f (Digraph.succs
+    g v)]), as [Euler] and [Kautz] do.  State is flat and off-heap:
+    distances and discovery order in {!Flatarr.t}s (the BFS queue {e is}
+    the discovery-order array — every node is pushed at most once, so no
+    ring buffer is needed), visited marks in {!Bitset}.  The seed's
+    list-based traversal layer survives only as the tests' reference
+    ([Oracles.Traversal], in a test-only library).
 
-    [?domains:k] expands large BFS levels through a chunked
+    [?domains:k] (on {!bfs} and the component sweeps the FFC stages
+    call) expands large BFS levels through a chunked
     work-stealing pool ({!Sched}): the level is cut into
     {!chunk_size}-position chunks, gathered concurrently (workers read
     the visited marks read-only, stashing candidates per chunk), then
@@ -90,27 +95,13 @@ val bfs :
     [?chunk] (default {!chunk_size}) overrides the work-stealing
     granule — results are bit-identical for every value ≥ 1. *)
 
-val bfs_dist :
-  ?domains:int ->
-  ?chunk:int ->
-  n:int ->
-  succs:iter ->
-  ?keep:(int -> bool) ->
-  int ->
-  int array
-(** The distance array of {!bfs}, copied to the heap. *)
+val bfs_dist : n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int array
+(** The distance array of a sequential {!bfs}, copied to the heap. *)
 
 val eccentricity :
-  ?domains:int ->
-  ?chunk:int ->
-  ?ws:ws ->
-  n:int ->
-  succs:iter ->
-  ?keep:(int -> bool) ->
-  int ->
-  int
-(** Maximum finite BFS distance from the node (directed); [0] if the
-    source reaches nothing. *)
+  ?ws:ws -> n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int
+(** Maximum finite BFS distance from the node (directed, sequential);
+    [0] if the source reaches nothing. *)
 
 val component_members :
   n:int -> succs:iter -> preds:iter -> ?keep:(int -> bool) -> int -> int array
@@ -130,9 +121,9 @@ val largest_weak_component :
   int array
 (** Largest weakly-connected node set of the induced subgraph, in BFS
     discovery order from its smallest member; size ties break toward
-    the component containing the smallest node (both as in
-    {!Traversal.largest_weak_component}).  Empty iff no node passes
-    [keep]. *)
+    the component containing the smallest node (both as in the seed's
+    [Oracles.Traversal.largest_weak_component]).  Empty iff no node
+    passes [keep]. *)
 
 val largest_weak_component_span :
   ?domains:int ->
@@ -156,13 +147,7 @@ val weak_labels :
     ([-1] for nodes failing [keep]). *)
 
 val is_strongly_connected :
-  ?domains:int ->
-  ?chunk:int ->
-  n:int ->
-  succs:iter ->
-  preds:iter ->
-  ?keep:(int -> bool) ->
-  unit ->
-  bool
+  n:int -> succs:iter -> preds:iter -> ?keep:(int -> bool) -> unit -> bool
 (** Is the induced subgraph strongly connected?  (Vacuously true on
-    ≤ 1 node.)  Forward + backward reachability from one kept node. *)
+    ≤ 1 node.)  Forward + backward reachability from one kept node,
+    sequentially. *)

@@ -39,4 +39,5 @@ val edge_as_higher_node : t -> int * int -> int
     (the concatenated word). *)
 
 val diameter : t -> int
-(** Computed exactly (BFS from every node); equals n. *)
+(** Computed exactly: a {!Graphlib.Itopo.bfs} from every node over the
+    successor lists of [graph], on one reused workspace; equals n. *)

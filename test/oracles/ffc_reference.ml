@@ -8,7 +8,7 @@
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
 module DG = Graphlib.Digraph
-module Tr = Graphlib.Traversal
+module Tr = Traversal
 
 type t = {
   p : W.params;

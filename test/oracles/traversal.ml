@@ -1,3 +1,5 @@
+module Digraph = Graphlib.Digraph
+
 let bfs_dist_restricted g keep src =
   let n = Digraph.n_nodes g in
   if src < 0 || src >= n then invalid_arg "Traversal.bfs: source out of range";

@@ -5,7 +5,7 @@ module N = Debruijn.Necklace
 module G = Debruijn.Graph
 module S = Debruijn.Sequence
 module D = Graphlib.Digraph
-module T = Graphlib.Traversal
+module T = Oracles.Traversal
 module C = Graphlib.Cycle
 
 let check_int = Alcotest.(check int)

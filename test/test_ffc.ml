@@ -117,7 +117,22 @@ let test_adjacency_figure_2_3 () =
     edges;
   check_bool "connected" true (A.is_connected adj);
   (* no edges between non-adjacent necklaces *)
-  Alcotest.(check (list string)) "[000]-[111]" [] (labels "000" "111")
+  Alcotest.(check (list string)) "[000]-[111]" [] (labels "000" "111");
+  (* A mangled record: faulting 001 and 002 removes [001] and [002] and
+     isolates 000, so B* leaves it out; putting 000 back into in_bstar
+     makes [000] a necklace without a single N* edge. *)
+  let cut =
+    Option.get
+      (B.compute p33 ~faults:[ W.of_string p33 "001"; W.of_string p33 "002" ])
+  in
+  check_bool "000 isolated" true (cut.B.in_bstar.{0} = 0);
+  check_bool "cut N* connected" true (A.is_connected (A.build cut));
+  let in_bstar = Fa.Byte.make p33.W.size 0 in
+  Bigarray.Array1.blit cut.B.in_bstar in_bstar;
+  in_bstar.{0} <- 1;
+  let mangled = A.build { cut with B.in_bstar; size = cut.B.size + 1 } in
+  check_int "[000] indexed" 0 mangled.A.idx_of_node.{0};
+  check_bool "N* with [000] back is disconnected" false (A.is_connected mangled)
 
 let test_adjacency_entry_exit () =
   let b = example_bstar () in

@@ -1,7 +1,7 @@
 (* Tests for the generic digraph substrate. *)
 
 module D = Graphlib.Digraph
-module T = Graphlib.Traversal
+module T = Oracles.Traversal
 module E = Graphlib.Euler
 module C = Graphlib.Cycle
 
@@ -230,33 +230,6 @@ let test_bitset_basic () =
     (fun () -> BS.add b (-1))
 
 (* ------------------------------------------------------------------ *)
-(* csr *)
-
-module Csr = Graphlib.Csr
-
-let test_csr_ring () =
-  let c = Csr.of_digraph ring5 in
-  check_int "nodes" 5 (Csr.n_nodes c);
-  check_int "edges" 5 (Csr.n_edges c);
-  Alcotest.(check (list int)) "succs" [ 1 ] (Csr.succs c 0);
-  Alcotest.(check (list int)) "preds" [ 4 ] (Csr.preds c 0);
-  check_bool "mem" true (Csr.mem_edge c 2 3);
-  check_bool "not mem" false (Csr.mem_edge c 3 2);
-  check_int "out degree" 1 (Csr.out_degree c 0);
-  check_int "in degree" 1 (Csr.in_degree c 0)
-
-let test_csr_parallel_and_loops () =
-  let b = Csr.Builder.create 2 in
-  Csr.Builder.add_edge b 0 0;
-  Csr.Builder.add_edge b 0 1;
-  Csr.Builder.add_edge b 0 1;
-  let c = Csr.Builder.build b in
-  check_int "edges with multiplicity" 3 (Csr.n_edges c);
-  Alcotest.(check (list int)) "succ order kept" [ 0; 1; 1 ] (Csr.succs c 0);
-  check_int "in degree of loop" 1 (Csr.in_degree c 0);
-  check_bool "reverse cached" true (Csr.reverse (Csr.reverse c) == c)
-
-(* ------------------------------------------------------------------ *)
 (* itopo: implicit-topology traversals *)
 
 module It = Graphlib.Itopo
@@ -430,9 +403,18 @@ let qsuite =
         let es = List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) es in
         let g = D.of_edges n es in
         let parts = E.circuit_partition g in
+        (* balanced, so Eulerian iff every edge lies in one weak
+           component of the oracle's partition *)
+        let label, _ = T.weak_components g in
+        let one_component =
+          match D.edges g with
+          | [] -> true
+          | (u, _) :: rest -> List.for_all (fun (v, _) -> label.(v) = label.(u)) rest
+        in
         List.for_all (E.is_circuit g) parts
         && List.fold_left (fun acc c -> acc + max 0 (List.length c - 1)) 0 parts
-           = D.n_edges g);
+           = D.n_edges g
+        && E.is_eulerian g = one_component);
     Test.make ~name:"scc partitions the nodes" ~count:200 arb_graph (fun (n, es) ->
         let g = D.of_edges n es in
         let comps = T.strongly_connected_components g in
@@ -440,27 +422,14 @@ let qsuite =
         all = List.init n Fun.id);
   ]
 
-(* Agreement between the flat/implicit layer (Csr, Itopo) and the
-   list-based reference layer (Digraph, Traversal) on random digraphs —
-   the same pinning discipline test_netsim.ml uses for its engines. *)
+(* Agreement between the implicit traversal layer (Itopo) and the
+   list-based reference layer (Digraph, Oracles.Traversal) on random
+   digraphs — the same pinning discipline test_netsim.ml uses for its
+   engines. *)
 let qsuite_compact =
   let open QCheck in
   let keep_of n v = v = 0 || (v * 31) mod n <> 1 in
   [
-    Test.make ~name:"Csr.of_digraph preserves succ/pred lists" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let c = Csr.of_digraph g in
-        Csr.n_nodes c = n
-        && Csr.n_edges c = D.n_edges g
-        && List.for_all
-             (fun v -> Csr.succs c v = D.succs g v && Csr.preds c v = D.preds g v)
-             (List.init n Fun.id));
-    Test.make ~name:"Csr to_digraph round-trips the edge lists" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let g' = Csr.to_digraph (Csr.of_digraph g) in
-        List.for_all (fun v -> D.succs g' v = D.succs g v) (List.init n Fun.id));
     Test.make ~name:"Itopo.bfs_dist = Traversal.bfs_dist" ~count:200 arb_graph
       (fun (n, es) ->
         let g = D.of_edges n es in
@@ -759,11 +728,6 @@ let () =
           Alcotest.test_case "De Bruijn facts (EH85)" `Quick test_connectivity_de_bruijn;
         ] );
       ("bitset", [ Alcotest.test_case "basic" `Quick test_bitset_basic ]);
-      ( "csr",
-        [
-          Alcotest.test_case "ring" `Quick test_csr_ring;
-          Alcotest.test_case "parallel edges and loops" `Quick test_csr_parallel_and_loops;
-        ] );
       ( "itopo",
         [
           Alcotest.test_case "bfs on ring" `Quick test_itopo_bfs_ring;

@@ -2,7 +2,7 @@
 
 module K = Kautz
 module D = Graphlib.Digraph
-module T = Graphlib.Traversal
+module T = Oracles.Traversal
 module C = Graphlib.Cycle
 
 let check_int = Alcotest.(check int)

@@ -5,7 +5,7 @@
    membership, root, |B*|, ecc, BFS distances, the successor map and the
    materialized ring — must be bit-identical to a full Embed.embed
    recompute on the current fault set, with and without a shared
-   workspace and across ?domains. *)
+   workspace, and against a recompute at ~domains:2. *)
 
 module W = Debruijn.Word
 module B = Ffc.Bstar
@@ -19,8 +19,8 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* the oracle *)
 
-let oracle_agrees ?(materialize = true) (live : Lv.t) p faults =
-  match E.embed ~root_hint:1 p ~faults with
+let oracle_agrees ?(materialize = true) ?domains (live : Lv.t) p faults =
+  match E.embed ~root_hint:1 ?domains p ~faults with
   | None -> Lv.is_empty live
   | Some e ->
       let b = e.E.bstar in
@@ -40,10 +40,11 @@ let oracle_agrees ?(materialize = true) (live : Lv.t) p faults =
 
 (* One churn sequence: a birth-death chain around [target] outstanding
    faults, oracle-checked after every event.  Returns false on the
-   first divergence (or rejected event). *)
+   first divergence (or rejected event).  [?domains] goes to the
+   oracle's recompute; the engine itself is sequential. *)
 let churn_agrees ?ws ?domains p ~seed ~events ~target =
   let rng = Util.Rng.create seed in
-  let live = Lv.create ~root_hint:1 ?ws ?domains p ~faults:[] in
+  let live = Lv.create ~root_hint:1 ?ws p ~faults:[] in
   let active = ref [] in
   let nf = ref 0 in
   let ok = ref true in
@@ -73,7 +74,7 @@ let churn_agrees ?ws ?domains p ~seed ~events ~target =
     (match Lv.apply live ev with
     | Ok _ -> ()
     | Error _ -> ok := false);
-    if !ok then ok := oracle_agrees live p !active;
+    if !ok then ok := oracle_agrees ?domains live p !active;
     incr e
   done;
   !ok

@@ -7,7 +7,7 @@
    B(d,n) topologies with random fault sets. *)
 
 module D = Graphlib.Digraph
-module T = Graphlib.Traversal
+module T = Oracles.Traversal
 module S = Netsim.Simulator
 module R = Oracles.Netsim_reference
 module L = Oracles.Netsim_lists

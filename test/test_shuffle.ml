@@ -64,7 +64,7 @@ let test_connected () =
   List.iter
     (fun (d, n) ->
       let se = SE.create ~d ~n in
-      let _, components = Graphlib.Traversal.weak_components se.SE.graph in
+      let _, components = Oracles.Traversal.weak_components se.SE.graph in
       check_int "connected" 1 components)
     sizes
 
