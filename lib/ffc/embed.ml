@@ -51,35 +51,65 @@ let successor_map ?domains ?ws (m : Spanning.modified) =
   | _ -> fill 0 p.W.size);
   succ
 
-(* One deduplicated closure check for both allocation paths: [None]
-   from the walk means the successor map did not close into a simple
-   cycle covering B* — impossible by Proposition 2.1 on a well-formed
-   B*, so surface it as the typed recoverable error rather than a
-   process-killing [failwith]. *)
-let close_cycle ?ws bstar successor =
-  let walked =
+(* Step 3's ring walk from the root.  A node's successor is its
+   necklace rotation — one division — unless it is the exit node of a
+   D-edge, marked in [exits]; only there is [override] read.  The ring
+   lands in [cycle] (length |B*|).  Returns the closed length, or −1 as
+   soon as the walk leaves B* or would overflow [cycle]: a walk that
+   repeats a node other than the root never closes, so it runs into
+   that bound instead of needing a visited set. *)
+let rec ring_walk (in_bstar : Fa.Byte.t) exits (override : Fa.t) nodes stride d root
+    (cycle : int array) v len =
+  if v = root && len > 0 then len
+  else if v < 0 || v >= nodes || in_bstar.{v} = 0 || len = Array.length cycle then -1
+  else begin
+    cycle.(len) <- v;
+    let next =
+      if Graphlib.Bitset.mem exits v then override.{v}
+      else
+        let q = v / stride in
+        ((v - (q * stride)) * d) + q
+    in
+    ring_walk in_bstar exits override nodes stride d root cycle next (len + 1)
+  end
+[@@lint.hot]
+
+let close_ring ?ws (m : Spanning.modified) =
+  let bstar = m.Spanning.tree.Spanning.adj.Adjacency.bstar in
+  let p = bstar.Bstar.p in
+  let override = m.Spanning.succ_override in
+  let exits =
     match ws with
-    | None -> Graphlib.Cycle.of_successor_flat_n ~start:bstar.Bstar.root successor
+    | None -> Graphlib.Bitset.create p.W.size
     | Some w ->
-        Option.map
-          (fun len -> Fa.sub_to_array w.Workspace.cycle_buf 0 len)
-          (Graphlib.Cycle.of_successor_flat_into ~seen:w.Workspace.cycle_seen
-             ~buf:w.Workspace.cycle_buf ~start:bstar.Bstar.root successor)
+        Workspace.check w p;
+        Graphlib.Bitset.clear w.Workspace.ring_exits;
+        w.Workspace.ring_exits
   in
-  match walked with
-  | Some c -> c
-  | None ->
-      Pipeline_error.raise_error ~stage:"Embed"
-        "successor map did not close into a cycle"
+  for x = 0 to p.W.size - 1 do
+    if override.{x} >= 0 then Graphlib.Bitset.add exits x
+  done;
+  let size = bstar.Bstar.size in
+  let cycle = Array.make size 0 in
+  let root = bstar.Bstar.root in
+  let len =
+    ring_walk bstar.Bstar.in_bstar exits override p.W.size (p.W.size / p.W.d) p.W.d
+      root cycle root 0
+  in
+  (* Impossible by Proposition 2.1 on a B* from [Bstar.compute]; a
+     malformed record gets the typed, recoverable error. *)
+  if len < 0 then
+    Pipeline_error.raise_error ~stage:"Embed" "the ring walk left B* or ran past |B*| nodes";
+  if len <> size then
+    Pipeline_error.raise_error ~stage:"Embed" "the ring closed before covering B*";
+  cycle
 
 let of_bstar ?domains ?ws bstar =
   let adj = Adjacency.build ?ws bstar in
   let tree = Spanning.build ?domains ?ws adj in
   let modified = Spanning.modify ?ws tree in
   let successor = successor_map ?domains ?ws modified in
-  (* The ring is the trial's one fresh result either way — everything
-     feeding it lives in the workspace when [?ws] is given. *)
-  let cycle = close_cycle ?ws bstar successor in
+  let cycle = close_ring ?ws modified in
   { bstar; modified; successor; cycle }
 
 let embed ?root_hint ?domains ?ws p ~faults =

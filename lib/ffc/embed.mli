@@ -8,7 +8,13 @@
 
     Proposition 2.1: following these successors yields a Hamiltonian
     cycle H of B\u{2217}; Proposition 2.2 bounds its length below by
-    dⁿ − nf when f ≤ d−2. *)
+    dⁿ − nf when f ≤ d−2.
+
+    The ring is closed by arithmetic ({!close_ring}): one sequential
+    pass marks the D-edge exit nodes of [succ_override] in a dⁿ-bit
+    set, then the walk from R reads [succ_override] only at a marked
+    exit and takes the rotation wα (one integer division) everywhere
+    else.  It never reads the materialized successor map. *)
 
 type t = {
   bstar : Bstar.t;
@@ -20,16 +26,28 @@ type t = {
 
 val successor_map :
   ?domains:int -> ?ws:Workspace.t -> Spanning.modified -> Graphlib.Flatarr.t
-(** [?domains] chunks the flat pass across the work-stealing pool
-    (disjoint slots, bit-identical result). *)
+(** The [successor] field, for {!Live} and the tests; the ring walk
+    does not read it.  [?domains] chunks the flat pass across the
+    work-stealing pool (disjoint slots, bit-identical result). *)
+
+val close_ring : ?ws:Workspace.t -> Spanning.modified -> int array
+(** Step 3's ring H from the root R, as a fresh array of length
+    |B\u{2217}| ([Bstar.size]).  With [?ws] the exit set lives in the
+    workspace; the ring itself is always fresh.
+    @raise Pipeline_error.Error (stage ["Embed"]) when the walk steps
+    outside B\u{2217} (or out of the node range), when it has not returned
+    to R after |B\u{2217}| nodes (which covers revisiting any other
+    node), or when it returns to R after fewer than |B\u{2217}| nodes. *)
 
 val of_bstar : ?domains:int -> ?ws:Workspace.t -> Bstar.t -> t
-(** Run steps 1–3 on an already-computed B\u{2217}.  [?domains]
-    parallelizes the BFS levels (bit-identical result).
-    @raise Pipeline_error.Error if the successor map does not close
-    into a Hamiltonian cycle — impossible (Proposition 2.1) on a B\u{2217}
-    produced by {!Bstar.compute}, and a typed, recoverable condition
-    rather than a crash if a hand-built B\u{2217} is malformed. *)
+(** Run steps 1–3 on an already-computed B\u{2217}: the stages, then
+    {!successor_map} and {!close_ring}.  [?domains] parallelizes the
+    BFS levels (bit-identical result).
+    @raise Pipeline_error.Error if the successors do not close into a
+    Hamiltonian cycle of B\u{2217} ({!close_ring}) — impossible
+    (Proposition 2.1) on a B\u{2217} produced by {!Bstar.compute}, and a
+    typed, recoverable condition rather than a crash if a hand-built
+    B\u{2217} is malformed. *)
 
 val embed :
   ?root_hint:int ->
@@ -51,7 +69,7 @@ val embed :
 val verify : ?ws:Workspace.t -> t -> bool
 (** H is a Hamiltonian cycle of B\u{2217} avoiding all faulty necklaces
     (checked arithmetically; does not force [bstar.graph]).  [?ws]
-    borrows the workspace's ring-walk bitset instead of allocating. *)
+    borrows the workspace's [cycle_seen] bitset instead of allocating. *)
 
 val length : t -> int
 

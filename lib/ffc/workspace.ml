@@ -14,7 +14,7 @@ type t = {
   node_parent : Fa.t;
   succ_override : Fa.t;
   successor : Fa.t;
-  cycle_buf : Fa.t;
+  ring_exits : Bs.t;
   cycle_seen : Bs.t;
   it : It.ws;
   (* necklace-level scratch (max_necklaces entries unless noted) *)
@@ -64,7 +64,7 @@ let create p =
      sizes below, in order. *)
   let aw = Fa.Arena.aligned_words in
   let words =
-    (5 * aw size) + It.ws_arena_words size
+    (4 * aw size) + It.ws_arena_words size
     + (5 * aw m) + aw (m + 1) + (2 * aw wsize)
   in
   let bytes = 2 * Fa.Arena.aligned_bytes size in
@@ -84,7 +84,7 @@ let create p =
     node_parent = carve size;
     succ_override = carve size;
     successor = carve size;
-    cycle_buf = carve size;
+    ring_exits = Bs.create size;
     cycle_seen = Bs.create size;
     it = It.ws_create ~arena size;
     reps_buf = carve m;

@@ -4,7 +4,7 @@
     A workspace bundles every scratch structure the four pipeline
     stages need — traversal state ({!Graphlib.Itopo.ws}), the necklace
     index, adjacency/spanning buffers, the succ-override tree and the
-    ring-walk scratch — sized once by {!create} and reused across
+    ring's exit set — sized once by {!create} and reused across
     trials via the [?ws] argument of [Bstar.compute], [Embed.embed]
     etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: two
     [Bigarray] backing allocations (words + flag bytes) the GC never
@@ -43,9 +43,9 @@ type t = {
   node_parent : Graphlib.Flatarr.t;  (** owned by [Spanning.build] *)
   succ_override : Graphlib.Flatarr.t;  (** owned by [Spanning.modify] *)
   successor : Graphlib.Flatarr.t;  (** owned by [Embed.successor_map] *)
-  cycle_buf : Graphlib.Flatarr.t;  (** owned by [Embed.of_bstar]'s ring walk *)
-  cycle_seen : Graphlib.Bitset.t;
-      (** shared by the ring walk and [Embed.verify] *)
+  ring_exits : Graphlib.Bitset.t;
+      (** the D-edge exit nodes; owned by [Embed.close_ring] *)
+  cycle_seen : Graphlib.Bitset.t;  (** owned by [Embed.verify] *)
   it : Graphlib.Itopo.ws;
       (** shared by every BFS/component sweep — so [Spanning.tree]'s
           [dist] is clobbered by any later traversal with the same
@@ -63,8 +63,10 @@ type t = {
 }
 
 val create : Debruijn.Word.params -> t
-(** Allocate the whole arena for (d, n): ~9 words per node plus ~5 per
-    necklace, in two backing allocations.  O(dⁿ) time (one
+(** Allocate the whole arena for (d, n): 6 words per node, 6 per
+    necklace and 2 per (n−1)-suffix (≈ 6·dⁿ + 6·K + 2·dⁿ⁻¹ words), plus
+    two flag bytes per node, in two backing allocations; three
+    one-bit-per-node sets live on the heap.  O(dⁿ) time (one
     necklace-counting sweep). *)
 
 val check : t -> Debruijn.Word.params -> unit

@@ -76,21 +76,18 @@ let of_successor_map ~start succ =
   in
   go [] start 0
 
-let of_successor_flat_into ~seen ~(buf : Flatarr.t) ~start (succ : Flatarr.t) =
+let of_successor_flat_n ~start (succ : Flatarr.t) =
   let n = Flatarr.length succ in
   if start < 0 || start >= n then
-    invalid_arg "Cycle.of_successor_flat_into: start out of range";
-  if Bitset.length seen < n || Flatarr.length buf < n then
-    invalid_arg "Cycle.of_successor_flat_into: scratch too small";
+    invalid_arg "Cycle.of_successor_flat_n: start out of range";
   (* [of_successor_map] over node ids [0 .. n−1] with the successor map
      given flat: a bitset instead of a Hashtbl and no per-step closure
-     call, which matters when the step runs dⁿ times.  Caller-provided
-     off-heap scratch makes the walk allocation-free — the walk the
-     Bigarray-backed FFC workspace closes its ring with. *)
-  Bitset.clear seen;
+     call, which matters when the step runs dⁿ times. *)
+  let seen = Bitset.create n in
+  let buf = Flatarr.create n in
   let len = ref 0 in
   let rec go v =
-    if v = start && !len > 0 then Some !len
+    if v = start && !len > 0 then Some (Flatarr.sub_to_array buf 0 !len)
     else if v < 0 || v >= n || Bitset.mem seen v then None
     else begin
       Bitset.add seen v;
@@ -101,21 +98,11 @@ let of_successor_flat_into ~seen ~(buf : Flatarr.t) ~start (succ : Flatarr.t) =
   in
   go start
 
-let of_successor_flat_n ~start (succ : Flatarr.t) =
-  let n = Flatarr.length succ in
-  if start < 0 || start >= n then
-    invalid_arg "Cycle.of_successor_flat_n: start out of range";
-  let seen = Bitset.create n in
-  let buf = Flatarr.create n in
-  Option.map
-    (fun len -> Flatarr.sub_to_array buf 0 len)
-    (of_successor_flat_into ~seen ~buf ~start succ)
-
 let of_successor_array_n ~start (succ : int array) =
   let n = Array.length succ in
   if start < 0 || start >= n then
     invalid_arg "Cycle.of_successor_array_n: start out of range";
-  (* The walk of [of_successor_flat_into] over a heap successor map. *)
+  (* The walk of [of_successor_flat_n] over a heap successor map. *)
   let seen = Bitset.create n in
   let buf = Array.make n 0 in
   let len = ref 0 in

@@ -51,11 +51,3 @@ val of_successor_array_n : start:int -> int array -> int array option
 val of_successor_flat_n : start:int -> Flatarr.t -> int array option
 (** {!of_successor_array_n} over an off-heap successor map (the cycle
     itself still comes back as a fresh heap array). *)
-
-val of_successor_flat_into :
-  seen:Bitset.t -> buf:Flatarr.t -> start:int -> Flatarr.t -> int option
-(** Allocation-free {!of_successor_flat_n} into caller scratch, with the
-    successor map and node buffer both off-heap: [seen] is cleared, the
-    walk's nodes land in [buf.{0 .. len−1}], and the result is
-    [Some len] iff the walk closes into a simple cycle.  Both scratch
-    structures must span at least [Flatarr.length succ]. *)

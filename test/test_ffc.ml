@@ -660,6 +660,65 @@ let test_table_2_2_regression () =
   check_bool "size within [999, 1004]" true (b.B.size >= 999 && b.B.size <= 1004);
   check_bool "strongly connected" true (B.is_strongly_connected b)
 
+(* The ring walk's refusals.  On the fault-free B(2,5), B(3,3) and
+   B(4,3) one D-edge exit of [succ_override] is redirected (a) onto a
+   node outside B* (in a one-fault embed) — once plainly, once with
+   that node sending the walk back onto the ring one node later, so
+   the closed walk still has |B*| nodes; (b) back to the root; (c) onto
+   a node already on the ring.  A B* whose [size] is off by ±1 is
+   refused too.  Every case raises the typed error with stage "Embed",
+   on the fresh and the workspace path. *)
+let test_close_ring_refusals () =
+  List.iter
+    (fun (d, n) ->
+      let p = W.params ~d ~n in
+      let ws = Ffc.Workspace.create p in
+      let refuses what run =
+        List.iter
+          (fun (path, ws) ->
+            match run ws with
+            | (_ : int array) -> Alcotest.failf "B(%d,%d) %s (%s): returned a ring" d n what path
+            | exception Ffc.Pipeline_error.Error err ->
+                Alcotest.(check string) what "Embed" err.Ffc.Pipeline_error.stage)
+          [ ("fresh", None); ("workspace", Some ws) ]
+      in
+      let embed faults = E.of_bstar (Option.get (B.compute ~root_hint:1 p ~faults)) in
+      (* Close [e]'s ring after applying [edits] to a copy of its D-edges. *)
+      let redirect (e : E.t) what edits =
+        let ov = Fa.make p.W.size (-1) in
+        Fa.blit e.E.modified.Sp.succ_override ov;
+        List.iter (fun (x, y) -> ov.{x} <- y) edits;
+        let m = { e.E.modified with Sp.succ_override = ov } in
+        refuses what (fun ws -> E.close_ring ?ws m)
+      in
+      (* Ring positions of the exits, in ring order. *)
+      let exit_positions (e : E.t) =
+        List.filter
+          (fun i -> e.E.modified.Sp.succ_override.{e.E.cycle.(i)} >= 0)
+          (List.init (E.length e) Fun.id)
+      in
+      let healthy = embed [] in
+      let ring = healthy.E.cycle and k = E.length healthy in
+      let exits = exit_positions healthy in
+      let i = List.find (fun i -> i < k - 1) exits in
+      redirect healthy "(b) exit back to the root" [ (ring.(i), ring.(0)) ];
+      let i = List.hd (List.rev exits) in
+      redirect healthy "(c) exit onto the ring" [ (ring.(i), ring.(1)) ];
+      let faulty = embed [ 1 ] in
+      let ring = faulty.E.cycle and k = E.length faulty in
+      let i = List.find (fun i -> i < k - 2) (exit_positions faulty) in
+      check_bool "1 is outside B*" true (faulty.E.bstar.B.in_bstar.{1} = 0);
+      redirect faulty "(a) exit out of B*" [ (ring.(i), 1) ];
+      redirect faulty "(a) exit out of B* and back" [ (ring.(i), 1); (1, ring.(i + 2)) ];
+      let b = healthy.E.bstar in
+      List.iter
+        (fun delta ->
+          refuses
+            (Printf.sprintf "|B*| off by %+d" delta)
+            (fun ws -> (E.of_bstar ?ws { b with B.size = b.B.size + delta }).E.cycle))
+        [ 1; -1 ])
+    [ (2, 5); (3, 3); (4, 3) ]
+
 (* ------------------------------------------------------------------ *)
 (* routing (Proposition 2.2's constructive core) *)
 
@@ -1061,6 +1120,7 @@ let () =
           Alcotest.test_case "best case (short necklace)" `Quick test_pancyclic_best_case;
           Alcotest.test_case "Lemma 2.1 arc structure" `Quick test_lemma_2_1_arc_structure;
           Alcotest.test_case "Table 2.2 regression slice" `Quick test_table_2_2_regression;
+          Alcotest.test_case "ring walk refuses broken maps" `Quick test_close_ring_refusals;
           Alcotest.test_case "domains:2 bit-identical" `Quick test_embed_domains_identical;
           Alcotest.test_case "B(2,20) implicit acceptance (NETSIM_BIG=1)" `Slow
             test_implicit_b220;
