@@ -29,6 +29,13 @@ type t = {
           flag bytes, [m.{v} <> 0] to test *)
   size : int;  (** |B\u{2217}| — the fault-free cycle length *)
   root : int;  (** the distinguished node R with N(R) = \[R\] *)
+  dist : Graphlib.Flatarr.t;
+      (** node-level BFS distance from R inside B\u{2217} (−1 outside): the
+          levels of Step 1.1's broadcast tree T′, which [Spanning.build]
+          reads *)
+  ecc : int;
+      (** eccentricity of R in B\u{2217} (max of [dist]) — the broadcast
+          round count of Step 1.1 and Table 2.1/2.2's ecc(R) column *)
 }
 
 val compute :
@@ -44,17 +51,29 @@ val compute :
     component (the thesis's tables use R = 0…01); otherwise the smallest
     necklace representative in the component.  Ties between equal-size
     components break toward the one containing the smallest node.
-    [?domains] parallelizes the component BFS (bit-identical result).
-    With [?ws] the sweep is allocation-free and the result's
-    [necklace_faulty]/[in_bstar] alias workspace arrays (valid until
-    the workspace's next use; contents bit-identical to fresh). *)
+
+    One BFS usually does all of it.  It starts from the root candidate
+    — the hint's representative when its necklace is live, otherwise
+    the smallest live node — over the live nodes.  When it reaches a
+    strict majority of them (dⁿ minus the nodes on faulty necklaces),
+    its component is the unique largest: that is B\u{2217}, the candidate
+    is R, and the BFS's distances are [dist].  Otherwise a sweep over
+    every component picks B\u{2217} and R by the rules above, and the
+    same BFS then runs from that R.
+
+    [?domains] parallelizes the BFS levels (bit-identical result).
+    With [?ws] nothing dⁿ-sized is allocated: the result's
+    [necklace_faulty]/[in_bstar] alias workspace arrays and [dist] the
+    workspace's traversal scratch (valid until the workspace's next use;
+    contents bit-identical to fresh). *)
 
 val component_of : Debruijn.Word.params -> faults:int list -> int -> t option
 (** The component containing the given node, with that node's necklace
     representative as root; [None] if the node lies on a faulty
-    necklace.  Used for the Table 2.1/2.2 experiments.  Costs
-    O(component) beyond the fault marking, so probing a small component
-    of a huge B(d,n) is cheap. *)
+    necklace.  Used for the Table 2.1/2.2 experiments.  One BFS from
+    the root fills every field, so [dist]/[ecc] are as in {!compute}.
+    Costs O(dⁿ) time and words whatever the component's size: the fault
+    marks, the visited mask and the BFS arrays all span every node. *)
 
 val component_members :
   Debruijn.Word.params -> faults:int list -> int -> int array
@@ -76,10 +95,10 @@ val nodes : t -> int list
 val necklace_count : t -> int
 (** Number of live necklaces inside B\u{2217}. *)
 
-val eccentricity_of_root : ?ws:Workspace.t -> t -> int
-(** max distance from the root within B\u{2217} — the broadcast round count
-    of Step 1.1.  (With [?ws] this clobbers the workspace's traversal
-    state, including any [Spanning.tree.dist] aliasing it.) *)
+val eccentricity_of_root : t -> int
+(** [t.ecc]: max distance from the root within B\u{2217} — the broadcast
+    round count of Step 1.1.  A field read; {!compute} already ran the
+    BFS. *)
 
 val diameter : t -> int
 (** The thesis's K: the diameter of B\u{2217} (O(|B\u{2217}|·edges); meant for

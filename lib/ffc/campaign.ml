@@ -44,7 +44,7 @@ let run_trial ~p ~ws ~seed ~f trial =
       {
         osize = e.Embed.bstar.Bstar.size;
         oring = Embed.length e;
-        oecc = e.Embed.modified.Spanning.tree.Spanning.ecc;
+        oecc = e.Embed.bstar.Bstar.ecc;
         over = Embed.verify ?ws e;
         oerr = false;
       }

@@ -30,7 +30,7 @@ type point = {
   bound_ok : int;  (** trials whose ring met the applicable bound *)
   mean_bstar_size : float;  (** over all trials; 0 counts for failures *)
   mean_ring_length : float;
-  mean_ecc : float;  (** mean ecc(R) within B*, from the spanning BFS *)
+  mean_ecc : float;  (** mean ecc(R) within B*, from [Bstar.compute]'s BFS *)
   min_ring_length : int;
   wall_s : float;
   minor_words_per_trial : float;

@@ -106,7 +106,7 @@ let close_ring ?ws (m : Spanning.modified) =
 
 let of_bstar ?domains ?ws bstar =
   let adj = Adjacency.build ?ws bstar in
-  let tree = Spanning.build ?domains ?ws adj in
+  let tree = Spanning.build ?ws adj in
   let modified = Spanning.modify ?ws tree in
   let successor = successor_map ?domains ?ws modified in
   let cycle = close_ring ?ws modified in

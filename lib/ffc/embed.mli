@@ -41,8 +41,10 @@ val close_ring : ?ws:Workspace.t -> Spanning.modified -> int array
 
 val of_bstar : ?domains:int -> ?ws:Workspace.t -> Bstar.t -> t
 (** Run steps 1–3 on an already-computed B\u{2217}: the stages, then
-    {!successor_map} and {!close_ring}.  [?domains] parallelizes the
-    BFS levels (bit-identical result).
+    {!successor_map} and {!close_ring}.  No stage here traverses
+    B\u{2217} (T′'s levels come with the record, from {!Bstar.compute}'s
+    BFS), so [?domains] reaches only {!successor_map}'s flat pass
+    (bit-identical result).
     @raise Pipeline_error.Error if the successors do not close into a
     Hamiltonian cycle of B\u{2217} ({!close_ring}) — impossible
     (Proposition 2.1) on a B\u{2217} produced by {!Bstar.compute}, and a

@@ -189,11 +189,11 @@ let load t (e : Embed.t) =
   let adj = tree.Spanning.adj in
   let reps = adj.Adjacency.reps in
   let idx_of_node = adj.Adjacency.idx_of_node in
-  Fa.blit tree.Spanning.dist t.dist;
+  Fa.blit e.Embed.bstar.Bstar.dist t.dist;
   Fa.blit e.Embed.successor t.successor;
   t.root <- e.Embed.bstar.Bstar.root;
   t.bsize <- e.Embed.bstar.Bstar.size;
-  t.ecc <- tree.Spanning.ecc;
+  t.ecc <- e.Embed.bstar.Bstar.ecc;
   ensure_hist t t.ecc;
   Array.fill t.hist 0 (Array.length t.hist) 0;
   for v = 0 to t.p.W.size - 1 do

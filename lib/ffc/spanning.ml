@@ -1,14 +1,9 @@
 module W = Debruijn.Word
 module Fa = Graphlib.Flatarr
-module It = Graphlib.Itopo
-module Sched = Graphlib.Sched
 
 type tree = {
   adj : Adjacency.t;
   root_idx : int;
-  dist : Fa.t;
-  ecc : int;
-  node_parent : Fa.t;
   parent : Fa.t;
   label : Fa.t;
   chosen : Fa.t;
@@ -19,9 +14,8 @@ let fail reason = Pipeline_error.raise_error ~stage:"Spanning" reason
 (* The T′ parent rule (Step 1.1), shared with [Live]: the minimal
    predecessor one BFS level up.  Reading [dist] alone suffices — it is
    −1 outside B* in both engines, and callers ask only for dv ≥ 1.
-   Module-level so the per-node parent search allocates no closure — a
-   capturing [let rec] in the scan loop would cost ~9 minor words per
-   live node. *)
+   Module-level so the parent search allocates no closure — a capturing
+   [let rec] in a loop would cost ~9 minor words per call. *)
 let rec find_parent (dist : Fa.t) stride d pre dv a =
   if a = d then -1
   else
@@ -29,74 +23,21 @@ let rec find_parent (dist : Fa.t) stride d pre dv a =
     if dist.{u} = dv - 1 then u else find_parent dist stride d pre dv (a + 1)
 [@@lint.hot]
 
-(* The T′ parent scan writes one slot per reached node, each a pure
-   function of the (already final) dist array — so chunking the
-   discovery order across a work-stealing pool is trivially
-   deterministic: every slot gets the same value no matter which domain
-   writes it.  Worth parallelizing: at B(2,22) this pass is a quarter
-   of the pipeline. *)
-let fill_parents ?domains ~(bfs : It.bfs) ~node_parent ~stride ~d () =
-  let dist = bfs.It.dist in
-  let order = bfs.It.order in
-  let scan i =
-    let v = order.{i} in
-    node_parent.{v} <- find_parent dist stride d (v / d) dist.{v} 0
-  in
-  match domains with
-  | Some k when k > 1 && bfs.It.count >= It.par_threshold ->
-      Sched.with_pool ~domains:k (fun pool ->
-          Sched.parallel_for pool ~chunk:It.chunk_size ~lo:1 ~hi:bfs.It.count
-            (fun _ clo chi ->
-              for i = clo to chi - 1 do
-                (scan i
-                [@lint.par_write
-                  "scan i writes only node_parent.{order.{i}}, and the \
-                   discovery order is a permutation — distinct i, \
-                   distinct slot; the value is a pure function of the \
-                   final dist array"])
-              done))
-  | _ ->
-      for i = 1 to bfs.It.count - 1 do
-        scan i
-      done
-
-let build ?domains ?ws (adj : Adjacency.t) =
+let build ?domains:_ ?ws (adj : Adjacency.t) =
   let bstar = adj.Adjacency.bstar in
   let p = bstar.Bstar.p in
   let size = p.W.size in
-  let in_bstar_arr = bstar.Bstar.in_bstar in
-  let in_bstar v = in_bstar_arr.{v} <> 0 in
+  let d = p.W.d in
+  let stride = size / d in
+  (* T′'s levels: Bstar.compute's BFS from R (Step 1.1). *)
+  let dist = bstar.Bstar.dist in
+  let in_bstar = bstar.Bstar.in_bstar in
   let root = bstar.Bstar.root in
   (match ws with Some w -> Workspace.check w p | None -> ());
-  let itws = match ws with None -> None | Some w -> Some w.Workspace.it in
-  let bfs =
-    It.bfs ?domains ?ws:itws ~n:size
-      ~succs:(fun x f -> W.iter_succs p x f)
-      ~keep:in_bstar root
-  in
-  let dist = bfs.It.dist in
-  (* BFS discovers by nondecreasing distance, so the root's
-     eccentricity in B* — ecc(R), Table 2.1/2.2's column — is the
-     distance of the last discovery; recording it here saves the
-     campaign a whole extra traversal. *)
-  let ecc =
-    if bfs.It.count = 0 then 0 else dist.{bfs.It.order.{bfs.It.count - 1}}
-  in
-  (* T′ parent: minimal predecessor one BFS level up, inside B*.  Only
-     reached nodes are scanned (via discovery order); predecessors are
-     a·stride + v/d for a = 0..d−1 — ascending in a, so the first live
-     hit at the previous level is already the minimal one. *)
-  let node_parent =
-    match ws with
-    | None -> Fa.make size (-1)
-    | Some w ->
-        Fa.fill w.Workspace.node_parent (-1);
-        w.Workspace.node_parent
-  in
-  let stride = size / p.W.d in
-  fill_parents ?domains ~bfs ~node_parent ~stride ~d:p.W.d ();
+  if in_bstar.{root} = 0 then fail "the root R is not in B*";
   let m = Array.length adj.Adjacency.reps in
-  let root_idx = adj.Adjacency.idx_of_node.{root} in
+  let idx_of_node = adj.Adjacency.idx_of_node in
+  let root_idx = idx_of_node.{root} in
   (* Necklace-level arrays: workspace capacity is the fault-free
      necklace count ≥ m; only the first m entries are (re)set and
      read. *)
@@ -115,7 +56,6 @@ let build ?domains ?ws (adj : Adjacency.t) =
   (* Earliest receipt, ties toward the minimal node — a lexicographic
      (dist, node) minimum per necklace.  One ascending node scan: on
      equal distance the first (smallest) node sticks. *)
-  let idx_of_node = adj.Adjacency.idx_of_node in
   for v = 0 to size - 1 do
     let i = idx_of_node.{v} in
     if i >= 0 then begin
@@ -123,19 +63,26 @@ let build ?domains ?ws (adj : Adjacency.t) =
       if b < 0 || dist.{v} < dist.{b} then chosen.{i} <- v
     end
   done;
+  (* Step 1.2 reads the T′ parent of each chosen Y alone, so the parent
+     rule runs there only: predecessors are a·stride + Y/d for
+     a = 0..d−1, ascending in a, so the first hit one level up is the
+     minimal one.  [dist] comes with the B* record, so a caller that
+     edited [in_bstar] afterwards can hand over a parent outside B*.
+     Every member's necklace is indexed, so one inside has an index. *)
   for i = 0 to m - 1 do
     let y = chosen.{i} in
     if y < 0 then fail "a necklace of B* has no reached node";
     if i <> root_idx then begin
-      let par_node = node_parent.{y} in
+      let par_node = find_parent dist stride d (y / d) dist.{y} 0 in
       if par_node < 0 then fail "a necklace's earliest node has no T' parent";
+      if in_bstar.{par_node} = 0 then fail "a necklace's T' parent lies outside B*";
       parent.{i} <- idx_of_node.{par_node};
       label.{i} <- W.prefix p y
     end
   done;
   (* The root's chosen node is R itself (distance 0). *)
   chosen.{root_idx} <- root;
-  { adj; root_idx; dist; ecc; node_parent; parent; label; chosen }
+  { adj; root_idx; parent; label; chosen }
 
 let tree_edges t =
   let m = Array.length t.adj.Adjacency.reps in

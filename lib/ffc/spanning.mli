@@ -12,24 +12,18 @@
     The height-one property of every T_w follows because sibling nodes
     wα and wβ share their full predecessor set, hence their T′ parent.
 
-    The BFS runs over the arithmetic iterators (no graph is built) and
-    accepts [?domains]: large levels expand through the work-stealing
-    pool, and the T′ parent scan is chunked across it too (each slot is
-    a pure function of the final dist array) — the result is
-    bit-identical to the sequential run. *)
+    No traversal happens here: T′'s levels are the [dist] field that
+    {!Bstar.compute}'s BFS from R left in the B\u{2217} record, and the
+    parent rule ({!find_parent}) runs only at each necklace's Y — the
+    one node per necklace Step 1.2 reads — instead of over all of
+    B\u{2217}. *)
 
 type tree = {
   adj : Adjacency.t;
   root_idx : int;  (** the necklace of R *)
-  dist : Graphlib.Flatarr.t;
-      (** node-level BFS distance from R inside B\u{2217} (−1 outside) *)
-  ecc : int;
-      (** eccentricity of R in B\u{2217} (max of [dist]) — a free by-product
-          of the spanning BFS, so campaigns get ecc(R) without another
-          traversal *)
-  node_parent : Graphlib.Flatarr.t;
-      (** node-level T′ parent (−1 for R / outside) *)
-  parent : Graphlib.Flatarr.t;  (** necklace-level parent index (−1 for root) *)
+  parent : Graphlib.Flatarr.t;
+      (** necklace-level parent index: the necklace of Y's T′ parent
+          (−1 for root) *)
   label : Graphlib.Flatarr.t;  (** w label of the parent edge (−1 for root) *)
   chosen : Graphlib.Flatarr.t;  (** per necklace: the earliest-reached node Y *)
 }
@@ -40,12 +34,17 @@ val find_parent : Graphlib.Flatarr.t -> int -> int -> int -> int -> int -> int
     distance [dv − 1] (dv ≥ 1), or −1.  [dist] is −1 outside B\u{2217}. *)
 
 val build : ?domains:int -> ?ws:Workspace.t -> Adjacency.t -> tree
-(** With [?ws], [dist]/[node_parent]/[parent]/[label]/[chosen] alias
-    workspace arrays (valid until its next use; in particular [dist]
-    lives in the shared traversal scratch and is clobbered by any later
-    BFS on the same workspace).
+(** T from the B\u{2217} record's [dist] ({!Bstar.t}): one ascending scan
+    picks each necklace's Y, then {!find_parent} runs at each Y.
+    [?domains] is ignored: nothing here runs in parallel.  It stays
+    in the signature, like {!Bstar.graph}, only because the repository
+    benchmark ([bench/suite]) passes it; it goes at that benchmark's
+    next re-anchor.  With [?ws], [parent]/[label]/[chosen] alias
+    workspace arrays (valid until its next use).
     @raise Pipeline_error.Error (stage ["Spanning"]) on a malformed
-    B\u{2217} record: a necklace with no reached node, or a Y without a T′ parent. *)
+    B\u{2217} record: R outside [in_bstar], a necklace with no reached node,
+    a Y without a T′ parent, or a T′ parent outside [in_bstar] (possible
+    when [in_bstar] was edited after {!Bstar.compute} filled [dist]). *)
 
 val check_height_one : tree -> bool
 (** Every label class T_w has a single common parent — guaranteed by

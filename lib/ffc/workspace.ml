@@ -11,7 +11,6 @@ type t = {
   necklace_faulty : Fa.Byte.t;
   in_bstar : Fa.Byte.t;
   idx_of_node : Fa.t;
-  node_parent : Fa.t;
   succ_override : Fa.t;
   successor : Fa.t;
   ring_exits : Bs.t;
@@ -64,7 +63,7 @@ let create p =
      sizes below, in order. *)
   let aw = Fa.Arena.aligned_words in
   let words =
-    (4 * aw size) + It.ws_arena_words size
+    (3 * aw size) + It.ws_arena_words size
     + (5 * aw m) + aw (m + 1) + (2 * aw wsize)
   in
   let bytes = 2 * Fa.Arena.aligned_bytes size in
@@ -81,7 +80,6 @@ let create p =
     necklace_faulty = Fa.Arena.carve_byte arena size;
     in_bstar = Fa.Arena.carve_byte arena size;
     idx_of_node = carve size;
-    node_parent = carve size;
     succ_override = carve size;
     successor = carve size;
     ring_exits = Bs.create size;

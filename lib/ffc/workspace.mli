@@ -40,16 +40,16 @@ type t = {
   necklace_faulty : Graphlib.Flatarr.Byte.t;  (** owned by [Bstar.compute] *)
   in_bstar : Graphlib.Flatarr.Byte.t;  (** owned by [Bstar.compute] *)
   idx_of_node : Graphlib.Flatarr.t;  (** owned by [Adjacency.build] *)
-  node_parent : Graphlib.Flatarr.t;  (** owned by [Spanning.build] *)
   succ_override : Graphlib.Flatarr.t;  (** owned by [Spanning.modify] *)
   successor : Graphlib.Flatarr.t;  (** owned by [Embed.successor_map] *)
   ring_exits : Graphlib.Bitset.t;
       (** the D-edge exit nodes; owned by [Embed.close_ring] *)
   cycle_seen : Graphlib.Bitset.t;  (** owned by [Embed.verify] *)
   it : Graphlib.Itopo.ws;
-      (** shared by every BFS/component sweep — so [Spanning.tree]'s
-          [dist] is clobbered by any later traversal with the same
-          workspace *)
+      (** owned by [Bstar.compute] (its BFS and, without a majority
+          component, its component sweep); the B\u{2217} record's [dist]
+          aliases it, so any later traversal with the same workspace
+          clobbers that field *)
   (* necklace-level scratch, [max_necklaces] entries unless noted *)
   reps_buf : Graphlib.Flatarr.t;  (** owned by [Adjacency.build] *)
   parent : Graphlib.Flatarr.t;  (** owned by [Spanning.build] *)
@@ -63,8 +63,8 @@ type t = {
 }
 
 val create : Debruijn.Word.params -> t
-(** Allocate the whole arena for (d, n): 6 words per node, 6 per
-    necklace and 2 per (n−1)-suffix (≈ 6·dⁿ + 6·K + 2·dⁿ⁻¹ words), plus
+(** Allocate the whole arena for (d, n): 5 words per node, 6 per
+    necklace and 2 per (n−1)-suffix (≈ 5·dⁿ + 6·K + 2·dⁿ⁻¹ words), plus
     two flag bytes per node, in two backing allocations; three
     one-bit-per-node sets live on the heap.  O(dⁿ) time (one
     necklace-counting sweep). *)

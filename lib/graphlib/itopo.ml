@@ -255,8 +255,8 @@ let bfs ?(domains = 1) ?(chunk = chunk_size) ?ws ~n ~succs ?(keep = keep_all)
 let bfs_dist ~n ~succs ?keep src =
   Flatarr.to_array (bfs ~n ~succs ?keep src).dist
 
-let eccentricity ?ws ~n ~succs ?keep src =
-  let r = bfs ?ws ~n ~succs ?keep src in
+let eccentricity ~n ~succs ?keep src =
+  let r = bfs ~n ~succs ?keep src in
   (* BFS discovers nodes by nondecreasing distance, so the last
      discovery is the farthest. *)
   if r.count = 0 then 0 else r.dist.{r.order.{r.count - 1}}

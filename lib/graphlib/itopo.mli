@@ -15,8 +15,9 @@
     list-based traversal layer survives only as the tests' reference
     ([Oracles.Traversal], in a test-only library).
 
-    [?domains:k] (on {!bfs} and the component sweeps the FFC stages
-    call) expands large BFS levels through a chunked
+    [?domains:k] (on {!bfs} and the component sweeps — the traversals
+    [Ffc.Bstar.compute] runs, the only FFC stage that traverses)
+    expands large BFS levels through a chunked
     work-stealing pool ({!Sched}): the level is cut into
     {!chunk_size}-position chunks, gathered concurrently (workers read
     the visited marks read-only, stashing candidates per chunk), then
@@ -98,8 +99,7 @@ val bfs :
 val bfs_dist : n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int array
 (** The distance array of a sequential {!bfs}, copied to the heap. *)
 
-val eccentricity :
-  ?ws:ws -> n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int
+val eccentricity : n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int
 (** Maximum finite BFS distance from the node (directed, sequential);
     [0] if the source reaches nothing. *)
 

@@ -19,6 +19,24 @@ let example_faults = [ W.of_string p33 "020"; W.of_string p33 "112" ]
 let example_bstar () =
   Option.get (B.compute ~root_hint:(W.of_string p33 "000") p33 ~faults:example_faults)
 
+(* The pipeline against the frozen list-based reference: same root,
+   |B*|, membership, successor map and ring. *)
+let matches_reference (e : E.t) (r : Oracles.Ffc_reference.t) =
+  e.E.bstar.B.root = r.Oracles.Ffc_reference.root
+  && e.E.bstar.B.size = r.Oracles.Ffc_reference.size
+  && Fa.Byte.to_bool_array e.E.bstar.B.in_bstar = r.Oracles.Ffc_reference.in_bstar
+  && Fa.to_array e.E.successor = r.Oracles.Ffc_reference.successor
+  && e.E.cycle = r.Oracles.Ffc_reference.cycle
+
+(* [dist]/[ecc] of a B* record against the seed's list BFS from R over
+   B*, on the materialized B(d,n). *)
+let dist_matches_traversal (b : B.t) =
+  let g = Debruijn.Graph.b b.B.p in
+  let dist =
+    Oracles.Traversal.bfs_dist_restricted g (fun v -> b.B.in_bstar.{v} <> 0) b.B.root
+  in
+  Fa.to_array b.B.dist = dist && b.B.ecc = Array.fold_left max 0 dist
+
 (* ------------------------------------------------------------------ *)
 (* B* *)
 
@@ -78,6 +96,35 @@ let test_bstar_root_hint () =
   in
   (* hint 221 normalizes to its necklace representative 122. *)
   check_int "root canonicalized" (W.of_string p33 "122") b.B.root
+
+(* Bstar.compute's second path.  The BFS from the root candidate settles
+   B* alone only when it reaches a strict majority of the live nodes;
+   these B(2,4) cases, found by exhaustive search, must fall back to the
+   sweep over every component, and still agree with the frozen
+   reference and with a list BFS from R. *)
+let test_bstar_fallback () =
+  let p = W.params ~d:2 ~n:4 in
+  let w = W.of_string p in
+  let case what ?root_hint faults ~root ~members =
+    let b = Option.get (B.compute ?root_hint p ~faults) in
+    check_int (what ^ ": root") root b.B.root;
+    check_int (what ^ ": size") (List.length members) b.B.size;
+    Alcotest.(check (list int)) (what ^ ": members") members (B.nodes b);
+    check_bool (what ^ ": dist/ecc = list BFS from R") true (dist_matches_traversal b);
+    let e = Option.get (E.embed ?root_hint p ~faults) in
+    let r = Option.get (Oracles.Ffc_reference.embed ?root_hint p ~faults) in
+    check_bool (what ^ ": pipeline = reference") true (matches_reference e r)
+  in
+  (* Two 5-node halves: the hint's half holds exactly half of the 10
+     live nodes, no strict majority, so the tie goes to the half
+     holding 0000. *)
+  case "halves" ~root_hint:(w "0111") [ w "0011"; w "0101" ] ~root:0
+    ~members:[ 0; 1; 2; 4; 8 ];
+  (* The largest component holds 4 of the 8 live nodes. *)
+  case "no majority" [ w "0001"; w "0111" ] ~root:3 ~members:[ 3; 6; 9; 12 ];
+  (* 0000 is isolated: the first BFS reaches one node. *)
+  case "isolated candidate" [ w "0001" ] ~root:3
+    ~members:[ 3; 5; 6; 7; 9; 10; 11; 12; 13; 14; 15 ]
 
 let test_bstar_eccentricity () =
   let b = example_bstar () in
@@ -887,11 +934,16 @@ let test_embed_b227 () =
    Itopo.par_threshold, so the parallel expansion genuinely fires. *)
 let test_embed_domains_identical () =
   let p = W.params ~d:2 ~n:13 in
-  let faults = [ 1 ] in
-  let seq = Option.get (E.embed p ~faults) in
-  let par = Option.get (E.embed ~domains:2 p ~faults) in
-  check_bool "successor maps identical" true (seq.E.successor = par.E.successor);
-  check_bool "cycles identical" true (seq.E.cycle = par.E.cycle)
+  (* Fault [1] isolates 0ⁿ, so B* comes from the no-majority fallback;
+     the hinted case is B* straight from one BFS from R. *)
+  List.iter
+    (fun (root_hint, faults) ->
+      let seq = Option.get (E.embed ?root_hint p ~faults) in
+      let par = Option.get (E.embed ?root_hint ~domains:2 p ~faults) in
+      check_bool "dist identical" true (seq.E.bstar.B.dist = par.E.bstar.B.dist);
+      check_bool "successor maps identical" true (seq.E.successor = par.E.successor);
+      check_bool "cycles identical" true (seq.E.cycle = par.E.cycle))
+    [ (None, [ 1 ]); (Some 1, [ 500; 8000 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* workspace arena *)
@@ -899,16 +951,17 @@ let test_embed_domains_identical () =
 (* Compare a workspace run against the fresh-allocation pipeline on
    every observable: the ws embed's fields alias arena storage, so all
    comparisons happen before the workspace's next use. *)
-let check_ws_matches_fresh ?domains p ws faults =
-  match (E.embed ?domains p ~faults, E.embed ?domains ~ws p ~faults) with
+let check_ws_matches_fresh ?root_hint ?domains p ws faults =
+  match (E.embed ?root_hint ?domains p ~faults, E.embed ?root_hint ?domains ~ws p ~faults) with
   | None, None -> ()
   | Some fresh, Some wse ->
       check_int "root" fresh.E.bstar.B.root wse.E.bstar.B.root;
       check_int "size" fresh.E.bstar.B.size wse.E.bstar.B.size;
       check_bool "in_bstar" true (fresh.E.bstar.B.in_bstar = wse.E.bstar.B.in_bstar);
+      check_bool "dist" true (fresh.E.bstar.B.dist = wse.E.bstar.B.dist);
       check_bool "successor" true (fresh.E.successor = wse.E.successor);
       check_bool "cycle" true (fresh.E.cycle = wse.E.cycle);
-      check_int "ecc" fresh.E.modified.Sp.tree.Sp.ecc wse.E.modified.Sp.tree.Sp.ecc;
+      check_int "ecc" fresh.E.bstar.B.ecc wse.E.bstar.B.ecc;
       check_bool "ws verify" true (E.verify ~ws wse)
   | Some _, None -> Alcotest.fail "ws embed lost the ring"
   | None, Some _ -> Alcotest.fail "ws embed invented a ring"
@@ -941,7 +994,10 @@ let test_ws_domains_identical () =
   let p = W.params ~d:2 ~n:13 in
   let ws = Ffc.Workspace.create p in
   check_ws_matches_fresh ~domains:2 p ws [ 1; 500; 8000 ];
-  check_ws_matches_fresh ~domains:2 p ws [ 2; 3 ]
+  check_ws_matches_fresh ~domains:2 p ws [ 2; 3 ];
+  (* Those fault sets isolate 0ⁿ and take Bstar.compute's no-majority
+     fallback; this one is the one-BFS path embed-batch times. *)
+  check_ws_matches_fresh ~root_hint:1 ~domains:2 p ws [ 500; 8000 ]
 
 (* ------------------------------------------------------------------ *)
 (* campaign *)
@@ -1006,6 +1062,15 @@ let qsuite =
       int_range 1 6 >>= fun f ->
       int_range 0 1000000 >>= fun seed -> return (d, n, f, seed))
   in
+  let hinted =
+    Gen.(
+      oneofl [ (2, 4); (2, 5); (2, 6); (3, 3); (3, 4); (4, 2); (4, 3); (5, 2) ]
+      >>= fun (d, n) ->
+      int_range 1 6 >>= fun f ->
+      int_range 0 1000000 >>= fun seed ->
+      int_range 0 ((W.params ~d ~n).W.size - 1) >>= fun root_hint ->
+      return (d, n, f, seed, root_hint))
+  in
   [
     Test.make ~name:"FFC output is always a fault-free cycle of B*" ~count:150
       (make scenario) (fun (d, n, f, seed) ->
@@ -1033,12 +1098,22 @@ let qsuite =
         let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
         match (E.embed p ~faults, Oracles.Ffc_reference.embed p ~faults) with
         | None, None -> true
-        | Some e, Some r ->
-            e.E.bstar.B.root = r.Oracles.Ffc_reference.root
-            && e.E.bstar.B.size = r.Oracles.Ffc_reference.size
-            && Fa.Byte.to_bool_array e.E.bstar.B.in_bstar = r.Oracles.Ffc_reference.in_bstar
-            && Fa.to_array e.E.successor = r.Oracles.Ffc_reference.successor
-            && e.E.cycle = r.Oracles.Ffc_reference.cycle
+        | Some e, Some r -> matches_reference e r
+        | _ -> false);
+    (* The hint lands anywhere in [0, dⁿ): on a live necklace of B*, on
+       a faulty necklace, or in a smaller component — so both of
+       Bstar.compute's paths run. *)
+    Test.make ~name:"hinted pipeline = frozen list-based reference" ~count:150
+      (make hinted) (fun (d, n, f, seed, root_hint) ->
+        let p = W.params ~d ~n in
+        let rng = Util.Rng.create seed in
+        let f = min f (p.W.size - 1) in
+        let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
+        match
+          (E.embed ~root_hint p ~faults, Oracles.Ffc_reference.embed ~root_hint p ~faults)
+        with
+        | None, None -> true
+        | Some e, Some r -> matches_reference e r && dist_matches_traversal e.E.bstar
         | _ -> false);
     Test.make ~name:"length >= d^n - nf whenever f <= d-2" ~count:150 (make scenario)
       (fun (d, n, f, seed) ->
@@ -1076,7 +1151,8 @@ let qsuite =
              && fresh.E.bstar.B.in_bstar = wse.E.bstar.B.in_bstar
              && fresh.E.successor = wse.E.successor
              && fresh.E.cycle = wse.E.cycle
-             && fresh.E.modified.Sp.tree.Sp.ecc = wse.E.modified.Sp.tree.Sp.ecc
+             && fresh.E.bstar.B.ecc = wse.E.bstar.B.ecc
+             && fresh.E.bstar.B.dist = wse.E.bstar.B.dist
              && E.verify ~ws wse
          | _ -> false));
   ]
@@ -1093,6 +1169,7 @@ let () =
           Alcotest.test_case "component_members discovery order" `Quick
             test_bstar_component_members_order;
           Alcotest.test_case "root hint" `Quick test_bstar_root_hint;
+          Alcotest.test_case "no-majority fallback" `Quick test_bstar_fallback;
           Alcotest.test_case "eccentricity" `Quick test_bstar_eccentricity;
         ] );
       ( "adjacency",

@@ -24,15 +24,14 @@ let oracle_agrees ?(materialize = true) ?domains (live : Lv.t) p faults =
   | None -> Lv.is_empty live
   | Some e ->
       let b = e.E.bstar in
-      let tree = e.E.modified.Sp.tree in
       Lv.root live = b.B.root
       && Lv.size live = b.B.size
-      && Lv.ecc live = tree.Sp.ecc
+      && Lv.ecc live = b.B.ecc
       && (let ok = ref true in
           for v = 0 to p.W.size - 1 do
             if Lv.in_bstar live v <> (b.B.in_bstar.{v} <> 0) then ok := false;
             if Lv.successor live v <> e.E.successor.{v} then ok := false;
-            if b.B.in_bstar.{v} <> 0 && Lv.dist live v <> tree.Sp.dist.{v} then
+            if b.B.in_bstar.{v} <> 0 && Lv.dist live v <> b.B.dist.{v} then
               ok := false
           done;
           !ok)
@@ -234,6 +233,37 @@ let test_malformed_bstar_typed_error () =
       done)
     [ (2, 3); (2, 5); (3, 3) ]
 
+(* [dist] comes with the B* record, so a caller that drops a chosen Y's
+   T′ parent from [in_bstar] afterwards leaves Y's parent rule pointing
+   outside B*.  Spanning.build must refuse that with its typed error.
+   Unchecked, T would name the parent's necklace (or −1 once that
+   necklace is gone, which Spanning.modify reads as a parentless label
+   class), and the failure would only surface as an "Embed" ring
+   error. *)
+let test_tprime_parent_outside_bstar () =
+  List.iter
+    (fun (d, n) ->
+      let p = W.params ~d ~n in
+      let healthy = Option.get (B.compute ~root_hint:1 p ~faults:[]) in
+      let dist = healthy.B.dist in
+      let tree = Sp.build (Ffc.Adjacency.build healthy) in
+      for i = 0 to Graphlib.Flatarr.length tree.Sp.chosen - 1 do
+        if i <> tree.Sp.root_idx then begin
+          let y = tree.Sp.chosen.{i} in
+          let par = Sp.find_parent dist (p.W.size / d) d (y / d) dist.{y} 0 in
+          let in_bstar = Graphlib.Flatarr.Byte.make p.W.size 0 in
+          Bigarray.Array1.blit healthy.B.in_bstar in_bstar;
+          in_bstar.{par} <- 0;
+          match E.of_bstar { healthy with B.in_bstar; size = healthy.B.size - 1 } with
+          | _ ->
+              Alcotest.failf "B(%d,%d): a ring without node %d, the T' parent of %d" d n
+                par y
+          | exception Ffc.Pipeline_error.Error err ->
+              Alcotest.(check string) "stage" "Spanning" err.Ffc.Pipeline_error.stage
+        end
+      done)
+    [ (2, 5); (3, 3) ]
+
 let test_campaign_records_errors () =
   (* The campaign aggregates typed errors instead of crashing; on
      well-formed inputs the count is zero. *)
@@ -333,6 +363,8 @@ let () =
         [
           Alcotest.test_case "malformed B* raises the typed error" `Quick
             test_malformed_bstar_typed_error;
+          Alcotest.test_case "T' parent outside B* raises the typed error" `Quick
+            test_tprime_parent_outside_bstar;
           Alcotest.test_case "campaign records errors" `Quick test_campaign_records_errors;
         ] );
       ( "churn-campaign",
