@@ -29,32 +29,60 @@ module Fault_probe = struct
 end
 
 let resolve_ranks ~what ~clamp_ranks ~ranks ~length =
-  let resolved, clamped =
+  let resolved =
     if ranks > length then
-      if clamp_ranks then (length, true)
+      if clamp_ranks then length
       else
         invalid_arg
           (what ^ ": spec.ranks " ^ string_of_int ranks ^ " > ring length "
          ^ string_of_int length ^ " (pass ~clamp_ranks:true to clamp)")
-    else (ranks, false)
+    else ranks
   in
   if resolved < 2 then invalid_arg (what ^ ": ranks < 2");
-  (resolved, clamped)
+  resolved
+
+(* The code table's cells: one byte while the 2d codes and the mark 2d
+   of a missing edge stay below the byte's absent mark 255 (d ≤ 127),
+   one word beyond.  Read and written only through [cell] and
+   [set_cell], which show a missing membership as [absent]. *)
+type cells = Narrow of Fa.Byte.t | Wide of Fa.t
+
+let absent = -1
+
+let make_cells ~d n =
+  if 2 * d < 255 then Narrow (Fa.Byte.make n 255) else Wide (Fa.make n absent)
+
+let cell cells k =
+  match cells with
+  | Narrow b ->
+      let c = Fa.Byte.get b k in
+      if c = 255 then absent else c
+  | Wide w -> w.{k}
+
+let set_cell cells k c =
+  match cells with Narrow b -> Fa.Byte.set b k c | Wide w -> w.{k} <- c
 
 type t = {
   p : W.params;
   nrings : int;
   length : int;
   ranks : int;
-  clamped : bool;
   cycles : int array array;
   bounds : int array;
-  succ_rank : Fa.t;
   seg_len : Fa.t;
   seg_pref : Fa.t;
-  bidirectional : bool;
-  probe : Fault_probe.t;
+  codes : cells;
 }
+
+(* The rank segment holding ring position [i]: the last r < R with
+   seg_pref.{r} ≤ i. *)
+let seg_of seg_pref ~ranks i =
+  let lo = ref 0 and hi = ref (ranks - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if seg_pref.{mid} <= i then lo := mid else hi := mid - 1
+  done;
+  !lo
 
 let lower ~what ~clamp_ranks ~edge_faults ~bidirectional ~ranks ~chunk_words ~p
     ~faulty ~rings =
@@ -77,81 +105,95 @@ let lower ~what ~clamp_ranks ~edge_faults ~bidirectional ~ranks ~chunk_words ~p
     else forward
   in
   let nrings = Array.length cycles in
-  let ranks, clamped = resolve_ranks ~what ~clamp_ranks ~ranks ~length in
+  let ranks = resolve_ranks ~what ~clamp_ranks ~ranks ~length in
   let bounds = Schedule.boundaries ~ranks ~length in
-  let succ_rank = Fa.create ranks in
   let seg_len = Fa.create ranks in
   let seg_pref = Fa.create (ranks + 1) in
   for r = 0 to ranks - 1 do
-    succ_rank.{r} <- (r + 1) mod ranks;
     seg_pref.{r} <- bounds.(r);
     let stop = if r = ranks - 1 then length else bounds.(r + 1) in
     seg_len.{r} <- stop - bounds.(r)
   done;
   seg_pref.{ranks} <- length;
-  let probe = Fault_probe.make ~size:p.W.size ~bidirectional edge_faults in
-  let visited = Fa.Byte.make p.W.size 0 in
-  let adjacent u v =
-    W.suffix p u = W.prefix p v
-    || (bidirectional && W.suffix p v = W.prefix p u)
+  let d = p.W.d and size = p.W.size in
+  let top = size / d in
+  let bad = 2 * d in
+  (* The code of u's out-edge to v, as in the interface, or [bad]. *)
+  let code u v =
+    let x = v - ((u mod top) * d) in
+    if x >= 0 && x < d then x
+    else if not bidirectional then bad
+    else
+      let y = u - ((v mod top) * d) in
+      if y >= 0 && y < d then d + (v / top) else bad
   in
   (* Earliest (round, src, ring) at which the simulator would attempt a
      send across a missing or faulted edge: the phase-0 chunk wave
      advances through every segment in lock-step, reaching segment
      offset h at round h, and an upstream bad edge always has a smaller
      offset than anything it blocks. *)
-  let bad_round = ref max_int in
-  let bad_src = ref 0 in
-  let bad_dst = ref 0 in
-  Array.iter
-    (fun cycle ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= p.W.size then
-            invalid_arg (what ^ ": ring node out of range");
-          if faulty v then invalid_arg (what ^ ": ring touches a faulty node");
-          if Fa.Byte.get visited v <> 0 then
-            invalid_arg (what ^ ": ring revisits a node");
-          Fa.Byte.set visited v 1)
-        cycle;
-      Array.iter (fun v -> Fa.Byte.set visited v 0) cycle)
-    cycles;
-  Array.iter
-    (fun cycle ->
-      let seg = ref 0 in
-      for i = 0 to length - 1 do
-        while !seg < ranks - 1 && i >= seg_pref.{!seg + 1} do
-          incr seg
-        done;
-        let u = cycle.(i) and v = cycle.((i + 1) mod length) in
-        if (not (adjacent u v)) || Fault_probe.mem probe u v then begin
-          let h = i - seg_pref.{!seg} in
-          if h < !bad_round || (h = !bad_round && u < !bad_src) then begin
-            bad_round := h;
-            bad_src := u;
-            bad_dst := v
-          end
+  let bad_round = ref max_int and bad_src = ref 0 and bad_ring = ref 0 and bad_dst = ref 0 in
+  let note ~ring ~pos u v =
+    let h = pos - seg_pref.{seg_of seg_pref ~ranks pos} in
+    if
+      h < !bad_round
+      || (h = !bad_round && (u < !bad_src || (u = !bad_src && ring < !bad_ring)))
+    then begin
+      bad_round := h;
+      bad_src := u;
+      bad_ring := ring;
+      bad_dst := v
+    end
+  in
+  let out_of_range = what ^ ": ring node out of range"
+  and touches_faulty = what ^ ": ring touches a faulty node"
+  and revisits = what ^ ": ring revisits a node" in
+  let codes = make_cells ~d (size * nrings) in
+  (* One pass per ring: writing u's cell is the revisit check, its code
+     the adjacency check. *)
+  (for j = 0 to nrings - 1 do
+     let cycle = cycles.(j) in
+     for i = 0 to length - 1 do
+       let u = cycle.(i) in
+       if u < 0 || u >= size then invalid_arg out_of_range;
+       if faulty u then invalid_arg touches_faulty;
+       let k = (u * nrings) + j in
+       if cell codes k <> absent then invalid_arg revisits;
+       let v = cycle.(if i = length - 1 then 0 else i + 1) in
+       let c = code u v in
+       if c = bad then note ~ring:j ~pos:i u v;
+       set_cell codes k c
+     done
+   done)
+  [@lint.hot];
+  (* A faulted link u → v lies on ring j iff u's cell there holds its
+     code; only then is u's ring position looked up. *)
+  let faulted u v =
+    let c = code u v in
+    if c <> bad then
+      for j = 0 to nrings - 1 do
+        if cell codes ((u * nrings) + j) = c then begin
+          let cycle = cycles.(j) in
+          let i = ref 0 in
+          while cycle.(!i) <> u do
+            incr i
+          done;
+          note ~ring:j ~pos:!i u v
         end
-      done)
-    cycles;
+      done
+  in
+  List.iter
+    (fun (u, v) ->
+      if u >= 0 && u < size && v >= 0 && v < size then begin
+        faulted u v;
+        if bidirectional then faulted v u
+      end)
+    edge_faults;
   if !bad_round < max_int then
     raise
       (Netsim.Simulator.Illegal_send
          { round = !bad_round; src = !bad_src; dst = !bad_dst });
-  {
-    p;
-    nrings;
-    length;
-    ranks;
-    clamped;
-    cycles;
-    bounds;
-    succ_rank;
-    seg_len;
-    seg_pref;
-    bidirectional;
-    probe;
-  }
+  { p; nrings; length; ranks; cycles; bounds; seg_len; seg_pref; codes }
 
 let completion_rounds t ~phases =
   let ranks = t.ranks in
@@ -171,48 +213,124 @@ let completion_rounds t ~phases =
   done;
   !worst + 1
 
-(* Slots as in the interface.  The forward test needs no second
-   division: (u / dⁿ⁻¹)·dⁿ + v − u·d = v − (u mod dⁿ⁻¹)·d, which lies
-   in [0, d) iff suffix(u) = prefix(v).  Byte counters keep the table
-   at d·dⁿ bytes (4 MB at B(4,10)); a slot already at [byte_max] keeps
-   counting in [spill], so no number of rings can wrap a count. *)
-let byte_max = 255
+(* How many of the cells [row + a … row + k − 1] hold cell [row + a]'s
+   code; 0 when that cell is absent. *)
+let ties codes ~row ~k a =
+  let c = cell codes (row + a) in
+  if c = absent then 0
+  else begin
+    let n = ref 1 in
+    for b = a + 1 to k - 1 do
+      if cell codes (row + b) = c then incr n
+    done;
+    !n
+  end
+
+(* The number of present cells in [row … row + k − 1]. *)
+let memberships codes ~row ~k =
+  let n = ref 0 in
+  for j = 0 to k - 1 do
+    if cell codes (row + j) <> absent then incr n
+  done;
+  !n
+
+(* The largest number of equal values among vals.(0 … n−1), n ≥ 1. *)
+let deepest_tie (vals : int array) n =
+  let best = ref 1 in
+  for a = 0 to n - 2 do
+    let cnt = ref 1 in
+    for b = a + 1 to n - 1 do
+      if vals.(b) = vals.(a) then incr cnt
+    done;
+    if !cnt > !best then best := !cnt
+  done;
+  !best
 
 let max_edge_share t =
   if t.nrings = 1 then 1
   else begin
-    let d = t.p.W.d and size = t.p.W.size in
-    let top = size / d in
-    let half = d * size in
-    let counts = Fa.Byte.make (if t.bidirectional then 2 * half else half) 0 in
-    let spill = Hashtbl.create 16 in
-    let overflow s =
-      let c =
-        1 + Option.value (Hashtbl.find_opt spill s) ~default:byte_max
-      in
-      Hashtbl.replace spill s c;
-      c
-    in
-    let length = t.length in
+    let k = t.nrings in
     let best = ref 1 in
-    (for j = 0 to t.nrings - 1 do
-       let cycle = t.cycles.(j) in
-       for i = 0 to length - 1 do
-         let u = cycle.(i) in
-         let v = cycle.(if i = length - 1 then 0 else i + 1) in
-         let fwd = ((u / top) * size) + v in
-         let x = fwd - (u * d) in
-         let s = if x >= 0 && x < d then fwd else half + ((v / top) * size) + u in
-         let c = Fa.Byte.get counts s in
-         let c =
-           if c < byte_max then begin
-             Fa.Byte.set counts s (c + 1);
-             c + 1
-           end
-           else overflow s
-         in
-         if c > !best then best := c
+    (for v = 0 to t.p.W.size - 1 do
+       for a = 0 to k - 2 do
+         let n = ties t.codes ~row:(v * k) ~k a in
+         if n > !best then best := n
        done
+     done)
+    [@lint.hot];
+    !best
+  end
+
+(* Peak sends by one node in one round, as in the interface.  Each
+   membership sends [phases] times, at rounds h, h + len[s−1],
+   h + len[s−1] + len[s−2], …: the phase-0 wave reaches offset h at
+   round h, and each later phase waits for the previous one to cross
+   the predecessor segments.  A node's load at a round is the number of
+   its memberships sending then.  With uniform segments the rounds are
+   h + p·len, and |h − h'| < len makes two memberships collide iff
+   h = h'. *)
+let max_port_load t ~phases =
+  if t.nrings = 1 then 1
+  else begin
+    let k = t.nrings and ranks = t.ranks in
+    let seg_len = t.seg_len and seg_pref = t.seg_pref in
+    (* Node-major ring positions, read only where a row has a code. *)
+    let pos = Fa.create (t.p.W.size * k) in
+    for j = 0 to k - 1 do
+      let cycle = t.cycles.(j) in
+      for i = 0 to t.length - 1 do
+        pos.{(cycle.(i) * k) + j} <- i
+      done
+    done;
+    (* [Schedule.boundaries] makes every segment ⌊L/R⌋ or ⌈L/R⌉ long. *)
+    let len = seg_len.{0} in
+    let uniform = t.length = len * ranks in
+    let vals = Array.make k 0 and ptr = Array.make k 0 and nxt = Array.make k 0 in
+    (* The deepest send-round collision among node v's [deg] memberships. *)
+    let collisions v deg =
+      let e = ref 0 in
+      for j = 0 to k - 1 do
+        if cell t.codes ((v * k) + j) <> absent then begin
+          let i = pos.{(v * k) + j} in
+          (if uniform then vals.(!e) <- i mod len
+           else
+             let s = seg_of seg_pref ~ranks i in
+             vals.(!e) <- i - seg_pref.{s};
+             nxt.(!e) <- (if s = 0 then ranks - 1 else s - 1);
+             ptr.(!e) <- 0);
+          incr e
+        end
+      done;
+      if uniform then deepest_tie vals deg
+      else begin
+        let best = ref 1 and live = ref deg in
+        while !live > 0 do
+          let mn = ref max_int in
+          for e = 0 to deg - 1 do
+            if ptr.(e) < phases && vals.(e) < !mn then mn := vals.(e)
+          done;
+          let cnt = ref 0 in
+          for e = 0 to deg - 1 do
+            if ptr.(e) < phases && vals.(e) = !mn then begin
+              incr cnt;
+              ptr.(e) <- ptr.(e) + 1;
+              if ptr.(e) = phases then decr live
+              else begin
+                vals.(e) <- vals.(e) + seg_len.{nxt.(e)};
+                nxt.(e) <- (if nxt.(e) = 0 then ranks - 1 else nxt.(e) - 1)
+              end
+            end
+          done;
+          if !cnt > !best then best := !cnt
+        done;
+        !best
+      end
+    in
+    let best = ref 1 in
+    (for v = 0 to t.p.W.size - 1 do
+       let deg = memberships t.codes ~row:(v * k) ~k in
+       (* A node's collision depth is at most its membership count. *)
+       if deg > !best then best := max !best (collisions v deg)
      done)
     [@lint.hot];
     !best

@@ -2,24 +2,24 @@
     both executors.
 
     {!lower} validates a (rings, rank-boundary) configuration once and
-    compiles it into flat arrays: per-rank successor ranks, segment
-    hop-lengths and their prefix sums ({!Graphlib.Flatarr} storage),
-    next to the driven node cycles themselves.  The Netsim executor
-    ({!Exec}) uses the tables for its role maps and congestion
+    compiles it into flat tables: segment hop-lengths and their prefix
+    sums ({!Graphlib.Flatarr} storage), and one node-major table of edge
+    codes, next to the driven node cycles themselves.  The Netsim
+    executor ({!Exec}) uses the tables for its role maps and congestion
     accounting; the compiled executor ({!Fastpath}) runs the whole
     schedule off them without ever materializing the network.
 
     The closed-form accounting helpers ({!completion_rounds},
-    {!max_edge_share}) reproduce the simulator's self-timed pipelining
-    figures exactly; the agreement is qcheck-pinned against
-    {!Netsim.Simulator} runs in the test suite. *)
+    {!max_edge_share}, {!max_port_load}) reproduce the simulator's
+    self-timed pipelining figures exactly; the agreement is
+    qcheck-pinned against {!Netsim.Simulator} runs in the test suite. *)
 
 (** Constant-time membership for directed-edge fault sets, keyed by the
     packed integer u·dⁿ + v — the same hashed/packed-key trick as
     {!Dhc.Edge_fault.Faults}, but accepting arbitrary node pairs (a
     fault that is not a real De Bruijn edge simply never matches).
-    Replaces the O(E·|F|) [List.exists] probe inside
-    {!Graphlib.Digraph.remove_edges} predicates. *)
+    {!Exec.topology} runs it on every message the simulator sends;
+    {!lower} does not need it. *)
 module Fault_probe : sig
   type t
 
@@ -34,32 +34,31 @@ module Fault_probe : sig
 end
 
 val resolve_ranks :
-  what:string -> clamp_ranks:bool -> ranks:int -> length:int -> int * bool
+  what:string -> clamp_ranks:bool -> ranks:int -> length:int -> int
 (** The rank-count policy shared by both executors: [ranks > length]
     raises [Invalid_argument] unless [clamp_ranks] is set, in which
-    case the count is clamped to [length] and the returned flag is
-    [true] (the clamp is surfaced to callers through the report's
-    [ranks] field).  A resolved count below 2 always raises.  [what]
-    prefixes the error messages. *)
+    case the count is clamped to [length] (the clamp reaches callers
+    through the report's [ranks] field).  A resolved count below 2
+    always raises.  [what] prefixes the error messages. *)
+
+type cells
+(** The cells of the code table: one byte each while d ≤ 127, one word
+    beyond. *)
 
 type t = {
   p : Debruijn.Word.params;
   nrings : int;  (** driven rings, reversed directions appended *)
   length : int;  (** ring length L *)
   ranks : int;  (** logical ranks R, after any clamp *)
-  clamped : bool;
   cycles : int array array;  (** all driven node cycles, row-per-ring *)
   bounds : int array;  (** rank → ring position ({!Schedule.boundaries}) *)
-  succ_rank : Graphlib.Flatarr.t;  (** rank → successor rank, (r+1) mod R *)
   seg_len : Graphlib.Flatarr.t;  (** rank r → hops from rank r to rank r+1 *)
   seg_pref : Graphlib.Flatarr.t;
       (** R+1 prefix sums of [seg_len]; [seg_pref.{r}] = hops before
           rank r (= [bounds.(r)]), [seg_pref.{R}] = L *)
-  bidirectional : bool;
-      (** [cycles] holds each ring's reversal too, so ring edges may
-          run against De Bruijn edges ({!max_edge_share} sizes its
-          table by it) *)
-  probe : Fault_probe.t;  (** the compiled [edge_faults] probe *)
+  codes : cells;
+      (** node-major edge codes: cell v·nrings + j holds the code of
+          node v's out-edge on ring j, or marks that ring j misses v *)
 }
 
 val lower :
@@ -79,14 +78,22 @@ val lower :
     length ≥ 2, [chunk_words ≥ 1], every ring node in range, non-faulty
     and visited at most once per ring, and {!resolve_ranks}.
 
-    Edges are then screened arithmetically: consecutive ring nodes must
-    be De Bruijn-adjacent (suffix(u) = prefix(v), either direction
-    under [bidirectional]) and must not hit the [edge_faults] probe.  A
-    bad edge raises {!Netsim.Simulator.Illegal_send} carrying the round
-    at which the simulator would first attempt that send — the phase-0
-    chunk wave reaches offset h of every segment at round h, so the
-    earliest offending (round, src) is exact; with several bad edges at
-    the same (round, src) the lowest-indexed ring wins. *)
+    One pass per ring fills the code table; writing u's cell is the
+    revisit check.  A forward edge u → v has x = v − (u mod dⁿ⁻¹)·d in
+    [0, d): that one value is both the adjacency test and the code (v's
+    last digit).  Under [bidirectional], an edge valid only as the
+    reversal of v → u takes code d + (v's first digit); forward takes
+    precedence.  Codes are injective on a node's out-edges, so equal
+    codes in a row mean a shared directed link.
+
+    An edge that is neither, or that [edge_faults] kills (both
+    directions under [bidirectional]; each fault is looked up in the
+    table after the pass), raises {!Netsim.Simulator.Illegal_send}
+    carrying the round at which the simulator would first attempt that
+    send — the phase-0 chunk wave reaches offset h of every segment at
+    round h, so the earliest offending (round, src) is exact; with
+    several bad edges at the same (round, src) the lowest-indexed ring
+    wins.  O(nrings·L) time, nrings·dⁿ cells. *)
 
 val completion_rounds : t -> phases:int -> int
 (** Rounds to quiescence of the self-timed execution, in closed form.
@@ -102,14 +109,18 @@ val completion_rounds : t -> phases:int -> int
 
 val max_edge_share : t -> int
 (** The deepest ring-sharing of any directed link (1 for a single ring
-    or any edge-disjoint family), counted in one pass over the ring
-    edges with one counter per De Bruijn edge slot.  A forward edge u→v
-    is named by (first digit of u, v), slot (u / dⁿ⁻¹)·dⁿ + v, of a
-    d·dⁿ table; under [bidirectional] an edge that only runs against
-    the De Bruijn edge v→u takes slot (v / dⁿ⁻¹)·dⁿ + u of a second
-    d·dⁿ half.  The slots are injective on directed node pairs, so the
-    count is exact for every family {!lower} accepts, with no bound on
-    the number of rings (byte counters spill into a hash table past
-    255).  O(nrings·L) time, d·dⁿ bytes (twice that bidirectional);
-    O(1) when [nrings = 1], since a cycle of distinct nodes never
-    repeats a directed edge. *)
+    or any edge-disjoint family): the largest count of equal codes in
+    any row of the code table, rows read in node order.  Exact for
+    every family {!lower} accepts, with no bound on the number of
+    rings; each row is compared pairwise, O(dⁿ·nrings²) in all.  O(1)
+    when [nrings = 1], since a cycle of distinct nodes never repeats a
+    directed edge. *)
+
+val max_port_load : t -> phases:int -> int
+(** Peak sends by one node in one round of the self-timed run, in
+    closed form: 1 for a single ring.  Otherwise a node-major position
+    table gives each membership its segment s and offset h, whose
+    phase-p send leaves at round h + Σ_{q<p} len[(s−1−q) mod R].  With
+    uniform segments two memberships collide iff their offsets are
+    equal; otherwise each row runs a k-way merge of its send rounds.
+    Rows with no more memberships than the best so far are skipped. *)

@@ -41,14 +41,33 @@ type msg = { ring : int; chunk : int; data : int array }
 let default_init ~ring ~rank ~chunk ~word =
   1 + (((ring * 1009) + (rank * 31) + (chunk * 7) + word) mod 97)
 
-(* The initial buffer contents per operation: the reducing operations
-   start from the full vector everywhere; all-gather starts from
-   per-rank ownership (chunk r live at rank r, the rest zero) — the
-   same convention as [Schedule.simulate]. *)
-let initial_word op ~init ~ring ~rank ~chunk ~word =
-  match (op : Schedule.op) with
-  | All_gather -> if chunk = rank then init ~ring ~rank ~chunk ~word else 0
-  | Reduce_scatter | Allreduce -> init ~ring ~rank ~chunk ~word
+(* The [op] test sits outside the word loops, which call [init]
+   directly. *)
+let initial_arena op ~init ~rings ~ranks ~chunk_words:cw =
+  (* [create], not [make]: the fill writes every word. *)
+  let buf = Fa.create (rings * ranks * ranks * cw) in
+  let owned_only =
+    match (op : Schedule.op) with
+    | All_gather -> true
+    | Reduce_scatter | Allreduce -> false
+  in
+  (for j = 0 to rings - 1 do
+     for r = 0 to ranks - 1 do
+       for ch = 0 to ranks - 1 do
+         let base = ((((j * ranks) + r) * ranks) + ch) * cw in
+         if owned_only && ch <> r then
+           for w = 0 to cw - 1 do
+             buf.{base + w} <- 0
+           done
+         else
+           for w = 0 to cw - 1 do
+             buf.{base + w} <- init ~ring:j ~rank:r ~chunk:ch ~word:w
+           done
+       done
+     done
+   done)
+  [@lint.hot];
+  buf
 
 (* The closed forms of the .mli hold because relays never transform
    payload: chunk c only ever meets the ranks' own init words, and the
@@ -119,20 +138,8 @@ let run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings spec =
   (* Flat payload arena: rank r of ring j owns the [ranks·cw]-word
      slice at [((j·ranks) + r)·ranks·cw]; a step writes only the
      stepped node's own slice. *)
-  (* [create], not [make]: the fill below writes every word. *)
-  let buf = Fa.create (nrings * ranks * ranks * cw) in
+  let buf = initial_arena spec.op ~init ~rings:nrings ~ranks ~chunk_words:cw in
   let base_of ~ring ~rank = ((ring * ranks) + rank) * ranks * cw in
-  for j = 0 to nrings - 1 do
-    for r = 0 to ranks - 1 do
-      let base = base_of ~ring:j ~rank:r in
-      for ch = 0 to ranks - 1 do
-        for w = 0 to cw - 1 do
-          buf.{base + (ch * cw) + w} <-
-            initial_word spec.op ~init ~ring:j ~rank:r ~chunk:ch ~word:w
-        done
-      done
-    done
-  done;
   (* Node → role tables, one pair of flat maps per ring (membership
      already validated by [Compile.lower]). *)
   let rank_of = Array.init nrings (fun _ -> Array.make p.W.size (-1)) in
@@ -223,10 +230,11 @@ let run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings spec =
     done
   [@@lint.hot]
   in
+  let probe = Compile.Fault_probe.make ~size:p.W.size ~bidirectional:spec.bidirectional edge_faults in
   let res =
     Netsim.Simulator.run
       ~payload_words:(fun m -> Array.length m.data)
-      ~topology:(topology ~p ~bidirectional:spec.bidirectional c.Compile.probe)
+      ~topology:(topology ~p ~bidirectional:spec.bidirectional probe)
       ~faulty
       { Netsim.Simulator.step; wants_step = (fun _ -> false) }
   in
@@ -238,7 +246,7 @@ let run_internal ~edge_faults ~clamp_ranks ~init ~p ~faulty ~rings spec =
   (* Arithmetic congestion accounting: each ring edge carries exactly
      [segment_messages] messages, so the peak directed-link load is
      that figure times the deepest ring-sharing of any edge
-     ([Compile.max_edge_share], counted per De Bruijn edge slot). *)
+     ([Compile.max_edge_share], read off the code table). *)
   let msgs = Schedule.segment_messages spec.op ~ranks in
   let max_share = Compile.max_edge_share c in
   let payload_words = nrings * Schedule.payload_words spec.op ~ranks ~chunk_words:cw in

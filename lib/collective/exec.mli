@@ -103,10 +103,10 @@ val run :
     [chunk_words ≥ 1].
 
     [edge_faults] removes the given directed De Bruijn edges from the
-    topology (both directions under [bidirectional]) through an O(1)
-    packed-key probe — a ring crossing a dead link makes the run raise
-    {!Netsim.Simulator.Illegal_send}, so a clean return {e proves} the
-    rings avoid the fault set.
+    topology (both directions under [bidirectional]; the simulator tests
+    each message against a {!Compile.Fault_probe}) — a ring crossing a
+    dead link makes the run raise {!Netsim.Simulator.Illegal_send}, so a
+    clean return {e proves} the rings avoid the fault set.
 
     [init] gives the integer payload (defaults to {!default_init}). *)
 
@@ -141,19 +141,16 @@ val default_init : ring:int -> rank:int -> chunk:int -> word:int -> int
     Exposed so other executors and tests can reproduce the exact
     default arena. *)
 
-val initial_word :
-  Schedule.op ->
-  init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
-  ring:int ->
-  rank:int ->
-  chunk:int ->
-  word:int ->
-  int
-(** The initial arena contents per operation — the reducing operations
-    start from the full vector everywhere; all-gather starts from
-    per-rank ownership (chunk r live at rank r, the rest zero), the
-    same convention as {!Schedule.simulate}.  Shared with {!Fastpath}
-    so both executors fill bit-identical arenas. *)
+val initial_arena :
+  Schedule.op -> init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
+  rings:int -> ranks:int -> chunk_words:int -> Graphlib.Flatarr.t
+(** A fresh payload arena in the layout {!run_with_payload} returns,
+    holding the initial contents: the reducing operations start from
+    the full vector everywhere; all-gather starts from per-rank
+    ownership (chunk r live at rank r, the rest zero), the convention
+    of {!Schedule.simulate}.  Both executors fill their arenas with it.
+    The [op] test sits outside the word loops, which call [init]
+    directly. *)
 
 val verify_arena :
   Schedule.op ->

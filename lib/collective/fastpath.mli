@@ -10,10 +10,13 @@
     slice into its own, reducing in place during the reduce-scatter
     phases.  Relay hops are pure routing (the shared-relay observation:
     a relay never transforms payload), so they are {e accounted}, never
-    simulated: rounds, delivered hops, wire words, per-link congestion
-    and port load all come from closed-form arithmetic over segment
-    lengths and the {!Schedule} phase structure, reproducing
-    {!Netsim.Simulator}'s self-timed pipelining figures exactly.
+    simulated: rounds, delivered hops and wire words come from
+    closed-form arithmetic over segment lengths and the {!Schedule}
+    phase structure, and per-link congestion and port load from one
+    read, in node order, of the edge-code table {!Compile.lower} built
+    ({!Compile.max_edge_share}, {!Compile.max_port_load}) —
+    reproducing {!Netsim.Simulator}'s self-timed pipelining figures
+    exactly.
 
     The equivalence is enforced three ways: the same word-for-word
     check Exec runs ({!Exec.verify_arena}, which compares every arena
@@ -28,12 +31,13 @@
     rings·length·phases messages — B(2,22) (4.2M-node) rings become
     interactive.
 
-    Parallelism: work items are (ring, rank) pairs distributed with
-    {!Graphlib.Sched.parallel_for} under the deterministic-commit
-    discipline — each phase's items write pairwise disjoint arena
-    chunks and read phase-stable sources, so results are bit-identical
-    for any [?domains] (qcheck-pinned, and against the sequential
-    {!Exec}). *)
+    Parallelism: the kernel's work items are (ring, rank) pairs
+    distributed with {!Graphlib.Sched.parallel_for} under the
+    deterministic-commit discipline — each phase's items write pairwise
+    disjoint arena chunks and read phase-stable sources, so results are
+    bit-identical for any [?domains] (qcheck-pinned, and against the
+    sequential {!Exec}).  Lowering, the arena fill and the accounting
+    run sequentially. *)
 
 val run :
   ?domains:int ->

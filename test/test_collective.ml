@@ -512,6 +512,121 @@ let test_share_link_load () =
   check_int "fastpath link load = share x phases" (2 * rf.E.phases) rf.E.max_link_load;
   agree ~what:"B(4,2) overlapping family" ~p ~rings spec
 
+(* Codes past a byte.  In B(300,1) every ordered pair is an edge, so
+   any permutation is a ring and a code is the successor itself.  The
+   third ring runs 0 → 299 → … → 1 backwards except that it takes the
+   link 254 → 255 of the first, whose code is 255. *)
+let test_share_wide_codes () =
+  let p = W.params ~d:300 ~n:1 in
+  let ring = Array.init 300 Fun.id in
+  let back =
+    Array.init 300 (fun i ->
+        match if i = 0 then 0 else 300 - i with 255 -> 254 | 254 -> 255 | v -> v)
+  in
+  List.iter
+    (fun (what, rings, share) ->
+      let c = lower_family ~p rings in
+      check_int (what ^ ": share") share (C.max_edge_share c);
+      check_int (what ^ ": oracle agrees") (sort_scan_share c) (C.max_edge_share c);
+      List.iter
+        (fun (op, ranks) ->
+          agree ~what:(what ^ " " ^ S.op_to_string op) ~p ~rings
+            { E.op; ranks; chunk_words = 1; bidirectional = false })
+        [ (S.Allreduce, 4); (S.Reduce_scatter, 7) ])
+    [
+      ("copy", [ ring; Array.copy ring ], 2);
+      ("one shared link", [ ring; back ], 2);
+      ("copy and one shared link", [ ring; Array.copy ring; back ], 3);
+    ];
+  (* The fault-free FFC ring of B(130,2), both directions: reverse
+     codes reach 2d − 1 = 259. *)
+  let p = W.params ~d:130 ~n:2 in
+  match Ffc.Embed.embed p ~faults:[] with
+  | None -> Alcotest.fail "FFC embed failed"
+  | Some e ->
+      let c = lower_family ~bidirectional:true ~p [ e.Ffc.Embed.cycle ] in
+      check_int "B(130,2) both directions: share" 1 (C.max_edge_share c);
+      check_int "B(130,2) oracle agrees" (sort_scan_share c) (C.max_edge_share c)
+
+(* ------------------------------------------------------------------ *)
+(* Illegal_send: the earliest (round, src), ties to the lowest ring *)
+
+(* The historical lowering screen, kept as the oracle: ring by ring and
+   edge by edge, a bad edge replaces the held one only at a strictly
+   smaller (round, src), so ties keep the lowest-indexed ring. *)
+let scan_illegal ~p ~bidirectional ~edge_faults ~ranks rings =
+  let length = Array.length (List.hd rings) in
+  let rev c = Array.init length (fun i -> c.(length - 1 - i)) in
+  let cycles = if bidirectional then rings @ List.map rev rings else rings in
+  let bounds = S.boundaries ~ranks ~length in
+  let probe = C.Fault_probe.make ~size:p.W.size ~bidirectional edge_faults in
+  let adjacent u v =
+    W.suffix p u = W.prefix p v || (bidirectional && W.suffix p v = W.prefix p u)
+  in
+  let best = ref None in
+  List.iter
+    (fun cycle ->
+      let seg = ref 0 in
+      for i = 0 to length - 1 do
+        while !seg < ranks - 1 && i >= bounds.(!seg + 1) do
+          incr seg
+        done;
+        let u = cycle.(i) and v = cycle.((i + 1) mod length) in
+        if (not (adjacent u v)) || C.Fault_probe.mem probe u v then
+          let h = i - bounds.(!seg) in
+          match !best with
+          | Some (h', u', _) when h' < h || (h' = h && u' <= u) -> ()
+          | _ -> best := Some (h, u, v)
+      done)
+    cycles;
+  !best
+
+let lower_outcome ~p ~bidirectional ~edge_faults ~ranks rings =
+  match
+    C.lower ~what:"test" ~clamp_ranks:false ~edge_faults ~bidirectional ~ranks
+      ~chunk_words:1 ~p ~faulty:(fun _ -> false) ~rings
+  with
+  | exception Netsim.Simulator.Illegal_send { round; src; dst } -> Some (round, src, dst)
+  | _ -> None
+
+(* Two faulted links leave node 0 in round 0 (every node is a rank) on
+   different rings; the faults are listed highest ring first. *)
+let test_illegal_send_tie_break () =
+  (* The node [k] steps after [u] along [ring]. *)
+  let step ring u k =
+    let l = Array.length ring in
+    let i = ref 0 in
+    while ring.(!i) <> u do incr i done;
+    ring.((!i + k + l) mod l)
+  in
+  let succ ring u = step ring u 1 and pred ring u = step ring u (-1) in
+  let p = W.params ~d:5 ~n:2 in
+  let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d:5 ~n:2 ~k:2) in
+  let r0 = List.nth rings 0 and r1 = List.nth rings 1 in
+  let edge_faults = [ (0, succ r1 0); (0, succ r0 0) ] in
+  Alcotest.(check (option (triple int int int)))
+    "B(5,2) two rings: ring 0's link wins"
+    (Some (0, 0, succ r0 0))
+    (lower_outcome ~p ~bidirectional:false ~edge_faults ~ranks:25 rings);
+  (* Driven rings f0, f1, reversed f0, reversed f1: the fault on
+     (pred f0 0, 0) also kills 0 → pred f0 0 on ring 2, and the one on
+     (0, succ f1 0) kills it on ring 1. *)
+  let p = W.params ~d:4 ~n:2 in
+  let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d:4 ~n:2 ~k:2) in
+  let f0 = List.nth rings 0 and f1 = List.nth rings 1 in
+  let edge_faults = [ (pred f0 0, 0); (0, succ f1 0) ] in
+  Alcotest.(check (option (triple int int int)))
+    "B(4,2) bidirectional: ring 1's link wins"
+    (Some (0, 0, succ f1 0))
+    (lower_outcome ~p ~bidirectional:true ~edge_faults ~ranks:16 rings);
+  List.iter
+    (fun (bidirectional, edge_faults) ->
+      Alcotest.(check (option (triple int int int)))
+        "oracle agrees"
+        (scan_illegal ~p ~bidirectional ~edge_faults ~ranks:16 rings)
+        (lower_outcome ~p ~bidirectional ~edge_faults ~ranks:16 rings))
+    [ (true, edge_faults); (false, edge_faults) ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -657,6 +772,64 @@ let qsuite =
         let rings = List.map (fun i -> all.(i mod Array.length all)) picks in
         let c = lower_family ~bidirectional ~p rings in
         C.max_edge_share c = sort_scan_share c);
+    (* Port load and sharing on families with repeated rings: the
+       netsim executor's port load is the simulator's own census. *)
+    Test.make ~name:"fastpath = netsim (overlapping families)" ~count:25
+      (quad (pair (int_range 3 4) (int_range 2 3)) bool (int_range 0 2)
+         (pair (list_of_size (Gen.int_range 2 6) small_nat) small_nat))
+      (fun ((d, n), bidirectional, opi, (picks, r)) ->
+        let op = List.nth [ S.Reduce_scatter; S.All_gather; S.Allreduce ] opi in
+        let p = W.params ~d ~n in
+        let all = Array.of_list (List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:(P.psi d))) in
+        let rings = List.map (fun i -> all.(i mod Array.length all)) picks in
+        let ranks = 2 + (r mod (p.W.size - 1)) in
+        let spec = { E.op; ranks; chunk_words = 1 + (r mod 2); bidirectional } in
+        let re, pe = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let rf, pf = F.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let c =
+          C.lower ~what:"test" ~clamp_ranks:false ~edge_faults:[] ~bidirectional ~ranks
+            ~chunk_words:1 ~p ~faulty:(fun _ -> false) ~rings
+        in
+        same_report re rf && same_payload pe pf
+        && C.max_port_load c ~phases:re.E.phases = re.E.max_port_load);
+    (* The compile-time Illegal_send against the historical ring-major
+       scan: 0–3 faults on and off ring edges (half of the on-ring ones
+       leave one hub node), sometimes a ring with two nodes swapped,
+       and every node a rank a quarter of the time. *)
+    Test.make ~name:"lower's Illegal_send = ring-major scan oracle" ~count:2000
+      (quad (int_range 0 2) bool (int_range 0 3) (pair bool small_nat))
+      (fun (fam, bidirectional, nf, (swap, seed)) ->
+        let d, n = List.nth [ (2, 4); (3, 3); (4, 2) ] fam in
+        let p = W.params ~d ~n in
+        let size = p.W.size in
+        let rng = Util.Rng.create seed in
+        let all = Array.of_list (List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:(P.psi d))) in
+        let k = 1 + Util.Rng.int rng (Array.length all + 1) in
+        let rings = List.init k (fun _ -> Array.copy all.(Util.Rng.int rng (Array.length all))) in
+        (if swap then
+           let c = List.hd rings in
+           let i = Util.Rng.int rng size and j = Util.Rng.int rng size in
+           let t = c.(i) in
+           c.(i) <- c.(j);
+           c.(j) <- t);
+        let ranks = if Util.Rng.int rng 4 = 0 then size else 2 + Util.Rng.int rng (size - 1) in
+        let hub = Util.Rng.int rng size in
+        let out_edge c u =
+          let i = ref 0 in
+          while c.(!i) <> u do incr i done;
+          (u, c.((!i + 1) mod size))
+        in
+        let fault _ =
+          let c = List.nth rings (Util.Rng.int rng k) in
+          match Util.Rng.int rng 5 with
+          | 0 | 1 -> out_edge c hub
+          | 2 -> out_edge c c.(Util.Rng.int rng size)
+          | 3 -> let u, v = out_edge c c.(Util.Rng.int rng size) in (v, u)
+          | _ -> (Util.Rng.int rng size, Util.Rng.int rng (size + 2))
+        in
+        let edge_faults = List.init nf fault in
+        scan_illegal ~p ~bidirectional ~edge_faults ~ranks rings
+        = lower_outcome ~p ~bidirectional ~edge_faults ~ranks rings);
     (* The closed-form checker accepts exactly the reference
        executor's final buffers: all of them, with their plain sum as
        checksum, and none once one word is off. *)
@@ -732,6 +905,8 @@ let () =
           Alcotest.test_case "clamp_ranks policy" `Quick test_clamp_ranks;
           Alcotest.test_case "illegal send at compile time" `Quick
             test_fastpath_illegal_send;
+          Alcotest.test_case "illegal send tie-break across rings" `Quick
+            test_illegal_send_tie_break;
         ] );
       ( "verify",
         [
@@ -744,6 +919,7 @@ let () =
           Alcotest.test_case "300 copies" `Quick test_share_many_copies;
           Alcotest.test_case "link load = share x phases" `Quick
             test_share_link_load;
+          Alcotest.test_case "codes wider than a byte" `Quick test_share_wide_codes;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite);
     ]
