@@ -18,10 +18,7 @@
    Every run exact-verifies the reduced integer payloads against the
    rank-space reference execution, and every fastpath run is asserted
    counter-identical to its netsim sibling here (the CI gate
-   re-checks the pair from the JSON).  Wall times are machine-
-   dependent; rows with "domains" in the engine are schema-checked
-   only, their checksum/rounds asserted bit-identical to the
-   sequential run here instead.
+   re-checks the pair from the JSON).
 
    Two claims are enforced, not just reported: the k-ring striped
    allreduce must move >= 0.8k times the bytes per step of one ring,
@@ -150,10 +147,10 @@ let netsim ?(edge_faults = []) ~p rings spec =
       let faulty, rings = rings () in
       Collective.Exec.run ~edge_faults ~p ~faulty ~rings spec)
 
-let fastpath ?domains ?(edge_faults = []) ~p rings spec =
+let fastpath ?(edge_faults = []) ~p rings spec =
   Jrec.time_gc (fun () ->
       let faulty, rings = rings () in
-      Collective.Fastpath.run ?domains ~edge_faults ~p ~faulty ~rings spec)
+      Collective.Fastpath.run ~edge_faults ~p ~faulty ~rings spec)
 
 (* Chapter-2 side: the FFC-embedded ring under seeded random node
    faults, both engines on every point. *)
@@ -185,7 +182,7 @@ let ffc_side ~d ~n ~ranks ~chunk_words ~fault_counts ~enforce =
     fault_counts
 
 (* Chapter-3 side: striping across k edge-disjoint rings, plus the
-   bidirectional and Fastpath-domains variants, plus link faults. *)
+   bidirectional variant, plus link faults. *)
 let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
   let k = Core.Psi.psi d in
   let p = Core.Word.params ~d ~n in
@@ -208,13 +205,13 @@ let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
     show ~engine:(label ^ " fastpath") ~op rf gf;
     row ~engine:(label ^ " fastpath") ~d ~n ~f ~op rf gf;
     if op = Core.Collective_schedule.Allreduce then speedup ~what ~enforce g gf;
-    (r, rf)
+    r
   in
   (* k = 1 vs k = psi(d), fault-free: the striping contract. *)
   List.iter
     (fun op ->
-      let r1, _ = pair ~what:"striped k=1" ~label:"striped x1" ~k:1 ~f:0 op in
-      let rk, rkf =
+      let r1 = pair ~what:"striped k=1" ~label:"striped x1" ~k:1 ~f:0 op in
+      let rk =
         pair
           ~what:(Printf.sprintf "striped k=%d" k)
           ~label:(Printf.sprintf "striped x%d" k)
@@ -231,19 +228,7 @@ let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
           failwith
             (Printf.sprintf
                "collective: striped allreduce gain x%.2f below the 0.8k floor"
-               gain)
-      end;
-      (* Fastpath's phase splitting must be bit-identical to the
-         sequential run. *)
-      if op = Core.Collective_schedule.Allreduce then begin
-        let rings = striped_rings ~d ~n ~k ~edge_faults:[] in
-        let rfd, gfd = fastpath ~domains:2 ~p rings (spec op) in
-        check_agreement ~what:"fastpath domains=2" rfd rkf;
-        check_verified ~what:"fastpath domains=2" rfd;
-        show ~engine:(Printf.sprintf "striped x%d fastpath domains x2" k) ~op
-          rfd gfd;
-        row ~engine:(Printf.sprintf "striped x%d fastpath domains x2" k) ~d ~n
-          ~f:0 ~op rfd gfd;
+               gain);
         ignore
           (pair ~bidirectional:true ~what:"striped bidir"
              ~label:(Printf.sprintf "striped x%d bidir" k)
@@ -254,11 +239,11 @@ let striped_side ~d ~n ~ranks ~chunk_words ~enforce =
   let st = List.hd (Core.Compose.disjoint_streams_upto ~d ~n ~k:1) in
   let u = st.Core.Stream.start in
   let edge_faults = [ (u, st.Core.Stream.succ u) ] in
-  let rf, _ =
+  let r =
     pair ~edge_faults ~what:"striped survivors" ~label:"striped survivors" ~k
       ~f:1 Core.Collective_schedule.Allreduce
   in
-  if rf.Core.Collective_exec.rings <> k - 1 then
+  if r.Core.Collective_exec.rings <> k - 1 then
     failwith "collective: one link fault should kill exactly one ring"
 
 (* The at-scale fastpath rows: instances the netsim engine cannot touch

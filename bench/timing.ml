@@ -213,10 +213,6 @@ let ffc_implicit_b214 () =
   let p = W.params ~d:2 ~n:14 in
   Staged.stage (fun () -> ignore (Ffc.Embed.embed p ~faults:[ 1 ]))
 
-let ffc_implicit_domains_b214 () =
-  let p = W.params ~d:2 ~n:14 in
-  Staged.stage (fun () -> ignore (Ffc.Embed.embed ~domains:2 p ~faults:[ 1 ]))
-
 let ffc_reference_b214 () =
   let p = W.params ~d:2 ~n:14 in
   Staged.stage (fun () -> ignore (Oracles.Ffc_reference.embed p ~faults:[ 1 ]))
@@ -246,7 +242,6 @@ let tests () =
       Test.make ~name:"ch1/connectivity-B(3,2)" (connectivity_kernel ());
       Test.make ~name:"ch5/hamsearch-B(3,3)" (hamsearch_kernel ());
       Test.make ~name:"ffc/embed-B(2,14)-implicit" (ffc_implicit_b214 ());
-      Test.make ~name:"ffc/embed-B(2,14)-implicit-x2" (ffc_implicit_domains_b214 ());
       Test.make ~name:"ffc/embed-B(2,14)-reference" (ffc_reference_b214 ());
       Test.make ~name:"ffc/bstar-B(2,14)-implicit" (ffc_bstar_implicit_b214 ());
       Test.make ~name:"netsim/flood-B(4,7)-seed" (netsim_seed_kernel ());

@@ -31,16 +31,11 @@
     rings·length·phases messages — B(2,22) (4.2M-node) rings become
     interactive.
 
-    Parallelism: the kernel's work items are (ring, rank) pairs
-    distributed with {!Graphlib.Sched.parallel_for} under the
-    deterministic-commit discipline — each phase's items write pairwise
-    disjoint arena chunks and read phase-stable sources, so results are
-    bit-identical for any [?domains] (qcheck-pinned, and against the
-    sequential {!Exec}).  Lowering, the arena fill and the accounting
-    run sequentially. *)
+    The kernel is one sequential pass per phase over the (ring, rank)
+    work items.  Lowering, the arena fill and the accounting are
+    sequential too. *)
 
 val run :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
@@ -58,7 +53,6 @@ val run :
     report for identical inputs. *)
 
 val run_with_payload :
-  ?domains:int ->
   ?edge_faults:(int * int) list ->
   ?clamp_ranks:bool ->
   ?init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->

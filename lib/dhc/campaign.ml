@@ -103,6 +103,7 @@ let point ~domains ~trials ~seed ~d ~n f =
 
 let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fmax ~d ~n () =
   if trials < 1 then invalid_arg "Campaign.run: trials < 1";
+  if domains < 1 then invalid_arg "Campaign.run: domains < 1";
   let p = W.params ~d ~n in
   let fmax =
     match fmax with

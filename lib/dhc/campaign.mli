@@ -42,4 +42,6 @@ val run :
     trials of each point; per-trial seeds are derived from [seed], [f]
     and the trial index, so every field except [wall_s] and the
     measured allocation counters is independent of [domains].
-    Defaults: 20 trials, seed 0x5eed. *)
+    Defaults: 20 trials, seed 0x5eed.
+    @raise Invalid_argument when [trials < 1], [domains < 1] or
+    [fmax < 0]. *)

@@ -50,8 +50,8 @@ let mark_faulty_necklaces_byte p faults (buf : Fa.Byte.t) =
    R's component, and in the same order as a BFS over that component
    alone: it is Step 1.1's broadcast, and its distances are T′'s
    levels. *)
-let bfs_from ?domains itws p (necklace_faulty : Fa.Byte.t) src =
-  It.bfs ?domains ~ws:itws ~n:p.W.size ~succs:(succs p)
+let bfs_from itws p (necklace_faulty : Fa.Byte.t) src =
+  It.bfs ~ws:itws ~n:p.W.size ~succs:(succs p)
     ~keep:(fun v -> necklace_faulty.{v} = 0)
     src
 
@@ -85,9 +85,9 @@ let rec first_live (necklace_faulty : Fa.Byte.t) v =
    largest (ties toward the one holding the smallest node).  R is the
    hint's representative when it lies inside, else the smallest member
    — minimal on its necklace, so itself a representative. *)
-let fallback_root ?domains itws p necklace_faulty root_hint =
+let fallback_root itws p necklace_faulty root_hint =
   let order, start, len =
-    It.largest_weak_component_span ?domains ~ws:itws ~n:p.W.size
+    It.largest_weak_component_span ~ws:itws ~n:p.W.size
       ~succs:(succs p) ~preds:It.no_preds
       ~keep:(fun v -> necklace_faulty.{v} = 0)
       ()
@@ -105,7 +105,7 @@ let fallback_root ?domains itws p necklace_faulty root_hint =
   done;
   if !hinted then hint else !best
 
-let compute ?root_hint ?domains ?ws p ~faults =
+let compute ?root_hint ?domains:_ ?ws p ~faults =
   let size = p.W.size in
   let necklace_faulty, in_bstar, itws =
     match ws with
@@ -129,14 +129,14 @@ let compute ?root_hint ?domains ?ws p ~faults =
           Nk.canonical p h
       | _ -> first_live necklace_faulty 0
     in
-    let bfs = bfs_from ?domains itws p necklace_faulty candidate in
+    let bfs = bfs_from itws p necklace_faulty candidate in
     if 2 * bfs.It.count > live then
       Some (of_bfs p faults necklace_faulty in_bstar candidate bfs)
     else
-      let root = fallback_root ?domains itws p necklace_faulty root_hint in
+      let root = fallback_root itws p necklace_faulty root_hint in
       Some
         (of_bfs p faults necklace_faulty in_bstar root
-           (bfs_from ?domains itws p necklace_faulty root))
+           (bfs_from itws p necklace_faulty root))
   end
 
 let component_members p ~faults node =

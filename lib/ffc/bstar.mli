@@ -61,8 +61,10 @@ val compute :
     every component picks B\u{2217} and R by the rules above, and the
     same BFS then runs from that R.
 
-    [?domains] parallelizes the BFS levels (bit-identical result).
-    With [?ws] nothing dⁿ-sized is allocated: the result's
+    [?domains] is ignored: the BFS and the sweep are sequential.  It
+    stays in the signature only because the repository benchmark
+    ([bench/suite]) passes it, and goes with that benchmark's next
+    re-anchor.  With [?ws] nothing dⁿ-sized is allocated: the result's
     [necklace_faulty]/[in_bstar] alias workspace arrays and [dist] the
     workspace's traversal scratch (valid until the workspace's next use;
     contents bit-identical to fresh). *)

@@ -27,8 +27,10 @@ type t = {
 val successor_map :
   ?domains:int -> ?ws:Workspace.t -> Spanning.modified -> Graphlib.Flatarr.t
 (** The [successor] field, for {!Live} and the tests; the ring walk
-    does not read it.  [?domains] chunks the flat pass across the
-    work-stealing pool (disjoint slots, bit-identical result). *)
+    does not read it.  One sequential pass over the nodes.  [?domains]
+    is ignored; it stays only because the repository benchmark
+    ([bench/suite]) passes it, and goes with that benchmark's next
+    re-anchor. *)
 
 val close_ring : ?ws:Workspace.t -> Spanning.modified -> int array
 (** Step 3's ring H from the root R, as a fresh array of length
@@ -39,12 +41,11 @@ val close_ring : ?ws:Workspace.t -> Spanning.modified -> int array
     to R after |B\u{2217}| nodes (which covers revisiting any other
     node), or when it returns to R after fewer than |B\u{2217}| nodes. *)
 
-val of_bstar : ?domains:int -> ?ws:Workspace.t -> Bstar.t -> t
+val of_bstar : ?ws:Workspace.t -> Bstar.t -> t
 (** Run steps 1–3 on an already-computed B\u{2217}: the stages, then
     {!successor_map} and {!close_ring}.  No stage here traverses
-    B\u{2217} (T′'s levels come with the record, from {!Bstar.compute}'s
-    BFS), so [?domains] reaches only {!successor_map}'s flat pass
-    (bit-identical result).
+    B\u{2217}: T′'s levels come with the record, from {!Bstar.compute}'s
+    BFS.
     @raise Pipeline_error.Error if the successors do not close into a
     Hamiltonian cycle of B\u{2217} ({!close_ring}) — impossible
     (Proposition 2.1) on a B\u{2217} produced by {!Bstar.compute}, and a
@@ -66,7 +67,8 @@ val embed :
     trial allocates almost nothing beyond [cycle] (which is always a
     fresh array); all fields except [cycle] alias workspace storage and
     are invalidated by the workspace's next use.  Contents are
-    bit-identical to the fresh path. *)
+    bit-identical to the fresh path.  [?domains] is ignored, and kept
+    for the repository benchmark only, as on {!successor_map}. *)
 
 val verify : ?ws:Workspace.t -> t -> bool
 (** H is a Hamiltonian cycle of B\u{2217} avoiding all faulty necklaces

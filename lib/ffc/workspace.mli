@@ -24,9 +24,7 @@
       the workspace's next use.  The returned [cycle] is the one
       freshly-allocated result and survives;
     - a workspace is single-threaded state — campaigns give each domain
-      its own.  The parallel BFS levels of a [?ws] + [?domains] run
-      only ever hand {e read-only} views of workspace storage to other
-      domains. *)
+      its own. *)
 
 type t = {
   p : Debruijn.Word.params;

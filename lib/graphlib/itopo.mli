@@ -15,16 +15,9 @@
     list-based traversal layer survives only as the tests' reference
     ([Oracles.Traversal], in a test-only library).
 
-    [?domains:k] (on {!bfs} and the component sweeps — the traversals
-    [Ffc.Bstar.compute] runs, the only FFC stage that traverses)
-    expands large BFS levels through a chunked
-    work-stealing pool ({!Sched}): the level is cut into
-    {!chunk_size}-position chunks, gathered concurrently (workers read
-    the visited marks read-only, stashing candidates per chunk), then
-    committed sequentially in ascending chunk order — the exact
-    candidate-consideration sequence of the sequential loop, so results
-    are bit-identical to [domains = 1] for {e every} domain count,
-    chunk size and steal schedule (DESIGN.md §6b). *)
+    Every traversal is one sequential FIFO loop, so discovery order,
+    distances and component tie-breaks are a function of the iterators
+    alone; [Ffc.Bstar] reads that order as T′'s levels. *)
 
 type iter = int -> (int -> unit) -> unit
 (** [iter v f] calls [f] on each neighbor of [v], in a deterministic
@@ -37,20 +30,6 @@ val no_preds : iter
     induced subgraph is strongly connected (true for B\u{2217}, whose removed
     set is a union of necklaces), passing [no_preds] makes the sweep
     walk [succs] alone — half the edge work and no wrapper closure. *)
-
-val chunk_size : int
-(** Frontier positions per work-stealing chunk (512).  The default
-    granule of parallel level expansion: big enough that an atomic
-    claim amortizes to noise, small enough that a level of a few
-    thousand nodes still load-balances. *)
-
-val par_threshold : int
-(** [4 * chunk_size].  Levels narrower than this run sequentially even
-    when [domains > 1]: with fewer than four chunks there is nothing to
-    steal and the round barrier dominates.  Overriding [?chunk] moves
-    the cutoff in lockstep ([4 * chunk]) — so [~chunk:1] exercises the
-    full parallel machinery on graphs only a few nodes wide, which is
-    how the qcheck determinism suites reach it. *)
 
 type bfs = {
   dist : Flatarr.t;  (** distance from the source; [-1] if unreached *)
@@ -80,28 +59,20 @@ val ws_create : ?arena:Flatarr.Arena.arena -> int -> ws
 val ws_arena_words : int -> int
 (** Arena words consumed by [ws_create ~arena n]. *)
 
-val bfs :
-  ?domains:int ->
-  ?chunk:int ->
-  ?ws:ws ->
-  n:int ->
-  succs:iter ->
-  ?keep:(int -> bool) ->
-  int ->
-  bfs
-(** [bfs ~n ~succs src] — BFS from [src] over node ids [0 .. n−1].
-    [?keep] restricts to an induced subgraph; a source failing [keep]
-    reaches nothing ([count = 0]).  With [?ws] the result's [dist] and
-    [order] point into the workspace (valid until its next use).
-    [?chunk] (default {!chunk_size}) overrides the work-stealing
-    granule — results are bit-identical for every value ≥ 1. *)
+val bfs : ?ws:ws -> n:int -> succs:iter -> ?keep:(int -> bool) -> int -> bfs
+(** [bfs ~n ~succs src] — BFS from [src] over node ids [0 .. n−1], in
+    FIFO order: nodes are expanded in discovery order, each appending
+    its undiscovered successors in [succs] order.  [?keep] restricts to
+    an induced subgraph; a source failing [keep] reaches nothing
+    ([count = 0]).  With [?ws] the result's [dist] and [order] point
+    into the workspace (valid until its next use). *)
 
 val bfs_dist : n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int array
-(** The distance array of a sequential {!bfs}, copied to the heap. *)
+(** The distance array of a {!bfs}, copied to the heap. *)
 
 val eccentricity : n:int -> succs:iter -> ?keep:(int -> bool) -> int -> int
-(** Maximum finite BFS distance from the node (directed, sequential);
-    [0] if the source reaches nothing. *)
+(** Maximum finite BFS distance from the node (directed); [0] if the
+    source reaches nothing. *)
 
 val component_members :
   n:int -> succs:iter -> preds:iter -> ?keep:(int -> bool) -> int -> int array
@@ -111,8 +82,6 @@ val component_members :
     is cheap.  Empty if the node fails [keep]. *)
 
 val largest_weak_component :
-  ?domains:int ->
-  ?chunk:int ->
   n:int ->
   succs:iter ->
   preds:iter ->
@@ -126,8 +95,6 @@ val largest_weak_component :
     passes [keep]. *)
 
 val largest_weak_component_span :
-  ?domains:int ->
-  ?chunk:int ->
   ws:ws ->
   n:int ->
   succs:iter ->
@@ -149,5 +116,4 @@ val weak_labels :
 val is_strongly_connected :
   n:int -> succs:iter -> preds:iter -> ?keep:(int -> bool) -> unit -> bool
 (** Is the induced subgraph strongly connected?  (Vacuously true on
-    ≤ 1 node.)  Forward + backward reachability from one kept node,
-    sequentially. *)
+    ≤ 1 node.)  Forward + backward reachability from one kept node. *)

@@ -687,18 +687,18 @@ let qsuite =
                 }
             in
             r.E.verified);
-    (* The seed-era name: the netsim executor against the compiled one
-       at every ?domains split it still has. *)
+    (* The seed-era name: the netsim executor against the compiled
+       one, over a drawn rank count and chunk width. *)
     Test.make ~name:"domains stepping is bit-identical" ~count:10
-      (pair (int_range 2 4) (int_range 1 2))
-      (fun (domains, cw) ->
+      (pair (int_range 2 6) (int_range 1 2))
+      (fun (ranks, cw) ->
         let d = 2 and n = 5 in
         let p = W.params ~d ~n in
-        let spec = { E.op = S.Allreduce; ranks = 6; chunk_words = cw; bidirectional = false } in
+        let spec = { E.op = S.Allreduce; ranks; chunk_words = cw; bidirectional = false } in
         let rings = [ hamiltonian_ring ~d ~n ] in
         let a, pa = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
         let b, pb =
-          Collective.Fastpath.run_with_payload ~domains ~p ~faulty:(fun _ -> false) ~rings spec
+          Collective.Fastpath.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec
         in
         a.E.checksum = b.E.checksum
         && a.E.rounds = b.E.rounds
@@ -851,8 +851,9 @@ let qsuite =
         let i = pos mod Fa.length a in
         a.{i} <- a.{i} + delta;
         clean && verify () = (false, sum + delta));
-    (* The deterministic-commit contract: any ?domains splits commit
-       bit-identical arenas. *)
+    (* The seed-era name: three bidirectional disjoint rings of
+       B(4,2), the compiled kernel against the netsim executor,
+       reports and arenas. *)
     Test.make ~name:"fastpath ?domains 1/2/4 bit-identity" ~count:10
       (pair (int_range 0 2) (int_range 1 2))
       (fun (opi, cw) ->
@@ -861,15 +862,9 @@ let qsuite =
         let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:3) in
         let p = W.params ~d ~n in
         let spec = { E.op; ranks = 8; chunk_words = cw; bidirectional = true } in
-        let run domains =
-          F.run_with_payload ~domains ~p ~faulty:(fun _ -> false) ~rings spec
-        in
-        let r1, p1 = run 1 in
-        let r2, p2 = run 2 in
-        let r4, p4 = run 4 in
-        r1.E.verified
-        && same_report r1 r2 && same_report r1 r4
-        && same_payload p1 p2 && same_payload p1 p4);
+        let re, pe = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let rf, pf = F.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        re.E.verified && same_report re rf && same_payload pe pf);
   ]
 
 let () =

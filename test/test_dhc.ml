@@ -683,6 +683,18 @@ let test_campaign_deterministic_across_domains () =
   check_bool "domains don't change statistics" true
     (List.map strip a = List.map strip b)
 
+(* The campaigns hold the library's only working [?domains]; like
+   Ffc.Campaign's, a count below 1 is rejected rather than run
+   sequentially. *)
+let test_campaign_rejects_domains () =
+  List.iter
+    (fun domains ->
+      Alcotest.check_raises
+        (Printf.sprintf "domains:%d" domains)
+        (Invalid_argument "Campaign.run: domains < 1")
+        (fun () -> ignore (Ca.run ~domains ~trials:2 ~fmax:1 ~d:3 ~n:2 ())))
+    [ 0; -1 ]
+
 (* ------------------------------------------------------------------ *)
 (* MB(d,n): Hamiltonian decompositions *)
 
@@ -870,6 +882,8 @@ let () =
           Alcotest.test_case "guaranteed regime" `Quick test_campaign_guarantee;
           Alcotest.test_case "domains-invariant statistics" `Quick
             test_campaign_deterministic_across_domains;
+          Alcotest.test_case "domains < 1 rejected" `Quick
+            test_campaign_rejects_domains;
         ] );
       ( "mdb",
         [

@@ -913,25 +913,26 @@ let test_implicit_b220 () =
           check_bool "verify" true (E.verify e);
           check_int "cycle covers B*" e.E.bstar.B.size (E.length e))
 
-(* B(2,27) (134M nodes, one fault) — the multicore acceptance instance
-   from the work-stealing PR.  The off-heap arena keeps the OCaml heap
-   flat (~zero minor words per node); wall-clock is dominated by the
-   parallel BFS.  Nightly big-instances job only. *)
+(* B(2,27) (134M nodes, one fault), the largest embed the tests run.
+   The off-heap arena keeps the OCaml heap flat (~zero minor words per
+   node); wall-clock is dominated by the sequential BFS sweeps of
+   Bstar.compute (fault [1] isolates 0ⁿ, so it takes the fallback).
+   The case keeps its historical name.  Nightly big-instances job
+   only. *)
 let test_embed_b227 () =
   match Sys.getenv_opt "NETSIM_BIG" with
   | None | Some "" | Some "0" -> ()
   | Some _ -> (
       let p = W.params ~d:2 ~n:27 in
-      match E.embed ~domains:4 p ~faults:[ 1 ] with
+      match E.embed p ~faults:[ 1 ] with
       | None -> Alcotest.fail "B(2,27) f=1: no live necklace"
       | Some e ->
           check_bool "verify" true (E.verify e);
           check_int "cycle covers B*" e.E.bstar.B.size (E.length e);
           check_bool "Prop 2.3 bound" true (E.length e >= p.W.size - 28))
 
-(* ?domains:2 must be bit-identical to the sequential run; B(2,13) is
-   the smallest binary instance whose middle BFS levels exceed
-   Itopo.par_threshold, so the parallel expansion genuinely fires. *)
+(* [?domains] is ignored by every embed stage (it stays only for the
+   repository benchmark): passing it must change nothing. *)
 let test_embed_domains_identical () =
   let p = W.params ~d:2 ~n:13 in
   (* Fault [1] isolates 0ⁿ, so B* comes from the no-majority fallback;
@@ -989,8 +990,8 @@ let test_ws_wrong_params () =
     (fun () -> ignore (E.embed ~ws (W.params ~d:2 ~n:6) ~faults:[]))
 
 let test_ws_domains_identical () =
-  (* B(2,13): big enough that Itopo's parallel BFS expansion fires, so
-     the arena and the domain path are exercised together. *)
+  (* The ignored [?domains] together with the arena: still identical
+     to the fresh embed. *)
   let p = W.params ~d:2 ~n:13 in
   let ws = Ffc.Workspace.create p in
   check_ws_matches_fresh ~domains:2 p ws [ 1; 500; 8000 ];

@@ -1,4 +1,4 @@
-(* Regression tests for the debruijn-lint kernel-safety rules: generated
+(* Regression tests for the debruijn-lint hot-path rule (R7): generated
    fixture trees are linted with the real binary (path in the
    DEBRUIJN_LINT environment variable, wired by the dune action) and
    the exit code and reported rule/line pairs are checked against the
@@ -64,59 +64,6 @@ let has_finding out ~rule ~line =
 
 let pad_lines pad = String.concat "" (List.init pad (fun _ -> "(* pad *)\n"))
 
-(* --- R6: parallel disjoint-write ---------------------------------- *)
-
-(* [k] writes in the loop body, at lines pad+4 .. pad+3+k; each targets
-   slot 0 of the captured array (not chunk-derived) unless [safe]. *)
-let r6_src ~pad ~k ~safe ~floating_proof =
-  let writes =
-    List.init k (fun j ->
-        let stmt = if safe then "out.(i + 0) <- i" else "out.(0) <- i" in
-        if j = k - 1 then "        " ^ stmt ^ "\n"
-        else "        " ^ stmt ^ ";\n")
-  in
-  (if floating_proof then
-     "[@@@lint.par_write \"qcheck fixture: serial pool\"]\n"
-   else "")
-  ^ pad_lines pad
-  ^ "let sweep pool (out : int array) n =\n"
-  ^ "  Sched.parallel_for pool ~chunk:8 ~lo:0 ~hi:n (fun _ci lo hi ->\n"
-  ^ "      for i = lo to hi - 1 do\n" ^ String.concat "" writes ^ "      done)\n"
-
-let r6_violations =
-  QCheck.Test.make ~count:10 ~name:"R6 flags each non-derived write at its line"
-    QCheck.(pair (int_range 0 6) (int_range 1 4))
-    (fun (pad, k) ->
-      let code, out =
-        lint_src (r6_src ~pad ~k ~safe:false ~floating_proof:false)
-      in
-      code = 1
-      && count_sub out "\"rule\": \"R6\"" = k
-      && List.for_all
-           (fun j -> has_finding out ~rule:"R6" ~line:(pad + 4 + j))
-           (List.init k Fun.id))
-
-let r6_chunk_derived_clean =
-  QCheck.Test.make ~count:10 ~name:"R6 accepts chunk-derived writes"
-    QCheck.(pair (int_range 0 6) (int_range 1 4))
-    (fun (pad, k) ->
-      let code, out =
-        lint_src (r6_src ~pad ~k ~safe:true ~floating_proof:false)
-      in
-      code = 0 && count_sub out "\"rule\"" = 0)
-
-let r6_par_write_suppresses =
-  QCheck.Test.make ~count:10
-    ~name:"R6 [@@@lint.par_write] silences the writes and stays live"
-    QCheck.(pair (int_range 0 6) (int_range 1 4))
-    (fun (pad, k) ->
-      (* the proof also has to keep R8 quiet: a suppression that fires
-         is not a dead suppression *)
-      let code, out =
-        lint_src (r6_src ~pad ~k ~safe:false ~floating_proof:true)
-      in
-      code = 0 && count_sub out "\"rule\"" = 0)
-
 (* --- R7: zero-alloc hot scopes ------------------------------------ *)
 
 (* One allocation construct in the loop body of a hot kernel, at line
@@ -163,21 +110,8 @@ let r7_allow_suppresses =
       in
       code = 0 && count_sub out "\"rule\"" = 0)
 
-(* --- R8: the audit sees a proof that proves nothing ---------------- *)
-
-let r8_dead_proof () =
-  let code, out =
-    lint_src (r6_src ~pad:0 ~k:1 ~safe:true ~floating_proof:true)
-  in
-  Alcotest.(check int) "exit code" 1 code;
-  Alcotest.(check bool) "one R8 finding" true
-    (count_sub out "\"rule\": \"R8\"" = 1)
-
 let qsuite =
   [
-    r6_violations;
-    r6_chunk_derived_clean;
-    r6_par_write_suppresses;
     r7_violations;
     r7_alloc_free_clean;
     r7_allow_suppresses;
@@ -188,5 +122,4 @@ let () =
     [
       ( "kernel-safety",
         List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite );
-      ("audit", [ Alcotest.test_case "dead par_write proof" `Quick r8_dead_proof ]);
     ]

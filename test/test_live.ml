@@ -5,7 +5,7 @@
    membership, root, |B*|, ecc, BFS distances, the successor map and the
    materialized ring — must be bit-identical to a full Embed.embed
    recompute on the current fault set, with and without a shared
-   workspace, and against a recompute at ~domains:2. *)
+   workspace, and against a recompute passed the ignored ~domains:2. *)
 
 module W = Debruijn.Word
 module B = Ffc.Bstar
@@ -40,7 +40,7 @@ let oracle_agrees ?(materialize = true) ?domains (live : Lv.t) p faults =
 (* One churn sequence: a birth-death chain around [target] outstanding
    faults, oracle-checked after every event.  Returns false on the
    first divergence (or rejected event).  [?domains] goes to the
-   oracle's recompute; the engine itself is sequential. *)
+   oracle's recompute, which ignores it. *)
 let churn_agrees ?ws ?domains p ~seed ~events ~target =
   let rng = Util.Rng.create seed in
   let live = Lv.create ~root_hint:1 ?ws p ~faults:[] in

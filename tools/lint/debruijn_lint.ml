@@ -3,7 +3,8 @@
    Usage: debruijn-lint [--json|--sarif] [--list-rules] PATH...
 
    Walks every .ml under the given paths (files or directories) with
-   the rules of Lint_rules (R1-R8) and reports findings as
+   the rules of Lint_rules (R1-R5, R7 and R8; the retired R6's id is
+   not reused) and reports findings as
 
      file:line:col: [Rn] message
 
@@ -11,9 +12,9 @@
    status: 0 clean, 1 findings, 2 usage / parse errors.  Suppressions:
    [@lint.allow "Rn reason"] on an expression, [@@lint.allow ...] on a
    binding or structure item, [@@@lint.allow ...] for the rest of a
-   module, [@@lint.domain_safe "why"] for R3 and [@lint.par_write
-   "proof"] for R6 (reasons mandatory for both).  Every suppression
-   must silence a live finding or the R8 audit flags it.
+   module, and [@@lint.domain_safe "why"] for R3 (reason mandatory).
+   Every suppression must silence a live finding or the R8 audit flags
+   it.
 
    `dune build @lint` runs this over lib/, bench/ and bin/. *)
 
@@ -76,7 +77,7 @@ let mutable_labels (str : structure) =
   tbl
 
 (* File-local module aliases ([module Fa = Graphlib.Flatarr] maps
-   "Fa" -> "Flatarr"), so the R6/R7 vocabularies resolve aliased calls
+   "Fa" -> "Flatarr"), so the R7 vocabulary resolves aliased calls
    the way the R1-R3 path matching already resolves qualified ones. *)
 let module_aliases (str : structure) =
   let tbl = Hashtbl.create 8 in
@@ -308,7 +309,7 @@ let () =
       Lint_rules.audit_suppressions ctx add)
     parsed;
   let findings =
-    (* the R6/R7 sub-scans and the walker can meet the same node twice
+    (* the R7 sub-scan and the walker can meet the same node twice
        (e.g. a [@lint.hot] closure inside another hot scope); identical
        findings collapse *)
     List.sort_uniq

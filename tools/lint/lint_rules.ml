@@ -8,9 +8,7 @@
      item) or [@@@lint.allow "Rn reason"] (rest of the module), where
      the first token of the payload is a comma-separated rule-id list;
    - R3 additionally accepts the dedicated [@@lint.domain_safe "why"],
-     whose reason string is mandatory;
-   - R6 additionally accepts the dedicated [@lint.par_write "proof"]
-     (any of the three attribute positions), reason mandatory.
+     whose reason string is mandatory.
 
    Every suppression is registered in the per-file [file_ctx] and must
    silence at least one live finding per listed rule id, or the R8
@@ -19,7 +17,6 @@
    See DESIGN.md "Enforced invariants" for each rule's rationale. *)
 
 open Ppxlib
-module SS = Set.Make (String)
 
 type finding = {
   rule_id : string;
@@ -34,7 +31,7 @@ type finding = {
    Malformed attributes ([swellformed] = false) silence nothing; their
    own finding is emitted once, at registration. *)
 type suppression = {
-  skind : string;  (* "lint.allow" | "lint.domain_safe" | "lint.par_write" *)
+  skind : string;  (* "lint.allow" | "lint.domain_safe" *)
   sloc : Location.t;
   sids : string list;
   swellformed : bool;
@@ -49,7 +46,7 @@ type file_ctx = {
       (* record labels declared [mutable] anywhere in this file *)
   aliases : (string, string) Hashtbl.t;
       (* module aliases in this file: [module Fa = Graphlib.Flatarr]
-         maps "Fa" -> "Flatarr", so R6/R7 resolve aliased calls the way
+         maps "Fa" -> "Flatarr", so R7 resolves aliased calls the way
          R1-R3 resolve qualified paths *)
   suppressions : (int, suppression) Hashtbl.t;
       (* every lint suppression attribute seen in this file, keyed by
@@ -97,13 +94,12 @@ let payload_string (a : attribute) =
 let fire s id = if not (List.mem id s.sfired) then s.sfired <- id :: s.sfired
 
 (* Parse-and-register one attribute.  Returns [None] for non-lint
-   attributes.  The walker and the R6/R7 sub-scans may both visit the
+   attributes.  The walker and the R7 sub-scan may both visit the
    same attribute; the registry keeps one record per source location,
    so a malformed attribute is reported exactly once. *)
 let suppression_of_attr (emit : emit) ctx (a : attribute) : suppression option =
   let kind = a.attr_name.txt in
-  if kind <> "lint.allow" && kind <> "lint.domain_safe" && kind <> "lint.par_write"
-  then None
+  if kind <> "lint.allow" && kind <> "lint.domain_safe" then None
   else
     let key = a.attr_loc.loc_start.pos_cnum in
     match Hashtbl.find_opt ctx.suppressions key with
@@ -128,72 +124,16 @@ let suppression_of_attr (emit : emit) ctx (a : attribute) : suppression option =
                 "[@lint.allow] needs a payload: \"R1\" or \"R1,R2 reason...\"";
               register [] false
             end
-        | "lint.domain_safe" ->
+        | _ (* lint.domain_safe *) ->
             if reason <> "" then register [ "R3" ] true
             else begin
               emit ~id:"R3" ~loc:a.attr_loc
                 "[@lint.domain_safe] requires a non-empty reason string";
               register [] false
-            end
-        | _ (* lint.par_write *) ->
-            if reason <> "" then register [ "R6" ] true
-            else begin
-              emit ~id:"R6" ~loc:a.attr_loc
-                "[@lint.par_write] requires a non-empty reason string";
-              register [] false
             end)
 
 let has_attr name attrs =
   List.exists (fun (a : attribute) -> a.attr_name.txt = name) attrs
-
-(* ---- small AST helpers shared by R6/R7 ----------------------------- *)
-
-let pat_vars p =
-  let acc = ref [] in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-        | _ -> ());
-        super#pattern p
-    end
-  in
-  it#pattern p;
-  !acc
-
-(* Does [e] mention any of [names] as a bare identifier? *)
-let mentions names e =
-  let found = ref false in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt = Lident s; _ } when SS.mem s names -> found := true
-        | _ -> ());
-        super#expression e
-    end
-  in
-  it#expression e;
-  !found
-
-(* The root variable of a write target: [exp.bufs.(slot)] roots at
-   [exp], [a.(i).(j)] at [a].  [None] for module-qualified or computed
-   targets — those are captured by definition. *)
-let rec target_root e =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Lident s; _ } -> Some s
-  | Pexp_constraint (e, _) | Pexp_field (e, _) -> target_root e
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (_, a) :: _)
-    when (match List.rev (flat txt) with
-         | ("get" | "unsafe_get" | "!") :: _ -> true
-         | _ -> false) ->
-      target_root a
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* R1 — determinism: no ambient randomness or wall clock.  Seeded
@@ -292,15 +232,15 @@ let r2 =
 
 (* ------------------------------------------------------------------ *)
 (* R3 — no mutable toplevel state in code reachable from the
-   [Domain.]-using units (Graphlib.Sched, Ffc.Campaign,
-   Dhc.Campaign, and the bench executable): shared toplevel cells
+   [Domain.]-using units (Ffc.Campaign, Dhc.Campaign, and the bench
+   executable): shared toplevel cells
    race under [Domain.spawn], and toplevel [lazy] forcing raises
    across domains.  Annotate genuinely safe state with
    [@@lint.domain_safe "why"]. *)
 
 let mutable_modules =
   [ "Hashtbl"; "Queue"; "Stack"; "Buffer"; "Bytes"; "Array"; "Weak"; "Dynarray";
-    "Atomic"; "Flatarr"; "Sched" ]
+    "Atomic"; "Flatarr" ]
 
 let mutable_makers =
   [ "create"; "make"; "init"; "of_list"; "of_seq"; "of_array"; "make_matrix"; "copy";
@@ -486,260 +426,10 @@ let r5 =
   }
 
 (* ------------------------------------------------------------------ *)
-(* R6 — parallel disjoint-write: the body of every
-   [Sched.parallel_for] call may mutate only (a) state bound inside the
-   body (worker-local) or (b) captured arrays/bigarrays at indices
-   syntactically derived from the chunk-range parameters the scheduler
-   hands the body.  Everything else — captured refs, fixed indices,
-   calls to captured helpers that could hide writes — needs a
-   [@lint.par_write "proof"] with the disjointness argument spelled
-   out.  This is the static form of the chunk-partition proofs of
-   DESIGN.md §6: tsan checks them dynamically in the nightly lane, R6
-   checks them at every build. *)
-
-(* Unqualified callees that cannot write captured state: arithmetic
-   operators are excluded by spelling (symbolic), these are the
-   alphabetic ones a kernel legitimately uses.  [ref] is here because
-   [ref x] only creates — the binding it lands in is worker-local, and
-   writes to it go through (:=)/incr/decr which are checked. *)
-let r6_pure_calls =
-  SS.of_list
-    [ "min"; "max"; "abs"; "not"; "ignore"; "fst"; "snd"; "succ"; "pred";
-      "ref"; "compare"; "float_of_int"; "int_of_float"; "truncate";
-      "char_of_int"; "int_of_char"; "string_of_int"; "land"; "lor"; "lxor";
-      "lnot"; "lsl"; "lsr"; "asr"; "mod"; "raise"; "raise_notrace";
-      "failwith"; "invalid_arg"; "exit" ]
-
-(* Mutators by final path component, alias- and open-proof: the
-   indexed ones take [target; index; value], the bulk ones mutate their
-   first argument wholesale. *)
-let r6_set_like = [ "set"; "unsafe_set" ]
-
-let r6_bulk_mutators =
-  [ "fill"; "fill_prefix"; "blit"; "unsafe_blit"; "clear"; "reset"; "add";
-    "replace"; "remove"; "push"; "pop"; "transfer"; "add_seq" ]
-
-let scan_parallel_body (emit : emit) ctx ~params (closure : expression) =
-  let scan =
-    object (self)
-      inherit Ast_traverse.iter as super
-
-      (* [locals]: names bound inside the body (writes to them are
-         worker-local).  [derived]: names whose value is chunk-derived
-         (the body parameters, and bindings computed from them). *)
-      val mutable locals : SS.t = params
-      val mutable derived : SS.t = params
-      val mutable frames : suppression list = []
-
-      method private report ~loc msg =
-        match List.find_opt (fun s -> List.mem "R6" s.sids) frames with
-        | Some s -> fire s "R6"
-        | None -> emit ~id:"R6" ~loc msg
-
-      method private push_attrs attrs =
-        let fs =
-          List.filter_map
-            (fun a ->
-              match suppression_of_attr emit ctx a with
-              | Some s when s.swellformed -> Some s
-              | _ -> None)
-            attrs
-        in
-        frames <- fs @ frames;
-        List.length fs
-
-      method private pop n =
-        for _ = 1 to n do
-          frames <- List.tl frames
-        done
-
-      method private scoped f =
-        let l = locals and d = derived in
-        f ();
-        locals <- l;
-        derived <- d
-
-      method private bind ?(derived_too = false) names =
-        locals <- List.fold_left (fun s n -> SS.add n s) locals names;
-        if derived_too then
-          derived <- List.fold_left (fun s n -> SS.add n s) derived names
-
-      method private local_root e =
-        match target_root e with Some r -> SS.mem r locals | None -> false
-
-      method private flag_write ~loc ~what ~target ~index =
-        if not (self#local_root target) then
-          match index with
-          | Some ix when mentions derived ix -> ()
-          | Some _ ->
-              self#report ~loc
-                (Printf.sprintf
-                   "%s writes captured state at an index not derived from the chunk \
-                    parameters; prove disjointness with [@lint.par_write \"proof\"]"
-                   what)
-          | None ->
-              self#report ~loc
-                (Printf.sprintf
-                   "%s mutates state captured by the parallel_for body; keep writes \
-                    worker-local or annotate [@lint.par_write \"proof\"]" what)
-
-      method private opaque_call ~loc name =
-        if
-          (not (SS.mem name locals))
-          && (not (SS.mem name r6_pure_calls))
-          && String.length name > 0
-          && ((name.[0] >= 'a' && name.[0] <= 'z') || name.[0] = '_')
-        then
-          self#report ~loc
-            (Printf.sprintf
-               "call to captured helper [%s] hides its writes from the disjointness \
-                check; inline it or annotate [@lint.par_write \"proof\"]" name)
-
-      method private check_mutation e =
-        match e.pexp_desc with
-        | Pexp_setfield (lhs, { txt; _ }, _) ->
-            if not (self#local_root lhs) then
-              self#report ~loc:e.pexp_loc
-                (Printf.sprintf
-                   "[%s <-] mutates a field of state captured by the parallel_for \
-                    body; keep writes worker-local or annotate [@lint.par_write \
-                    \"proof\"]" (last_exn (flat txt)))
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-            let pos =
-              List.filter_map
-                (fun (l, a) -> match l with Nolabel -> Some a | _ -> None)
-                args
-            in
-            let comps = flat txt in
-            match (List.rev comps, comps, pos) with
-            | f :: _ :: _, _, target :: index :: _ :: _ when List.mem f r6_set_like ->
-                self#flag_write ~loc:e.pexp_loc ~what:(dotted comps) ~target
-                  ~index:(Some index)
-            | f :: _ :: _, _, target :: _
-              when List.mem f r6_set_like || List.mem f r6_bulk_mutators ->
-                self#flag_write ~loc:e.pexp_loc ~what:(dotted comps) ~target
-                  ~index:None
-            | _, [ ":=" ], target :: _ ->
-                self#flag_write ~loc:e.pexp_loc ~what:"(:=)" ~target ~index:None
-            | _, [ (("incr" | "decr") as f) ], target :: _ ->
-                self#flag_write ~loc:e.pexp_loc ~what:f ~target ~index:None
-            | _, [ "|>" ], [ _; { pexp_desc = Pexp_ident { txt = Lident n; _ }; _ } ]
-            | _, [ "@@" ], [ { pexp_desc = Pexp_ident { txt = Lident n; _ }; _ }; _ ] ->
-                self#opaque_call ~loc:e.pexp_loc n
-            | _, [ name ], _ -> self#opaque_call ~loc:e.pexp_loc name
-            | _ -> ())
-        | _ -> ()
-
-      method private scan_case ?(derived_too = false) c =
-        self#scoped (fun () ->
-            self#bind ~derived_too (pat_vars c.pc_lhs);
-            Option.iter self#expression c.pc_guard;
-            self#expression c.pc_rhs)
-
-      method! expression e =
-        let n = self#push_attrs e.pexp_attributes in
-        (match e.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
-          when last_exn (flat txt) = "parallel_for" ->
-            (* a nested parallel_for is analyzed on its own by the rule *)
-            ()
-        | Pexp_let (rf, vbs, rest) ->
-            let rec_names = List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs in
-            self#scoped (fun () ->
-                if rf = Recursive then self#bind rec_names;
-                List.iter
-                  (fun vb ->
-                    let m = self#push_attrs vb.pvb_attributes in
-                    self#expression vb.pvb_expr;
-                    self#pop m)
-                  vbs);
-            self#scoped (fun () ->
-                List.iter
-                  (fun vb ->
-                    self#bind
-                      ~derived_too:(mentions derived vb.pvb_expr)
-                      (pat_vars vb.pvb_pat))
-                  vbs;
-                self#expression rest)
-        | Pexp_function (ps, _, fbody) ->
-            self#scoped (fun () ->
-                List.iter
-                  (fun pr ->
-                    match pr.pparam_desc with
-                    | Pparam_val (_, dflt, pat) ->
-                        Option.iter self#expression dflt;
-                        self#bind (pat_vars pat)
-                    | Pparam_newtype _ -> ())
-                  ps;
-                match fbody with
-                | Pfunction_body b -> self#expression b
-                | Pfunction_cases (cases, _, _) ->
-                    List.iter (fun c -> self#scan_case c) cases)
-        | Pexp_for (pat, e1, e2, _, fbody) ->
-            self#expression e1;
-            self#expression e2;
-            self#scoped (fun () ->
-                self#bind
-                  ~derived_too:(mentions derived e1 || mentions derived e2)
-                  (pat_vars pat);
-                self#expression fbody)
-        | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-            self#expression scrut;
-            let dt = mentions derived scrut in
-            List.iter (fun c -> self#scan_case ~derived_too:dt c) cases
-        | Pexp_apply _ | Pexp_setfield _ ->
-            self#check_mutation e;
-            super#expression e
-        | _ -> super#expression e);
-        self#pop n
-    end
-  in
-  scan#expression closure
-
-let r6 =
-  {
-    id = "R6";
-    summary =
-      "parallel_for bodies write only worker-local state or chunk-derived indices \
-       ([@lint.par_write \"proof\"] to override)";
-    on_expr =
-      (fun emit ctx e ->
-        match e.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-          when last_exn (flat txt) = "parallel_for" -> (
-            let pos =
-              List.filter_map
-                (fun (l, a) -> match l with Nolabel -> Some a | _ -> None)
-                args
-            in
-            match List.rev pos with
-            | body :: _ :: _ -> (
-                match body.pexp_desc with
-                | Pexp_function (ps, _, Pfunction_body _) ->
-                    let params =
-                      List.concat_map
-                        (fun pr ->
-                          match pr.pparam_desc with
-                          | Pparam_val (_, _, pat) -> pat_vars pat
-                          | Pparam_newtype _ -> [])
-                        ps
-                    in
-                    scan_parallel_body emit ctx ~params:(SS.of_list params) body
-                | _ ->
-                    emit ~id:"R6" ~loc:body.pexp_loc
-                      "parallel_for body is not a literal closure, so its writes cannot \
-                       be checked; inline the closure or annotate [@lint.par_write \
-                       \"proof\"]")
-            | _ -> ())
-        | _ -> ());
-    on_str_item = no_str_item;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* R7 — zero-allocation hot paths: the scope under a [@lint.hot] /
    [@@lint.hot] annotation (the steady-state relay of Collective.Exec,
-   the Fastpath phase kernels, Live event patching, the BFS chunk
-   gather) must contain no allocation construct.  The check is
+   the Fastpath phase kernel, Live event patching, the ring walk) must
+   contain no allocation construct.  The check is
    intraprocedural and syntactic — a portable, project-level analogue
    of flambda's [@zero_alloc]: closures, tuples, records, boxed
    constructors, list cells, [ref], (@)/(^), and the Stdlib/Flatarr
@@ -922,12 +612,12 @@ let r7 =
   }
 
 (* ------------------------------------------------------------------ *)
-(* R8 — suppression audit: every [@lint.allow] / [@@lint.domain_safe] /
-   [@lint.par_write] must silence at least one live finding for every
-   rule id it lists, or the attribute itself is an error.  The walker
-   and the R6/R7 scans mark the suppressions they consult ([sfired]);
-   the driver sweeps the per-file registry after the walk, so the
-   suppression inventory can never rot.  R8 findings carry no escape
+(* R8 — suppression audit: every [@lint.allow] / [@@lint.domain_safe]
+   must silence at least one live finding for every rule id it lists,
+   or the attribute itself is an error.  The walker and the R7 scan
+   mark the suppressions they consult ([sfired]); the driver sweeps
+   the per-file registry after the walk, so the suppression inventory
+   can never rot.  R8 findings carry no escape
    hatch — the fix is deleting or narrowing the attribute. *)
 
 let r8 =
@@ -963,4 +653,4 @@ let audit_suppressions ctx (add : finding -> unit) =
           (List.sort_uniq String.compare s.sids))
     ctx.suppressions
 
-let all = [ r1; r2; r3; r4; r5; r6; r7; r8 ]
+let all = [ r1; r2; r3; r4; r5; r7; r8 ]
