@@ -1,12 +1,15 @@
-(* Benchmark harness: regenerates every table and figure of the thesis,
-   runs the proposition-level sweeps, the design ablations, and the
-   bechamel micro-benchmarks.
+(* Benchmark harness: the pinned claims report and the gated
+   measurement sections.
 
    Usage:
-     dune exec bench/main.exe              run everything
-     dune exec bench/main.exe -- tables    only the tables
-     (sections: tables figures sweeps ablations open-problems timing scale dhc
-      ffc-campaign live multicore collective)
+     dune exec bench/main.exe              run every section
+     dune exec bench/main.exe -- claims    only the claims report
+     (sections: claims scale dhc ffc-campaign live multicore collective)
+
+   `claims` regenerates the thesis's tables, figures, worked examples
+   and propositions, the design ablations and the open-problem probes,
+   deterministically; `dune runtest` diffs its output against
+   bench/claims.expected.
 
    Flags (consumed by the scale, dhc, ffc-campaign, live, multicore and
    collective sections):
@@ -20,9 +23,7 @@ let () =
   let json = List.mem "--json" args in
   let smoke = List.mem "--smoke" args in
   let sections =
-    [ ("tables", Tables.run); ("figures", Figures.run); ("sweeps", Sweeps.run);
-      ("ablations", Ablations.run); ("open-problems", Open_problems.run);
-      ("timing", Timing.run); ("scale", Scale.run ~json ~smoke);
+    [ ("claims", Claims.run); ("scale", Scale.run ~json ~smoke);
       ("dhc", Dhc_bench.run ~json ~smoke);
       ("ffc-campaign", Ffc_campaign.run ~json ~smoke);
       ("live", Live_bench.run ~json ~smoke);

@@ -1,6 +1,6 @@
 (* The seed's list-and-Hashtbl centralized pipeline, kept intact as the
    oracle the implicit pipeline (Bstar/Adjacency/Spanning/Embed) is
-   pinned against, and as the bechamel baseline.  It materializes
+   pinned against, and as the `scale` bench section's baseline.  It materializes
    B(d,n) as a Digraph and mirrors the original stage logic verbatim;
    nothing here should be "optimized" — its value is being the old
    behavior. *)

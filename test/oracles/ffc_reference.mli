@@ -5,7 +5,7 @@
     Digraph/list/Hashtbl implementation reachable as the reference the
     fast path is pinned against — the qcheck agreement suite demands
     identical roots, successor maps and cycles on random (d, n, faults),
-    and the bechamel [ffc/*] group uses it as the baseline. *)
+    and the [scale] bench section uses it as the baseline. *)
 
 type t = {
   p : Debruijn.Word.params;

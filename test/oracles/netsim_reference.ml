@@ -2,8 +2,8 @@
    specification: every round does a full O(n) scan, inboxes are linked
    lists sorted with polymorphic [compare], and quiescence detection
    re-scans all nodes.  The qcheck suite checks that {!Simulator.run}
-   agrees with this on random protocols, and the bechamel benchmarks
-   measure the worklist rewrite against it.
+   agrees with this on random protocols, and the [scale] bench section
+   measures the worklist rewrite against it.
 
    Known seed quirks, deliberately preserved here (and fixed in
    {!Simulator}): the inbox sort compares [(src, payload)] pairs with

@@ -13,8 +13,8 @@
     - the property tests can check {!Netsim.Simulator.run} (through
       {!Netsim_lists}, which runs these list protocols on it) against
       the original semantics on random protocols, and
-    - the bechamel benchmarks can measure the worklist rewrite against
-      the seed hot path.
+    - the [scale] bench section can measure the worklist rewrite
+      against the seed hot path.
 
     Do not use it for new work; its round accounting and inbox ordering
     carry the seed's bugs (see {!Netsim.Simulator} for the fixed semantics):

@@ -1000,6 +1000,42 @@ let test_ws_domains_identical () =
      fallback; this one is the one-BFS path embed-batch times. *)
   check_ws_matches_fresh ~root_hint:1 ~domains:2 p ws [ 500; 8000 ]
 
+(* workspace.mli's steady-state promise: a warm embed allocates almost
+   nothing beyond its result.  Per embed, after two warm-ups, at most 512
+   minor words (closures and small records, independent of dⁿ) and at
+   most |B*| + m + 256 major words, where the fresh ring (|B*| words)
+   and the exact-size necklace [reps] copy (m words) are the expected
+   major allocations.  Minor words come from [Gc.minor_words] around the
+   embed alone; major words from [Gc.counters] read outside that window,
+   after a [Gc.minor ()] so no promotion falls inside it.  The arena's
+   off-heap [Flatarr] storage shows up in neither counter. *)
+let test_ws_steady_allocation () =
+  List.iter
+    (fun (d, n, root_hint) ->
+      let p = W.params ~d ~n in
+      let ws = Ffc.Workspace.create p in
+      let embed () = Option.get (E.embed ?root_hint ~ws p ~faults:[ 1 ]) in
+      ignore (embed ());
+      ignore (embed ());
+      for _ = 1 to 5 do
+        Gc.minor ();
+        let _, _, major0 = Gc.counters () in
+        let minor0 = Gc.minor_words () in
+        let e = embed () in
+        let minor = Gc.minor_words () -. minor0 in
+        let _, _, major1 = Gc.counters () in
+        let major = major1 -. major0 in
+        let ceiling =
+          e.E.bstar.B.size + Array.length e.E.modified.Sp.tree.Sp.adj.A.reps + 256
+        in
+        if minor > 512. || major > float_of_int ceiling then
+          Alcotest.failf
+            "B(%d,%d)%s: %.0f minor words (ceiling 512), %.0f major words (ceiling %d)" d n
+            (if Option.is_some root_hint then " hint 1" else "")
+            minor major ceiling
+      done)
+    [ (2, 10, None); (2, 16, None); (2, 16, Some 1); (3, 8, Some 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* campaign *)
 
@@ -1211,6 +1247,8 @@ let () =
           Alcotest.test_case "wrong params rejected" `Quick test_ws_wrong_params;
           Alcotest.test_case "ws + domains:2 bit-identical" `Quick
             test_ws_domains_identical;
+          Alcotest.test_case "warm embed allocation ceiling" `Quick
+            test_ws_steady_allocation;
         ] );
       ( "campaign",
         [

@@ -124,7 +124,7 @@ let test_hamiltonian () =
     [ (2, 2); (2, 3); (3, 2); (2, 4); (3, 3); (4, 2) ]
 
 let test_k32_decomposition () =
-  (* the open-problems bench finding: K(3,2) decomposes into 3 HCs *)
+  (* the claims report's Kautz probe: K(3,2) decomposes into 3 HCs *)
   let k = K.create ~d:3 ~n:2 in
   match Hamsearch.Search.disjoint_hamiltonian_cycles ~budget:5_000_000 ~k:3 k.K.graph with
   | Some cs, _ ->
