@@ -97,24 +97,26 @@ let fault_free_hc p faults = function
 
 (* One Table 2.1/2.2 reproduction through [Ffc.Campaign]: per f, 200
    seeded trials of f random faulty nodes, rooted at R = 0...01.  The
-   ring covers B* in every trial, so the ring columns are the thesis's
-   component-size columns.  [paper] holds (f, Avg.Size, Avg.Ecc); the
-   thesis's Avg.Ecc is quoted for five rows only. *)
+   ring covers B* in every trial, so the ring columns (mean, minimum
+   and maximum) are the thesis's component-size columns.  [paper]
+   holds (f, Avg.Size, Avg.Ecc); the thesis's Avg.Ecc is quoted for
+   five rows only. *)
 let node_fault_table t ~title ~d ~n ~seed ~paper =
   header title;
   let p = W.params ~d ~n in
   let module Ca = Ffc.Campaign in
   let pts = Ca.run ~trials:200 ~seed ~fs:(List.map (fun (f, _, _) -> f) paper) ~d ~n () in
-  Printf.printf "%4s | %9s %9s %9s %7s | %8s %8s | %9s %7s\n" "f" "Avg.Size" "paper"
-    "Min.Size" "d^n-nf" "Avg.Ecc" "paper" "verified" "bound";
+  Printf.printf "%4s | %9s %9s %9s %9s %7s | %8s %8s %7s %7s | %9s %7s\n" "f" "Avg.Size"
+    "paper" "Min.Size" "Max.Size" "d^n-nf" "Avg.Ecc" "paper" "Min.Ecc" "Max.Ecc" "verified"
+    "bound";
   List.iter2
     (fun (pt : Ca.point) (_, size, ecc) ->
-      Printf.printf "%4d | %9.2f %9.2f %9d %7d | %8.2f %8s | %5d/%3d %7s\n" pt.Ca.f
-        pt.Ca.mean_ring_length size pt.Ca.min_ring_length
+      Printf.printf "%4d | %9.2f %9.2f %9d %9d %7d | %8.2f %8s %7d %7d | %5d/%3d %7s\n"
+        pt.Ca.f pt.Ca.mean_ring_length size pt.Ca.min_ring_length pt.Ca.max_ring_length
         (p.W.size - (n * pt.Ca.f))
         pt.Ca.mean_ecc
         (match ecc with Some e -> Printf.sprintf "%.2f" e | None -> "-")
-        pt.Ca.verified pt.Ca.trials
+        pt.Ca.min_ecc pt.Ca.max_ecc pt.Ca.verified pt.Ca.trials
         (if pt.Ca.bound_applicable = 0 then "-"
          else Printf.sprintf "%d/%d" pt.Ca.bound_ok pt.Ca.bound_applicable))
     pts paper;

@@ -4,10 +4,10 @@
    Hamiltonian rings under link faults (Chapter 3), each through BOTH
    library executors: the message-by-message netsim reference
    Collective.Exec and the compiled zero-copy Collective.Fastpath that
-   Core's drivers run.  Every timed call builds its rings first, as
-   the drivers do: the FFC embed plus the faulty-necklace flags, the
-   first k disjoint streams, or the streams that survive the link
-   faults.
+   Core's drivers run.  The rings of a point are built once, before
+   either executor is timed: the FFC embed plus the faulty-necklace
+   flags, the first k disjoint streams, or the streams that survive the
+   link faults.  Each timed call is the executor alone.
 
    Smoke: B(2,10) for the FFC cases, B(4,5) for striping, plus a
    full-scale B(2,16) bidirectional fastpath allreduce (the PR lane
@@ -34,9 +34,8 @@ let record = Jrec.record
 
 let ops = [ Core.Collective_schedule.Reduce_scatter; All_gather; Allreduce ]
 
-(* Accounted wire throughput of the whole timed call (ring
-   construction included): 8 x wire_words / wall.  The figure the
-   B(2,22) nightly rows exist for. *)
+(* Accounted wire throughput of the executor call: 8 x wire_words /
+   wall.  The figure the B(2,22) nightly rows exist for. *)
 let bytes_per_s (r : Core.Collective_exec.report) (g : Jrec.gc_timed) =
   8.0
   *. float_of_int r.Core.Collective_exec.wire_words
@@ -122,15 +121,15 @@ let speedup ~what ~enforce (gn : Jrec.gc_timed) (gf : Jrec.gc_timed) =
          "collective: fastpath minor-words ratio x%.1f below 100x (%s)" minor
          what)
 
-(* The rings of one request: the FFC ring avoiding the faulty
+(* The rings of one point: the FFC ring avoiding the faulty
    processors (with their necklace flags), or the first k disjoint
    Hamiltonian rings, or the first k that survive [edge_faults]. *)
-let ffc_ring p ~faults () =
+let ffc_ring p ~faults =
   let e = Option.get (Core.Embed.embed p ~faults) in
   let flags = Core.Necklace.mark_faulty_necklaces p faults in
   ((fun v -> flags.(v)), [ e.Core.Embed.cycle ])
 
-let striped_rings ~d ~n ~k ~edge_faults () =
+let striped_rings ~d ~n ~k ~edge_faults =
   let streams =
     match edge_faults with
     | [] -> Core.Compose.disjoint_streams_upto ~d ~n ~k
@@ -141,16 +140,13 @@ let striped_rings ~d ~n ~k ~edge_faults () =
   in
   ((fun _ -> false), List.map Core.Stream.to_nodes streams)
 
-(* One timed request per executor: build the rings, then run. *)
-let netsim ?(edge_faults = []) ~p rings spec =
-  Jrec.time_gc (fun () ->
-      let faulty, rings = rings () in
-      Collective.Exec.run ~edge_faults ~p ~faulty ~rings spec)
+(* One timed request per executor, on rings built beforehand: the
+   timing and allocation figures are the executor's alone. *)
+let netsim ?(edge_faults = []) ~p (faulty, rings) spec =
+  Jrec.time_gc (fun () -> Collective.Exec.run ~edge_faults ~p ~faulty ~rings spec)
 
-let fastpath ?(edge_faults = []) ~p rings spec =
-  Jrec.time_gc (fun () ->
-      let faulty, rings = rings () in
-      Collective.Fastpath.run ~edge_faults ~p ~faulty ~rings spec)
+let fastpath ?(edge_faults = []) ~p (faulty, rings) spec =
+  Jrec.time_gc (fun () -> Collective.Fastpath.run ~edge_faults ~p ~faulty ~rings spec)
 
 (* Chapter-2 side: the FFC-embedded ring under seeded random node
    faults, both engines on every point. *)
@@ -162,16 +158,17 @@ let ffc_side ~d ~n ~ranks ~chunk_words ~fault_counts ~enforce =
     (fun f ->
       let rng = Core.Rng.create 0x5eed in
       let faults = Core.Rng.sample_distinct rng ~k:f ~bound:p.Core.Word.size in
+      let rings = ffc_ring p ~faults in
       List.iter
         (fun op ->
           let spec =
             { Core.Collective_exec.op; ranks; chunk_words; bidirectional = false }
           in
-          let r, g = netsim ~p (ffc_ring p ~faults) spec in
+          let r, g = netsim ~p rings spec in
           check_verified ~what:(Printf.sprintf "ffc f=%d" f) r;
           show ~engine:(Printf.sprintf "ffc-ring f=%d" f) ~op r g;
           row ~engine:"ffc-ring" ~d ~n ~f ~op r g;
-          let rf, gf = fastpath ~p (ffc_ring p ~faults) spec in
+          let rf, gf = fastpath ~p rings spec in
           check_verified ~what:(Printf.sprintf "ffc fastpath f=%d" f) rf;
           check_agreement ~what:(Printf.sprintf "ffc f=%d" f) r rf;
           show ~engine:(Printf.sprintf "ffc-ring fastpath f=%d" f) ~op rf gf;

@@ -6,7 +6,7 @@
     the oracle {!Fastpath} is pinned against (reports and final
     arenas).  Only the tests and the collective bench call {!run};
     [Core]'s drivers and the CLI run {!Fastpath}, which shares this
-    module's types and its closed-form checker {!verify_arena}.
+    module's types and checks the closed form {!verify_arena} states.
 
     The caller supplies the rings as node cycles — the FFC-embedded
     ring under node faults (Chapter 2, {!Ffc.Embed}), or up to ψ(d)
@@ -108,7 +108,11 @@ val run :
     dead link makes the run raise {!Netsim.Simulator.Illegal_send}, so a
     clean return {e proves} the rings avoid the fault set.
 
-    [init] gives the integer payload (defaults to {!default_init}). *)
+    [init] gives the integer payload (defaults to {!default_init}).  It
+    must be pure: the run calls it once per initial payload word to
+    fill the rings·ranks²·chunk_words-word arena (all-gather: once per
+    owned word, the rest start at zero), then again for the closed
+    form of {!verify_arena}, and both must see the same values. *)
 
 val run_with_payload :
   ?edge_faults:(int * int) list ->
@@ -141,17 +145,6 @@ val default_init : ring:int -> rank:int -> chunk:int -> word:int -> int
     Exposed so other executors and tests can reproduce the exact
     default arena. *)
 
-val initial_arena :
-  Schedule.op -> init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
-  rings:int -> ranks:int -> chunk_words:int -> Graphlib.Flatarr.t
-(** A fresh payload arena in the layout {!run_with_payload} returns,
-    holding the initial contents: the reducing operations start from
-    the full vector everywhere; all-gather starts from per-rank
-    ownership (chunk r live at rank r, the rest zero), the convention
-    of {!Schedule.simulate}.  Both executors fill their arenas with it.
-    The [op] test sits outside the word loops, which call [init]
-    directly. *)
-
 val verify_arena :
   Schedule.op ->
   init:(ring:int -> rank:int -> chunk:int -> word:int -> int) ->
@@ -173,5 +166,7 @@ val verify_arena :
     Returns [(verified, checksum)]: whether every word matches, and
     the sum of all arena words.  One pass over the arena with one
     [chunk_words]-word accumulator; [init] is called at most
-    ranks²·chunk_words times per ring.  Both executors call it.
+    ranks²·chunk_words times per ring.  {!run} calls it; {!Fastpath}
+    reaches the same verdict and sum from the values of its own fill,
+    and the test suite pins the two together.
     @raise Invalid_argument if [buf] has the wrong length. *)

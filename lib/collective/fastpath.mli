@@ -5,35 +5,41 @@
     Same inputs, same {!Exec.report}, same payload arena as {!Exec.run},
     without the network: {!Compile.lower} flattens the (rings,
     rank-boundary) configuration into segment tables once, then the
-    schedule runs as an array kernel directly on the payload arena —
-    phase p moves chunk (r−p−1) mod R from each rank's predecessor
-    slice into its own, reducing in place during the reduce-scatter
-    phases.  Relay hops are pure routing (the shared-relay observation:
-    a relay never transforms payload), so they are {e accounted}, never
-    simulated: rounds, delivered hops and wire words come from
-    closed-form arithmetic over segment lengths and the {!Schedule}
-    phase structure, and per-link congestion and port load from one
-    read, in node order, of the edge-code table {!Compile.lower} built
-    ({!Compile.max_edge_share}, {!Compile.max_port_load}) —
-    reproducing {!Netsim.Simulator}'s self-timed pipelining figures
-    exactly.
+    schedule runs one (ring, chunk) column at a time.  Relay hops are
+    pure routing (the shared-relay observation: a relay never
+    transforms payload), so in phase p chunk c moves only from rank
+    (c+p) mod R to rank (c+p+1) mod R, and a ring's R chunk columns are
+    independent chains.  Each column is filled from [init], run through
+    its phases in order (reducing in place during the reduce-scatter
+    phases), checked and summed in one ranks·chunk_words-word buffer.
+    The hops themselves are {e accounted}, never simulated: rounds,
+    delivered hops and wire words come from closed-form arithmetic over
+    segment lengths and the {!Schedule} phase structure, and per-link
+    congestion and port load from one read, in node order, of the
+    edge-code table {!Compile.lower} built ({!Compile.max_edge_share},
+    {!Compile.max_port_load}) — reproducing {!Netsim.Simulator}'s
+    self-timed pipelining figures exactly.
 
-    The equivalence is enforced three ways: the same word-for-word
-    check Exec runs ({!Exec.verify_arena}, which compares every arena
-    word against the closed-form final payload — the same relay
-    observation applied to the data: chunk c ends as a sum of the
-    ranks' own init words, so no schedule is re-run to know it), a
-    qcheck suite pinning report counters and final arenas identical to
-    Exec across ops × ranks × chunk_words × bidirectional × fault
-    draws, and the bench harness comparing the two engines on every
-    matrix point.  What changes is cost: zero allocation per hop, and
-    work proportional to ranks·phases·chunk_words instead of
-    rings·length·phases messages — B(2,22) (4.2M-node) rings become
+    The equivalence is enforced three ways: an exact word-for-word
+    check of every final payload word against the closed form
+    {!Exec.verify_arena} states (the same relay observation applied to
+    the data: chunk c ends as a sum of the ranks' own init words, so no
+    schedule is re-run to know it), taken from the values the column
+    fill drew, so the verdict and checksum equal {!Exec.verify_arena}'s
+    on the same payload; a qcheck suite pinning report counters and
+    final arenas identical to Exec across ops × ranks × chunk_words ×
+    bidirectional × fault draws, and the verdict to {!Exec.verify_arena}
+    on the returned snapshot; and the bench harness comparing the two
+    engines on every matrix point.  What changes is cost: zero
+    allocation per hop, work proportional to
+    rings·ranks·phases·chunk_words instead of rings·length·phases
+    messages, and no payload arena — B(2,22) (4.2M-node) rings become
     interactive.
 
-    The kernel is one sequential pass per phase over the (ring, rank)
-    work items.  Lowering, the arena fill and the accounting are
-    sequential too. *)
+    [init] must be pure: it is called exactly once per initial payload
+    word — rings·ranks²·chunk_words times, rings·ranks·chunk_words for
+    all-gather, whose non-owned chunks start at zero — and the closed
+    form is accumulated from those same values. *)
 
 val run :
   ?edge_faults:(int * int) list ->
@@ -50,7 +56,12 @@ val run :
     {!Netsim.Simulator.Illegal_send} on a ring crossing a missing or
     faulted edge — raised at compile time, carrying the round at which
     the simulator would first attempt that send — and an identical
-    report for identical inputs. *)
+    report for identical inputs.
+
+    Payload cost: ranks·chunk_words words of scratch for the column,
+    as many again for the reduce-scatter prefixes and chunk_words for
+    the running sum, whatever the number of rings — no
+    rings·ranks²·chunk_words arena. *)
 
 val run_with_payload :
   ?edge_faults:(int * int) list ->
@@ -61,6 +72,8 @@ val run_with_payload :
   rings:int array list ->
   Exec.spec ->
   Exec.report * int array
-(** [run] plus a heap snapshot of the final payload arena — what the
-    agreement qcheck compares word-for-word against
-    {!Exec.run_with_payload}. *)
+(** [run] plus a heap snapshot of the final payload arena, in
+    {!Exec.run_with_payload}'s layout — what the agreement qcheck
+    compares word-for-word against it.  This is the one call that
+    allocates rings·ranks²·chunk_words words: each column is copied in
+    once it is checked. *)

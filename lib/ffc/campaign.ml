@@ -12,6 +12,9 @@ type point = {
   mean_ring_length : float;
   mean_ecc : float;
   min_ring_length : int;
+  max_ring_length : int;
+  min_ecc : int;
+  max_ecc : int;
   wall_s : float;
   minor_words_per_trial : float;
   major_words_per_trial : float;
@@ -91,7 +94,7 @@ let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
   let wall_s = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0 in
   let embedded = ref 0 and verified = ref 0 and errors = ref 0 in
   let sb = ref 0 and sr = ref 0 and se = ref 0 in
-  let minr = ref max_int in
+  let minr = ref max_int and maxr = ref 0 and mine = ref max_int and maxe = ref 0 in
   Array.iter
     (fun o ->
       if o.osize > 0 then incr embedded;
@@ -100,7 +103,10 @@ let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
       sb := !sb + o.osize;
       sr := !sr + o.oring;
       se := !se + o.oecc;
-      if o.oring < !minr then minr := o.oring)
+      minr := min !minr o.oring;
+      maxr := max !maxr o.oring;
+      mine := min !mine o.oecc;
+      maxe := max !maxe o.oecc)
     out;
   let bound = length_bound p f in
   let bound_ok =
@@ -129,6 +135,9 @@ let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
     mean_ring_length = float_of_int !sr /. tf;
     mean_ecc = float_of_int !se /. tf;
     min_ring_length = !minr;
+    max_ring_length = !maxr;
+    min_ecc = !mine;
+    max_ecc = !maxe;
     wall_s;
     minor_words_per_trial = steady minor;
     major_words_per_trial = steady major;

@@ -32,6 +32,11 @@ type point = {
   mean_ring_length : float;
   mean_ecc : float;  (** mean ecc(R) within B*, from [Bstar.compute]'s BFS *)
   min_ring_length : int;
+  max_ring_length : int;
+      (** with [min_ring_length], the ring-length spread over the
+          point's trials (failures count as 0, as in the means) *)
+  min_ecc : int;
+  max_ecc : int;  (** the spread of ecc(R), failures counting as 0 *)
   wall_s : float;
   minor_words_per_trial : float;
       (** steady-state minor-heap words per trial — the minimum across

@@ -446,6 +446,45 @@ let test_verify_rejects_corruption () =
         [ 0; 1; ranks * cw; Array.length payload - 1 ])
     [ S.Reduce_scatter; S.All_gather; S.Allreduce ]
 
+(* Fastpath's own verdict and checksum come from the values its fill
+   drew, not from a second [init] pass: they must equal the closed-form
+   checker's on the snapshot it returns, with [init] called once per
+   initial payload word — rings·R²·cw times, rings·R·cw for
+   all-gather, whose non-owned chunks start at zero. *)
+let verify_props =
+  let open QCheck in
+  [
+    Test.make ~name:"fastpath's check = verify_arena, one init per word" ~count:40
+      (quad (int_range 0 2) (pair (int_range 0 1) bool)
+         (pair (int_range 2 16) (int_range 0 3))
+         (pair (list_of_size (Gen.int_range 1 3) small_nat) small_nat))
+      (fun (opi, (fam, bidirectional), (ranks, cwi), (picks, seed)) ->
+        let op = List.nth [ S.Reduce_scatter; S.All_gather; S.Allreduce ] opi in
+        let d, n = List.nth [ (4, 2); (3, 3) ] fam in
+        let p = W.params ~d ~n in
+        let all = Array.of_list (List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:(P.psi d))) in
+        let rings = List.map (fun i -> all.(i mod Array.length all)) picks in
+        let cw = List.nth [ 1; 3; 255; 257 ] cwi in
+        let seeded ~ring ~rank ~chunk ~word =
+          (Hashtbl.hash (seed, ring, rank, chunk, word) mod 2001) - 1000
+        in
+        let calls = ref 0 in
+        let counting ~ring ~rank ~chunk ~word =
+          incr calls;
+          seeded ~ring ~rank ~chunk ~word
+        in
+        let spec = { E.op; ranks; chunk_words = cw; bidirectional } in
+        let r, payload =
+          F.run_with_payload ~init:counting ~p ~faulty:(fun _ -> false) ~rings spec
+        in
+        let owned = match op with S.All_gather -> 1 | S.Reduce_scatter | S.Allreduce -> ranks in
+        r.E.verified
+        && E.verify_arena op ~init:seeded ~rings:r.E.rings ~ranks ~chunk_words:cw
+             (Fa.of_array payload)
+           = (r.E.verified, r.E.checksum)
+        && !calls = r.E.rings * ranks * owned * cw);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Link sharing: slot counts against the sort-and-scan oracle *)
 
@@ -907,7 +946,8 @@ let () =
         [
           Alcotest.test_case "one corrupted word is caught" `Quick
             test_verify_rejects_corruption;
-        ] );
+        ]
+        @ List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) verify_props );
       ( "sharing",
         [
           Alcotest.test_case "length-2 ring reversed" `Quick test_share_two_cycle;
