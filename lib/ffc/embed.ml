@@ -9,82 +9,33 @@ type t = {
 }
 
 let successor_map ?domains:_ ?ws (m : Spanning.modified) =
-  let bstar = m.Spanning.tree.Spanning.adj.Adjacency.bstar in
-  let p = bstar.Bstar.p in
-  let in_bstar = bstar.Bstar.in_bstar in
-  let override = m.Spanning.succ_override in
+  let p = m.Spanning.tree.Spanning.adj.Adjacency.bstar.Bstar.p in
   let succ =
     match ws with
-    | None -> Fa.make p.W.size (-1)
+    | None -> Fa.create p.W.size
     | Some w ->
         Workspace.check w p;
-        Fa.fill w.Workspace.successor (-1);
         w.Workspace.successor
   in
-  (* One flat pass: exit nodes of D-edges jump to the recorded entry
-     node, everyone else follows its necklace (rotate left, inlined:
-     W.rotl without the per-call range check). *)
-  let d = p.W.d in
-  let stride = p.W.size / d in
-  for x = 0 to p.W.size - 1 do
-    if in_bstar.{x} <> 0 then
-      succ.{x} <-
-        (if override.{x} >= 0 then override.{x}
-         else (x mod stride * d) + (x / stride))
-  done;
+  Succ_digit.fill_successors p m.Spanning.digit succ;
   succ
 
-(* Step 3's ring walk from the root.  A node's successor is its
-   necklace rotation — one division — unless it is the exit node of a
-   D-edge, marked in [exits]; only there is [override] read.  The ring
-   lands in [cycle] (length |B*|).  Returns the closed length, or −1 as
-   soon as the walk leaves B* or would overflow [cycle]: a walk that
-   repeats a node other than the root never closes, so it runs into
-   that bound instead of needing a visited set. *)
-let rec ring_walk (in_bstar : Fa.Byte.t) exits (override : Fa.t) nodes stride d root
-    (cycle : int array) v len =
-  if v = root && len > 0 then len
-  else if v < 0 || v >= nodes || in_bstar.{v} = 0 || len = Array.length cycle then -1
-  else begin
-    cycle.(len) <- v;
-    let next =
-      if Graphlib.Bitset.mem exits v then override.{v}
-      else
-        let q = v / stride in
-        ((v - (q * stride)) * d) + q
-    in
-    ring_walk in_bstar exits override nodes stride d root cycle next (len + 1)
-  end
-[@@lint.hot]
+let fail reason = Pipeline_error.raise_error ~stage:"Embed" reason
 
-let close_ring ?ws (m : Spanning.modified) =
+let close_ring (m : Spanning.modified) =
   let bstar = m.Spanning.tree.Spanning.adj.Adjacency.bstar in
   let p = bstar.Bstar.p in
-  let override = m.Spanning.succ_override in
-  let exits =
-    match ws with
-    | None -> Graphlib.Bitset.create p.W.size
-    | Some w ->
-        Workspace.check w p;
-        Graphlib.Bitset.clear w.Workspace.ring_exits;
-        w.Workspace.ring_exits
-  in
-  for x = 0 to p.W.size - 1 do
-    if override.{x} >= 0 then Graphlib.Bitset.add exits x
-  done;
+  (* The walk trusts the table's outside marks for membership, so they
+     must be B*'s own before it starts. *)
+  if Succ_digit.first_disagreement p bstar.Bstar.in_bstar m.Spanning.digit >= 0 then
+    fail "the ring's digit table disagrees with B*";
   let size = bstar.Bstar.size in
   let cycle = Array.make size 0 in
-  let root = bstar.Bstar.root in
-  let len =
-    ring_walk bstar.Bstar.in_bstar exits override p.W.size (p.W.size / p.W.d) p.W.d
-      root cycle root 0
-  in
+  let len = Succ_digit.walk p m.Spanning.digit bstar.Bstar.root cycle in
   (* Impossible by Proposition 2.1 on a B* from [Bstar.compute]; a
      malformed record gets the typed, recoverable error. *)
-  if len < 0 then
-    Pipeline_error.raise_error ~stage:"Embed" "the ring walk left B* or ran past |B*| nodes";
-  if len <> size then
-    Pipeline_error.raise_error ~stage:"Embed" "the ring closed before covering B*";
+  if len < 0 then fail "the ring walk left B* or ran past |B*| nodes";
+  if len <> size then fail "the ring closed before covering B*";
   cycle
 
 let of_bstar ?ws bstar =
@@ -92,7 +43,7 @@ let of_bstar ?ws bstar =
   let tree = Spanning.build ?ws adj in
   let modified = Spanning.modify ?ws tree in
   let successor = successor_map ?ws modified in
-  let cycle = close_ring ?ws modified in
+  let cycle = close_ring modified in
   { bstar; modified; successor; cycle }
 
 let embed ?root_hint ?domains:_ ?ws p ~faults =

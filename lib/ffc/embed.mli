@@ -10,36 +10,44 @@
     cycle H of B\u{2217}; Proposition 2.2 bounds its length below by
     dⁿ − nf when f ≤ d−2.
 
-    The ring is closed by arithmetic ({!close_ring}): one sequential
-    pass marks the D-edge exit nodes of [succ_override] in a dⁿ-bit
-    set, then the walk from R reads [succ_override] only at a marked
-    exit and takes the rotation wα (one integer division) everywhere
-    else.  It never reads the materialized successor map. *)
+    So the ring is one digit β per node, wβ being the successor of αw:
+    {!Spanning.modify} writes that byte table ({!Succ_digit}), and the
+    ring is closed by arithmetic ({!close_ring}).  One sequential pass
+    checks the table against B\u{2217}; then the walk from R reads one
+    byte per step and takes each node's leading digit α from the ring
+    node n−1 places back.  It never reads the materialized successor
+    map. *)
 
 type t = {
   bstar : Bstar.t;
   modified : Spanning.modified;
   successor : Graphlib.Flatarr.t;
-      (** node → its successor in H, −1 outside B\u{2217} (off-heap) *)
+      (** node → its successor in H, −1 outside B\u{2217} (off-heap),
+          derived from [modified.digit] *)
   cycle : int array;  (** H, starting at the root R *)
 }
 
 val successor_map :
   ?domains:int -> ?ws:Workspace.t -> Spanning.modified -> Graphlib.Flatarr.t
-(** The [successor] field, for {!Live} and the tests; the ring walk
-    does not read it.  One sequential pass over the nodes.  [?domains]
-    is ignored; it stays only because the repository benchmark
-    ([bench/suite]) passes it, and goes with that benchmark's next
-    re-anchor. *)
+(** The [successor] field, derived from [modified.digit] in one pass
+    per leading digit, with no division; no library code reads it (the
+    ring walk reads the digits), and it stays only because
+    {!t.successor} and the repository benchmark ([bench/suite]) still
+    need it.  [?domains] is ignored; it stays only because that
+    benchmark passes it, and goes with its next re-anchor. *)
 
-val close_ring : ?ws:Workspace.t -> Spanning.modified -> int array
+val close_ring : Spanning.modified -> int array
 (** Step 3's ring H from the root R, as a fresh array of length
-    |B\u{2217}| ([Bstar.size]).  With [?ws] the exit set lives in the
-    workspace; the ring itself is always fresh.
-    @raise Pipeline_error.Error (stage ["Embed"]) when the walk steps
-    outside B\u{2217} (or out of the node range), when it has not returned
-    to R after |B\u{2217}| nodes (which covers revisiting any other
-    node), or when it returns to R after fewer than |B\u{2217}| nodes. *)
+    |B\u{2217}| ([Bstar.size]).  First one sequential pass checks that
+    [modified.digit] agrees with [in_bstar] ({!Succ_digit.first_disagreement}:
+    {!Succ_digit.outside} exactly off B\u{2217}, every digit below d);
+    then {!Succ_digit.walk} follows the digits from R.
+    @raise Pipeline_error.Error (stage ["Embed"]) when the table
+    disagrees with [in_bstar], when the walk reaches a node outside
+    B\u{2217}, when it has not returned to R after
+    |B\u{2217}| nodes (which covers revisiting any other node), or when
+    it returns to R after fewer than |B\u{2217}| nodes.  So no ring
+    holding a node outside [in_bstar] is ever returned. *)
 
 val of_bstar : ?ws:Workspace.t -> Bstar.t -> t
 (** Run steps 1–3 on an already-computed B\u{2217}: the stages, then

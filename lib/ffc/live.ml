@@ -51,7 +51,7 @@ type t = {
      renumber anything) ---- *)
   rep : Fa.t;  (* necklace representative; -1 outside B* (membership) *)
   dist : Fa.t;  (* BFS distance from root; -1 outside B* *)
-  successor : Fa.t;  (* ring successor map; -1 outside B* *)
+  digit : Succ_digit.t;  (* the ring, one successor digit per node *)
   mutable root : int;  (* -1 when B* is empty *)
   mutable bsize : int;
   mutable ecc : int;
@@ -96,7 +96,7 @@ let ring_length t = t.bsize
 let is_empty t = t.bsize = 0
 let in_bstar t v = t.rep.{v} >= 0
 let dist t v = t.dist.{v}
-let successor t v = t.successor.{v}
+let successor t v = Succ_digit.successor t.p t.digit v
 let is_faulty t v = t.faulty.{v} <> 0
 let fault_count t = t.fault_count
 
@@ -171,7 +171,7 @@ let bq_reset t =
 let set_empty t =
   Fa.fill t.rep (-1);
   Fa.fill t.dist (-1);
-  Fa.fill t.successor (-1);
+  Fa.Byte.fill t.digit.Succ_digit.bytes Succ_digit.outside;
   Fa.fill t.chosen (-1);
   Fa.fill t.bucket_head (-1);
   Array.fill t.hist 0 (Array.length t.hist) 0;
@@ -190,7 +190,7 @@ let load t (e : Embed.t) =
   let reps = adj.Adjacency.reps in
   let idx_of_node = adj.Adjacency.idx_of_node in
   Fa.blit e.Embed.bstar.Bstar.dist t.dist;
-  Fa.blit e.Embed.successor t.successor;
+  Succ_digit.blit e.Embed.modified.Spanning.digit t.digit;
   t.root <- e.Embed.bstar.Bstar.root;
   t.bsize <- e.Embed.bstar.Bstar.size;
   t.ecc <- e.Embed.bstar.Bstar.ecc;
@@ -325,19 +325,19 @@ let patch_derived t =
     end
     else t.chosen.{r} <- -1
   done;
-  (* rebuild every dirty bucket: reset the suffix-w successor entries to
-     the necklace rotation, then relink the class with the batch
-     stage's Step-2 rule *)
+  (* rebuild every dirty bucket: reset the suffix-w digits to the
+     necklace rotation (αw's digit is α), then relink the class with
+     the batch stage's Step-2 rule *)
   for i = 0 to t.dirty.len - 1 do
     let w = t.dirty.buf.(i) in
     for a = 0 to d - 1 do
       let x = (a * stride) + w in
-      if t.rep.{x} >= 0 then t.successor.{x} <- (x mod stride * d) + (x / stride)
+      if t.rep.{x} >= 0 then Succ_digit.set t.digit x a
     done;
     let head = t.bucket_head.{w} in
     if head >= 0 then begin
       let k = collect_class t stride d head 0 (-1) in
-      if not (Spanning.link_class p t.rep t.members k w t.successor) then
+      if not (Spanning.link_class p t.rep t.members k w t.digit) then
         raise Fallback
     end
   done
@@ -368,7 +368,7 @@ let remove_necklace t rep =
        t.rep.{y} <- -1;
        hist_dec t t.dist.{y};
        t.dist.{y} <- -1;
-       t.successor.{y} <- -1;
+       Succ_digit.set_outside t.digit y;
        t.bsize <- t.bsize - 1;
        vec_push t.changed y)
     [@lint.allow
@@ -463,7 +463,7 @@ let remove_necklace t rep =
       t.rep.{v} <- -1;
       hist_dec t t.dist.{v};
       t.dist.{v} <- -1;
-      t.successor.{v} <- -1;
+      Succ_digit.set_outside t.digit v;
       t.bsize <- t.bsize - 1;
       vec_push t.changed v
     end
@@ -529,7 +529,7 @@ let insert_necklace t rep =
         t.set_stamp.{v} <- t.stamp;
         t.rep.{v} <- rep;
         t.dist.{v} <- !dv;
-        t.successor.{v} <- (v mod stride * d) + (v / stride);
+        Succ_digit.set t.digit v (v / stride);
         t.bsize <- t.bsize + 1;
         hist_inc t !dv;
         vec_push t.changed v
@@ -701,7 +701,7 @@ let create ?root_hint ?ws p ~faults =
       live_nodes = sz;
       rep = Fa.make sz (-1);
       dist = Fa.make sz (-1);
-      successor = Fa.make sz (-1);
+      digit = Succ_digit.create p;
       root = -1;
       bsize = 0;
       ecc = 0;
@@ -755,16 +755,7 @@ let ring t =
   if t.bsize = 0 then None
   else begin
     let c = Array.make t.bsize 0 in
-    let x = ref t.root in
-    for i = 0 to t.bsize - 1 do
-      if !x < 0 then
-        Pipeline_error.raise_error ~stage:"Live"
-          "successor map did not close into a cycle";
-      c.(i) <- !x;
-      x := t.successor.{!x}
-    done;
-    if !x <> t.root then
-      Pipeline_error.raise_error ~stage:"Live"
-        "successor map did not close into a cycle";
+    if Succ_digit.walk t.p t.digit t.root c <> t.bsize then
+      Pipeline_error.raise_error ~stage:"Live" "the ring's digits did not close into a cycle";
     Some c
   end

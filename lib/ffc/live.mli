@@ -37,7 +37,11 @@
     with B\u{2217} membership keyed by necklace representative; the
     optional workspace is used only for the embedded batch fallback, so
     one [Live.t] plus one {!Workspace.t} per domain is the intended
-    churn-campaign setup. *)
+    churn-campaign setup.  The footprint is eight dⁿ-word tables, two
+    dⁿ⁻¹-word tables and two bytes per node: the fault flags, and the
+    ring as one {!Succ_digit} byte per node (the batch embed's own
+    format, copied in by a fallback at 1 byte per node; the escape
+    side table adds dⁿ words for d ≥ 255). *)
 
 type event =
   | Fault of int  (** the node becomes faulty *)
@@ -103,7 +107,9 @@ val is_empty : t -> bool
 val in_bstar : t -> int -> bool
 val dist : t -> int -> int  (** BFS distance from the root; −1 outside B\u{2217} *)
 
-val successor : t -> int -> int  (** ring successor; −1 outside B\u{2217} *)
+val successor : t -> int -> int
+(** Ring successor, computed from the node's digit byte
+    ({!Succ_digit.successor}); −1 outside B\u{2217}. *)
 
 val is_faulty : t -> int -> bool
 val fault_count : t -> int
@@ -112,8 +118,10 @@ val current_faults : t -> int list  (** ascending; O(dⁿ) *)
 val ring : t -> int array option
 (** Materialize the ring from the root — a fresh array each call,
     equal to {!Embed.of_bstar}'s [cycle] on the same state; [None] when
-    B\u{2217} is empty.  O(ring length).
-    @raise Pipeline_error.Error if the successor map does not close —
-    unreachable from {!apply}/{!create}, typed for uniformity. *)
+    B\u{2217} is empty.  O(ring length): {!Succ_digit.walk}, the walk
+    {!Embed.close_ring} runs.
+    @raise Pipeline_error.Error (stage ["Live"]) if the digits do not
+    close into a ring of |B\u{2217}| nodes — unreachable from
+    {!apply}/{!create}, typed for uniformity. *)
 
 val stats : t -> stats

@@ -102,7 +102,7 @@ let check_height_one t =
       | Some par' -> par = par')
     (tree_edges t)
 
-type modified = { tree : tree; succ_override : Fa.t }
+type modified = { tree : tree; digit : Succ_digit.t }
 
 let not_height_one = "a label class T_w has two parents"
 
@@ -115,28 +115,29 @@ let rec sift (a : Fa.t) x j =
   else a.{j + 1} <- x
 [@@lint.hot]
 
-let rec link_from p key (members : Fa.t) k w (out : Fa.t) i =
+let rec link_from p key (members : Fa.t) k w digit i =
   if i = k then true
   else
     let exit = Adjacency.exit_scan p key members.{i} w 0 in
     let entry = Adjacency.entry_scan p key members.{(i + 1) mod k} w 0 in
     if exit < 0 || entry < 0 then false
     else begin
-      out.{exit} <- entry;
-      link_from p key members k w out (i + 1)
+      Succ_digit.set digit exit (entry - (w * p.W.d));
+      link_from p key members k w digit (i + 1)
     end
 [@@lint.hot]
 
 (* Step 2, shared with [Live]: sort the k keys of one T_w class
    ascending in [members.{0 .. k−1}] (a T_w is tiny, two members is
    typical) and record the directed w-cycle through them as node-level
-   D-edges, exit(i) → entry(i+1 mod k), in [out].  False when a member
-   has no exit or entry node for w. *)
-let link_class p key (members : Fa.t) k w (out : Fa.t) =
+   D-edges, exit(i) → entry(i+1 mod k): the exit αw gets the last digit
+   β of the entry wβ.  False when a member has no exit or entry node
+   for w. *)
+let link_class p key (members : Fa.t) k w digit =
   for i = 1 to k - 1 do
     sift members members.{i} (i - 1)
   done;
-  link_from p key members k w out 0
+  link_from p key members k w digit 0
 [@@lint.hot]
 
 (* Bucket the non-root necklaces by their parent-edge label w — labels
@@ -172,27 +173,27 @@ let modify ?ws t =
      arrays.  Walking a chain yields children in descending index —
      the same order the cons-list version produced — and the sort below
      canonicalizes anyway. *)
-  let bucket_par, bucket_head, bucket_next, scratch, succ_override =
+  let bucket_par, bucket_head, bucket_next, scratch, digit =
     match ws with
     | None ->
         ( Fa.make wsize (-1),
           Fa.make wsize (-1),
           Fa.make m (-1),
           Fa.make (m + 1) 0,
-          Fa.make p.W.size (-1) )
+          Succ_digit.create p )
     | Some w ->
         Workspace.check w p;
         Fa.fill w.Workspace.bucket_par (-1);
         Fa.fill w.Workspace.bucket_head (-1);
         (* bucket_next needs no reset: only chains rooted in
            bucket_head are walked, and every link on them is written
-           this call. *)
-        Fa.fill w.Workspace.succ_override (-1);
+           this call.  The digit table needs none either: the rotation
+           pass below writes every node. *)
         ( w.Workspace.bucket_par,
           w.Workspace.bucket_head,
           w.Workspace.bucket_next,
           w.Workspace.nscratch,
-          w.Workspace.succ_override )
+          w.Workspace.digit )
   in
   for i = 0 to m - 1 do
     if i <> t.root_idx then begin
@@ -204,11 +205,13 @@ let modify ?ws t =
       bucket_head.{w} <- i
     end
   done;
-  (* The D-edges, flattened to node level: the w-edge [X]→[Y] leaves [X]
-     at its unique exit node αw and enters [Y] at its unique entry node
-     wβ, so one int per node replaces the (idx, w)-keyed Hashtbl.
+  (* Every node of B* starts on its necklace successor; then the
+     D-edges, flattened to node level: the w-edge [X]→[Y] leaves [X] at
+     its unique exit node αw and enters [Y] at its unique entry node
+     wβ, so the exit's one digit β replaces the (idx, w)-keyed Hashtbl.
      (Cursor refs hoisted out of the loop — one allocation, not one per
      bucket.) *)
+  Succ_digit.fill_rotations p adj.Adjacency.bstar.Bstar.in_bstar digit;
   let k = ref 0 in
   let c = ref (-1) in
   for w = 0 to wsize - 1 do
@@ -224,11 +227,11 @@ let modify ?ws t =
       done;
       (* Representatives ascend with index, so index order IS
          increasing-representative order. *)
-      if not (link_class p adj.Adjacency.idx_of_node scratch !k w succ_override)
+      if not (link_class p adj.Adjacency.idx_of_node scratch !k w digit)
       then fail "a T_w member has no exit or entry node"
     end
   done;
-  { tree = t; succ_override }
+  { tree = t; digit }
 
 let groups m =
   let t = m.tree in
@@ -250,18 +253,25 @@ let groups m =
   done;
   !acc
 
+(* A D-edge exit is the one node of B* whose digit is not its own
+   leading digit: the entry wβ lies on another necklace, so β ≠ α. *)
+let is_exit p m x =
+  let beta = Succ_digit.get m.digit x in
+  beta >= 0 && beta <> W.first_digit p x
+
 let out_edge m idx w =
   let adj = m.tree.adj in
+  let p = adj.Adjacency.bstar.Bstar.p in
   match Adjacency.node_with_suffix adj idx w with
-  | None -> None
-  | Some exit ->
-      let entry = m.succ_override.{exit} in
-      if entry < 0 then None else Some adj.Adjacency.idx_of_node.{entry}
+  | Some exit when is_exit p m exit ->
+      Some adj.Adjacency.idx_of_node.{W.snoc p w (Succ_digit.get m.digit exit)}
+  | _ -> None
 
 let d_edge_count m =
+  let p = m.tree.adj.Adjacency.bstar.Bstar.p in
   let acc = ref 0 in
-  for x = 0 to Fa.length m.succ_override - 1 do
-    if m.succ_override.{x} >= 0 then incr acc
+  for x = 0 to p.W.size - 1 do
+    if is_exit p m x then incr acc
   done;
   !acc
 

@@ -55,40 +55,45 @@ val tree_edges : tree -> (int * int * int) list
 
 type modified = {
   tree : tree;
-  succ_override : Graphlib.Flatarr.t;
-      (** node-level D-edges: the unique exit node αw of a w-edge maps
-          to the entry node wβ of the successor necklace on the
-          w-cycle; −1 everywhere else (take the necklace successor).
+  digit : Succ_digit.t;
+      (** D flattened into Step 3's ring: per node αw of B\u{2217} the
+          last digit β of its ring successor wβ, {!Succ_digit.outside}
+          off B\u{2217}.  β is the entry node wβ of the successor
+          necklace on the w-cycle at the unique exit node αw of a
+          w-edge, and α (the necklace successor) everywhere else.
           Replaces the seed's (idx, w)-keyed Hashtbl — a necklace has
           at most one node per suffix w, so the node {e is} the key. *)
 }
 
 val link_class :
   Debruijn.Word.params -> Graphlib.Flatarr.t -> Graphlib.Flatarr.t -> int -> int ->
-  Graphlib.Flatarr.t -> bool
-(** [link_class p key members k w out] — the T_w linking rule (Step 2),
-    shared with [Live]: sort the k keys in [members.{0 .. k−1}]
+  Succ_digit.t -> bool
+(** [link_class p key members k w digit] — the T_w linking rule (Step
+    2), shared with [Live]: sort the k keys in [members.{0 .. k−1}]
     ascending and write the w-cycle through them, exit(i) → entry(i+1
-    mod k) by {!Adjacency.exit_scan}/{!Adjacency.entry_scan} over [key],
-    into the node-level table [out].  [false] if an exit or entry is
-    missing. *)
+    mod k) by {!Adjacency.exit_scan}/{!Adjacency.entry_scan} over [key]:
+    each exit αw gets the last digit β of its entry wβ in [digit].
+    [false] if an exit or entry is missing. *)
 
 val modify : ?ws:Workspace.t -> tree -> modified
 (** Step 2: each T_w (parent and children) becomes the directed cycle
     that steps through its members in increasing representative order
-    and wraps.  With [?ws], [succ_override] aliases the workspace.
+    and wraps.  One {!Succ_digit.fill_rotations} pass writes every
+    node's rotation digit, then {!link_class} writes the exit digits.
+    With [?ws], [digit] aliases the workspace.
     @raise Pipeline_error.Error (stage ["Spanning"]) when a T_w has two
     parents or a member lacks its exit or entry node. *)
 
 val groups : modified -> (int * int list) list
 (** Label w → members of T_w sorted by representative, for w ascending.
     Recomputed on demand — [modify] itself only materialises
-    [succ_override]. *)
+    [digit]. *)
 
 val out_edge : modified -> int -> int -> int option
 (** [out_edge m idx w] — the successor necklace of [idx] on the
     w-cycle, if D carries that edge (the seed's [Hashtbl] lookup,
-    recovered from [succ_override]). *)
+    recovered from [digit]: the exit's digit differs from its leading
+    digit). *)
 
 val d_edge_count : modified -> int
 (** Number of D-edges (Lemma 2.1 counts these against tree edges). *)

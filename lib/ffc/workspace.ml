@@ -11,9 +11,8 @@ type t = {
   necklace_faulty : Fa.Byte.t;
   in_bstar : Fa.Byte.t;
   idx_of_node : Fa.t;
-  succ_override : Fa.t;
+  digit : Succ_digit.t;
   successor : Fa.t;
-  ring_exits : Bs.t;
   cycle_seen : Bs.t;
   it : It.ws;
   (* necklace-level scratch (max_necklaces entries unless noted) *)
@@ -62,11 +61,12 @@ let create p =
      line.  The backing sizes are the exact sums of the aligned carve
      sizes below, in order. *)
   let aw = Fa.Arena.aligned_words in
+  let wide = Succ_digit.wide_length p in
   let words =
-    (3 * aw size) + It.ws_arena_words size
+    (2 * aw size) + aw wide + It.ws_arena_words size
     + (5 * aw m) + aw (m + 1) + (2 * aw wsize)
   in
-  let bytes = 2 * Fa.Arena.aligned_bytes size in
+  let bytes = 3 * Fa.Arena.aligned_bytes size in
   let arena = Fa.Arena.create ~words ~bytes in
   let carve n =
     let a = Fa.Arena.carve arena n in
@@ -80,9 +80,8 @@ let create p =
     necklace_faulty = Fa.Arena.carve_byte arena size;
     in_bstar = Fa.Arena.carve_byte arena size;
     idx_of_node = carve size;
-    succ_override = carve size;
+    digit = { Succ_digit.bytes = Fa.Arena.carve_byte arena size; wide = carve wide };
     successor = carve size;
-    ring_exits = Bs.create size;
     cycle_seen = Bs.create size;
     it = It.ws_create ~arena size;
     reps_buf = carve m;

@@ -3,8 +3,8 @@
 
     A workspace bundles every scratch structure the four pipeline
     stages need — traversal state ({!Graphlib.Itopo.ws}), the necklace
-    index, adjacency/spanning buffers, the succ-override tree and the
-    ring's exit set — sized once by {!create} and reused across
+    index, adjacency/spanning buffers, the ring's digit table and the
+    successor map — sized once by {!create} and reused across
     trials via the [?ws] argument of [Bstar.compute], [Embed.embed]
     etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: two
     [Bigarray] backing allocations (words + flag bytes) the GC never
@@ -38,10 +38,10 @@ type t = {
   necklace_faulty : Graphlib.Flatarr.Byte.t;  (** owned by [Bstar.compute] *)
   in_bstar : Graphlib.Flatarr.Byte.t;  (** owned by [Bstar.compute] *)
   idx_of_node : Graphlib.Flatarr.t;  (** owned by [Adjacency.build] *)
-  succ_override : Graphlib.Flatarr.t;  (** owned by [Spanning.modify] *)
+  digit : Succ_digit.t;
+      (** the ring, one byte per node (and the escape table for
+          d ≥ 255); owned by [Spanning.modify] *)
   successor : Graphlib.Flatarr.t;  (** owned by [Embed.successor_map] *)
-  ring_exits : Graphlib.Bitset.t;
-      (** the D-edge exit nodes; owned by [Embed.close_ring] *)
   cycle_seen : Graphlib.Bitset.t;  (** owned by [Embed.verify] *)
   it : Graphlib.Itopo.ws;
       (** owned by [Bstar.compute] (its BFS and, without a majority
@@ -61,11 +61,12 @@ type t = {
 }
 
 val create : Debruijn.Word.params -> t
-(** Allocate the whole arena for (d, n): 5 words per node, 6 per
-    necklace and 2 per (n−1)-suffix (≈ 5·dⁿ + 6·K + 2·dⁿ⁻¹ words), plus
-    two flag bytes per node, in two backing allocations; three
-    one-bit-per-node sets live on the heap.  O(dⁿ) time (one
-    necklace-counting sweep). *)
+(** Allocate the whole arena for (d, n): 4 words per node, 6 per
+    necklace and 2 per (n−1)-suffix (≈ 4·dⁿ + 6·K + 2·dⁿ⁻¹ words), plus
+    3 bytes per node (two flags and the ring's digit), in two backing
+    allocations; for d ≥ 255 the digit table's escape side table adds
+    dⁿ words.  Two one-bit-per-node sets live on the heap.  O(dⁿ) time
+    (one necklace-counting sweep). *)
 
 val check : t -> Debruijn.Word.params -> unit
 (** @raise Invalid_argument when the workspace was built for a

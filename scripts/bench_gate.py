@@ -11,7 +11,12 @@ Measurements fall into tolerance classes:
   these are seeded and domain-invariant, so any drift is a real
   behaviour change;
 - ratio: machine-dependent figures (wall_s, speedups, live heap) —
-  allowed to move within a generous factor;
+  allowed to move within a generous factor.  A field past the window
+  fails either way, but the message says which way it moved: past
+  the worse side it reads "outside xF window", past the better side
+  (below it for times and allocation, above it for the HIGHER_IS_BETTER
+  throughputs and speedups) it names an improvement whose baseline
+  field is to be regenerated;
 - percent: everything else numeric, +/-25% by default.
 
 Rows whose engine mentions "domains" are skipped outright (the domain
@@ -83,6 +88,10 @@ RATIO = {
     # wall-clock, so same window as wall_s
     "bytes_per_s": 4.0,
 }
+# ratio fields where a larger value is the better one
+HIGHER_IS_BETTER = {
+    "speedup_vs_reference", "speedup_vs_fresh", "speedup_vs_x1", "bytes_per_s",
+}
 PERCENT_DEFAULT = 0.25
 
 MEASUREMENTS = EXACT | set(RATIO) | {
@@ -153,7 +162,15 @@ def compare(key, base, fresh, failures):
         elif field in RATIO:
             factor = RATIO[field]
             if want > 0 and got > 0:
-                if got > want * factor or got < want / factor:
+                above, below = got > want * factor, got < want / factor
+                better = above if field in HIGHER_IS_BETTER else below
+                if better:
+                    side = "above" if above else "below"
+                    failures.append(
+                        f"{dict(key)}: {field} = {got}, baseline {want} "
+                        f"({side} the x{factor} window: an improvement - regenerate "
+                        f"this baseline field and list it in CHANGES.md)")
+                elif above or below:
                     failures.append(
                         f"{dict(key)}: {field} = {got}, baseline {want} "
                         f"(outside x{factor} window)")

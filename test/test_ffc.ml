@@ -28,6 +28,22 @@ let matches_reference (e : E.t) (r : Oracles.Ffc_reference.t) =
   && Fa.to_array e.E.successor = r.Oracles.Ffc_reference.successor
   && e.E.cycle = r.Oracles.Ffc_reference.cycle
 
+(* The digit table is the ring: the outside mark exactly where
+   [in_bstar] is 0, and on B* node v = αw steps to
+   wβ = (v mod dⁿ⁻¹)·d + β, its [successor]. *)
+let digits_are_ring (e : E.t) =
+  let p = e.E.bstar.B.p in
+  let digit = e.E.modified.Sp.digit in
+  let stride = p.W.size / p.W.d in
+  let ok = ref true in
+  for v = 0 to p.W.size - 1 do
+    let outside = digit.Ffc.Succ_digit.bytes.{v} = Ffc.Succ_digit.outside in
+    if outside <> (e.E.bstar.B.in_bstar.{v} = 0) then ok := false;
+    if (not outside) && (v mod stride * p.W.d) + Ffc.Succ_digit.get digit v <> e.E.successor.{v}
+    then ok := false
+  done;
+  !ok
+
 (* [dist]/[ecc] of a B* record against the seed's list BFS from R over
    B*, on the materialized B(d,n). *)
 let dist_matches_traversal (b : B.t) =
@@ -282,7 +298,9 @@ let test_example_2_1_successors () =
 
 let test_embed_no_faults () =
   (* With no faults the FFC algorithm produces a full Hamiltonian cycle
-     of B(d,n) — a De Bruijn sequence. *)
+     of B(d,n) — a De Bruijn sequence.  The ring's digit table spells
+     the same sequence n places on: the digit of ring node i is the
+     last digit of node i+1, the first digit of node i+n. *)
   List.iter
     (fun (d, n) ->
       let p = W.params ~d ~n in
@@ -290,8 +308,14 @@ let test_embed_no_faults () =
       check_int "full length" p.W.size (E.length e);
       check_bool "verified" true (E.verify e);
       let seq = Debruijn.Sequence.sequence_of_cycle p e.E.cycle in
-      check_bool "De Bruijn sequence" true (Debruijn.Sequence.is_de_bruijn_sequence p seq))
-    [ (2, 3); (2, 4); (2, 5); (2, 6); (3, 3); (4, 2); (4, 3); (5, 2); (3, 4) ]
+      check_bool "De Bruijn sequence" true (Debruijn.Sequence.is_de_bruijn_sequence p seq);
+      let spelled = Core.de_bruijn_sequence ~d ~n in
+      Alcotest.(check (array int))
+        "digits = de_bruijn_sequence rotated by n"
+        (Array.init p.W.size (fun i -> spelled.((i + n) mod p.W.size)))
+        (Array.map (Ffc.Succ_digit.get e.E.modified.Sp.digit) e.E.cycle))
+    [ (2, 3); (2, 4); (2, 5); (2, 6); (3, 3); (4, 2); (4, 3); (5, 2); (3, 4); (2, 10); (3, 5);
+      (4, 4) ]
 
 let test_prop_2_2_bound () =
   (* f ≤ d−2 node failures: cycle length ≥ dⁿ − nf, exhaustively for all
@@ -679,8 +703,9 @@ let test_lemma_2_1_arc_structure () =
             (* expected: the number of distinct w with an outgoing D-edge
                (single-necklace B* has zero D-edges and one "arc") *)
             let out_degrees = Array.make (Array.length adj.A.reps) 0 in
-            for x = 0 to Fa.length m.Sp.succ_override - 1 do
-              if m.Sp.succ_override.{x} >= 0 then begin
+            for x = 0 to p.W.size - 1 do
+              let beta = Ffc.Succ_digit.get m.Sp.digit x in
+              if beta >= 0 && beta <> W.first_digit p x then begin
                 let i = adj.A.idx_of_node.{x} in
                 out_degrees.(i) <- out_degrees.(i) + 1
               end
@@ -707,18 +732,24 @@ let test_table_2_2_regression () =
   check_bool "size within [999, 1004]" true (b.B.size >= 999 && b.B.size <= 1004);
   check_bool "strongly connected" true (B.is_strongly_connected b)
 
-(* The ring walk's refusals.  On the fault-free B(2,5), B(3,3) and
-   B(4,3) one D-edge exit of [succ_override] is redirected (a) onto a
-   node outside B* (in a one-fault embed) — once plainly, once with
-   that node sending the walk back onto the ring one node later, so
-   the closed walk still has |B*| nodes; (b) back to the root; (c) onto
-   a node already on the ring.  A B* whose [size] is off by ±1 is
-   refused too.  Every case raises the typed error with stage "Embed",
-   on the fresh and the workspace path. *)
+(* The ring walk's refusals, restated on the digit table.  A digit can
+   only name a De Bruijn successor, so each redirect rewrites the digit
+   of a node that has an edge to its new target.  On the fault-free
+   B(2,5), B(3,3) and B(4,3) one ring node's digit is redirected (a)
+   onto a node outside B* (in a one-fault embed); (b) back to the root,
+   from a predecessor of the root other than the ring's last node; (c)
+   onto a node already on the ring.  The agreement pass refuses a table
+   that (d) marks a node outside B* as inside — here the node the
+   redirect of (a) reaches, sending the walk back into B* — or (e) a
+   node of B* as outside, or (f) holds a digit >= d or an escape byte
+   below d = 255.  A B* whose [size] is off by ±1 is refused too.  Every
+   case raises the typed error with stage "Embed", on the fresh table
+   and on the workspace's own. *)
 let test_close_ring_refusals () =
   List.iter
     (fun (d, n) ->
       let p = W.params ~d ~n in
+      let stride = p.W.size / d in
       let ws = Ffc.Workspace.create p in
       let refuses what run =
         List.iter
@@ -729,34 +760,55 @@ let test_close_ring_refusals () =
                 Alcotest.(check string) what "Embed" err.Ffc.Pipeline_error.stage)
           [ ("fresh", None); ("workspace", Some ws) ]
       in
-      let embed faults = E.of_bstar (Option.get (B.compute ~root_hint:1 p ~faults)) in
-      (* Close [e]'s ring after applying [edits] to a copy of its D-edges. *)
-      let redirect (e : E.t) what edits =
-        let ov = Fa.make p.W.size (-1) in
-        Fa.blit e.E.modified.Sp.succ_override ov;
-        List.iter (fun (x, y) -> ov.{x} <- y) edits;
-        let m = { e.E.modified with Sp.succ_override = ov } in
-        refuses what (fun ws -> E.close_ring ?ws m)
+      let embed ?ws faults = E.of_bstar ?ws (Option.get (B.compute ~root_hint:1 ?ws p ~faults)) in
+      (* Close the ring of [faults] after writing the raw [edits] (node,
+         byte) into its digit table. *)
+      let redirect faults what edits =
+        refuses what (fun ws ->
+            let m = (embed ?ws faults).E.modified in
+            List.iter (fun (x, b) -> m.Sp.digit.Ffc.Succ_digit.bytes.{x} <- b) edits;
+            E.close_ring m)
       in
-      (* Ring positions of the exits, in ring order. *)
-      let exit_positions (e : E.t) =
-        List.filter
-          (fun i -> e.E.modified.Sp.succ_override.{e.E.cycle.(i)} >= 0)
-          (List.init (E.length e) Fun.id)
+      let succ x b = (x mod stride * d) + b in
+      (* The first ring position i, scanning [order], whose node x has
+         a digit b with [ok i (succ x b)]; returns (x, b). *)
+      let find_edit ring order ok =
+        List.find_map
+          (fun i ->
+            List.find_map
+              (fun b -> if ok i (succ ring.(i) b) then Some (ring.(i), b) else None)
+              (List.init d Fun.id))
+          order
+        |> Option.get
       in
       let healthy = embed [] in
       let ring = healthy.E.cycle and k = E.length healthy in
-      let exits = exit_positions healthy in
-      let i = List.find (fun i -> i < k - 1) exits in
-      redirect healthy "(b) exit back to the root" [ (ring.(i), ring.(0)) ];
-      let i = List.hd (List.rev exits) in
-      redirect healthy "(c) exit onto the ring" [ (ring.(i), ring.(1)) ];
+      let pos = Array.make p.W.size (-1) in
+      Array.iteri (fun i v -> pos.(v) <- i) ring;
+      let root = ring.(0) in
+      let x =
+        List.find
+          (fun x -> x <> ring.(k - 1) && x <> root)
+          (List.init d (fun a -> (a * stride) + (root / d)))
+      in
+      redirect [] "(b) back to the root" [ (x, root mod d) ];
+      let x, b =
+        find_edit ring
+          (List.init (k - 1) (fun j -> k - 1 - j))
+          (fun i y -> pos.(y) >= 1 && pos.(y) <= i)
+      in
+      redirect [] "(c) onto the ring" [ (x, b) ];
       let faulty = embed [ 1 ] in
       let ring = faulty.E.cycle and k = E.length faulty in
-      let i = List.find (fun i -> i < k - 2) (exit_positions faulty) in
-      check_bool "1 is outside B*" true (faulty.E.bstar.B.in_bstar.{1} = 0);
-      redirect faulty "(a) exit out of B*" [ (ring.(i), 1) ];
-      redirect faulty "(a) exit out of B* and back" [ (ring.(i), 1); (1, ring.(i + 2)) ];
+      let in_bstar = faulty.E.bstar.B.in_bstar in
+      let x, b = find_edit ring (List.init (k - 2) Fun.id) (fun _ y -> in_bstar.{y} = 0) in
+      redirect [ 1 ] "(a) onto a node outside B*" [ (x, b) ];
+      let y = succ x b in
+      let back = List.find (fun c -> in_bstar.{succ y c} <> 0) (List.init d Fun.id) in
+      redirect [ 1 ] "(d) outside marked inside" [ (x, b); (y, back) ];
+      redirect [ 1 ] "(e) inside marked outside" [ (ring.(k / 2), Ffc.Succ_digit.outside) ];
+      redirect [ 1 ] "(f) digit = d" [ (ring.(k / 2), d) ];
+      redirect [ 1 ] "(f) escape below d = 255" [ (ring.(k / 2), Ffc.Succ_digit.escape) ];
       let b = healthy.E.bstar in
       List.iter
         (fun delta ->
@@ -983,6 +1035,59 @@ let test_ws_back_to_back () =
       [];
     ]
 
+(* Alphabets past a byte: the digit table stores a digit >= 254 as the
+   escape byte plus a word side table.  On B(255,2) and B(256,2) (f = 0,
+   and f = 2 by the §2.5 worst-case pack) and on B(300,1) (f = 2) the
+   fresh and workspace paths agree and verify.  B(300,1)'s ring is the
+   frozen reference's; the two rings near d = 256 equal digests pinned
+   from the word-table successor map this table replaced (the reference
+   takes seconds there).  [Live] on B(256,2), after one fault and one
+   repair, equals a fresh embed. *)
+let test_wide_alphabets () =
+  let digest ring =
+    Digest.to_hex (Digest.string (String.concat "," (List.map string_of_int (Array.to_list ring))))
+  in
+  List.iter
+    (fun (d, n, faults, pinned) ->
+      let p = W.params ~d ~n in
+      let faults = match faults with `Worst f -> E.worst_case_faults p f | `Nodes l -> l in
+      let e = Option.get (E.embed p ~faults) in
+      check_bool "verify" true (E.verify e);
+      check_bool "digit table is the ring" true (digits_are_ring e);
+      (match pinned with
+      | Some hex -> Alcotest.(check string) "ring digest" hex (digest e.E.cycle)
+      | None ->
+          let r = Option.get (Oracles.Ffc_reference.embed p ~faults) in
+          check_bool "frozen reference" true (matches_reference e r));
+      let ws = Ffc.Workspace.create p in
+      let wse = Option.get (E.embed ~ws p ~faults) in
+      check_bool "workspace = fresh" true
+        (wse.E.cycle = e.E.cycle
+        && Fa.to_array wse.E.successor = Fa.to_array e.E.successor
+        && digits_are_ring wse && E.verify ~ws wse))
+    [
+      (255, 2, `Worst 0, Some "e38e724e38dbc8ae94986b9bed07d8ab");
+      (255, 2, `Worst 2, Some "428cc7fae3f9de0e5e3b71d6a53213a3");
+      (256, 2, `Worst 0, Some "181cfeff7bed754fa620b13291cbe381");
+      (256, 2, `Worst 2, Some "3daa14294a99ed4b32432143ba6211d3");
+      (300, 1, `Nodes [ 3; 7 ], None);
+    ];
+  let p = W.params ~d:256 ~n:2 in
+  let live = Ffc.Live.create p ~faults:[] in
+  let v = (5 * 256) + 9 in
+  List.iter
+    (fun (ev, faults) ->
+      (match Ffc.Live.apply live ev with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "B(256,2): event rejected");
+      let e = Option.get (E.embed p ~faults) in
+      check_bool "Live ring = fresh embed" true (Ffc.Live.ring live = Some e.E.cycle);
+      for x = 0 to p.W.size - 1 do
+        if Ffc.Live.successor live x <> e.E.successor.{x} then
+          Alcotest.failf "B(256,2): Live successor of %d" x
+      done)
+    [ (Ffc.Live.Fault v, [ v ]); (Ffc.Live.Repair v, []) ]
+
 let test_ws_wrong_params () =
   let ws = Ffc.Workspace.create (W.params ~d:3 ~n:4) in
   Alcotest.check_raises "d/n mismatch"
@@ -1190,6 +1295,7 @@ let qsuite =
              && fresh.E.cycle = wse.E.cycle
              && fresh.E.bstar.B.ecc = wse.E.bstar.B.ecc
              && fresh.E.bstar.B.dist = wse.E.bstar.B.dist
+             && digits_are_ring fresh && digits_are_ring wse
              && E.verify ~ws wse
          | _ -> false));
   ]
@@ -1249,6 +1355,7 @@ let () =
             test_ws_domains_identical;
           Alcotest.test_case "warm embed allocation ceiling" `Quick
             test_ws_steady_allocation;
+          Alcotest.test_case "alphabets past a byte" `Quick test_wide_alphabets;
         ] );
       ( "campaign",
         [
