@@ -623,14 +623,15 @@ let ablation_parent_rule () =
     | None -> 0
     | Some b ->
         let in_bstar v = b.B.in_bstar.{v} <> 0 in
-        let dist v = b.B.dist.{v} in
+        let dist v = Int32.to_int b.B.dist.{v} in
         let adj = A.build b in
+        let idx v = Int32.to_int adj.A.idx_of_node.{v} in
         (* per necklace, the chosen node Y of Step 1.2 and its parent's necklace *)
         let label_parent = Hashtbl.create 32 in
         let count = ref 0 in
         Array.iteri
           (fun i rep ->
-            if i <> adj.A.idx_of_node.{b.B.root} then begin
+            if i <> idx b.B.root then begin
               let y =
                 List.fold_left
                   (fun best v ->
@@ -641,7 +642,7 @@ let ablation_parent_rule () =
                 let preds =
                   List.filter (fun u -> in_bstar u && dist u = dist y - 1) (W.predecessors p y)
                 in
-                let par_neck = adj.A.idx_of_node.{rule y (List.sort Int.compare preds)} in
+                let par_neck = idx (rule y (List.sort Int.compare preds)) in
                 match Hashtbl.find_opt label_parent (W.prefix p y) with
                 | None -> Hashtbl.add label_parent (W.prefix p y) par_neck
                 | Some q -> if q <> par_neck then incr count

@@ -78,7 +78,15 @@ let ffc_cmd =
              if f < lo || f > p.Core.Word.size then
                die "fault count %d outside [%d, %d]" f lo p.Core.Word.size))
         fcounts;
+    (* The library refuses a B(d,n) past its 32-bit node tables with
+       Invalid_argument before allocating; like [collective], report it
+       as one error line.  Each mode computes before it prints, so that
+       line is all the output. *)
+    try
     if churn then begin
+      let points =
+        Core.Ffc_campaign.churn ~domains ~trials ~seed ?targets:fcounts ~events ~d ~n ()
+      in
       Printf.printf
         "# churn campaign on B(%d,%d): %d trials x %d events per target, one live engine per domain\n"
         d n trials events;
@@ -93,9 +101,10 @@ let ffc_cmd =
             cp.Core.Ffc_campaign.cerrors cp.Core.Ffc_campaign.mean_ring_length
             cp.Core.Ffc_campaign.min_ring_length
             cp.Core.Ffc_campaign.mean_live_faults)
-        (Core.Ffc_campaign.churn ~domains ~trials ~seed ?targets:fcounts ~events ~d ~n ())
+        points
     end
     else if campaign then begin
+      let points = Core.Ffc_campaign.run ~domains ~trials ~seed ?fs:fcounts ~d ~n () in
       Printf.printf
         "# node-fault campaign on B(%d,%d): %d trials per point, one workspace per domain\n"
         d n trials;
@@ -115,7 +124,7 @@ let ffc_cmd =
             pt.Core.Ffc_campaign.mean_bstar_size
             pt.Core.Ffc_campaign.mean_ring_length pt.Core.Ffc_campaign.mean_ecc
             pt.Core.Ffc_campaign.min_ring_length)
-        (Core.Ffc_campaign.run ~domains ~trials ~seed ?fs:fcounts ~d ~n ())
+        points
     end
     else begin
     let faults = List.map (words_conv p) fault_strs in
@@ -151,6 +160,7 @@ let ffc_cmd =
           (List.length faults);
         print_endline (render p ring)
     end
+    with Invalid_argument msg -> die "%s" msg
   in
   let distributed =
     Arg.(value & flag & info [ "distributed" ] ~doc:"Run the network-level protocol on the simulator.")

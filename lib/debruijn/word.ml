@@ -74,13 +74,16 @@ let count_digit p a x =
   in
   go x p.n 0
 
+(* The period is the first t >= 1 with rotl^t x = x, so walking the
+   rotations until back at [x] finds it in at most n steps; module-level
+   recursion, so it allocates nothing (Ffc.Live reads it per event). *)
+let rec period_from stride d x y t =
+  let y' = (y mod stride * d) + (y / stride) in
+  if y' = x then t else period_from stride d x y' (t + 1)
+
 let period p x =
-  (* The period divides n, so only rotations by divisors of n matter. *)
-  let rec find = function
-    | [] -> p.n
-    | t :: rest -> if rotl_by p t x = x then t else find rest
-  in
-  find (Numtheory.divisors p.n)
+  check p x;
+  period_from (p.size / p.d) p.d x x 1
 
 let is_aperiodic p x = period p x = p.n
 

@@ -40,29 +40,53 @@ let run_trial ~d ~n ~f rng =
             | None -> (`Failed, 0)
           else (`Failed, 0))
 
+(* A blocking barrier for [k] workers: none returns until all [k] have
+   called it. *)
+let barrier k =
+  let m = Mutex.create () and c = Condition.create () and arrived = ref 0 in
+  fun () ->
+    Mutex.lock m;
+    incr arrived;
+    if !arrived = k then Condition.broadcast c
+    else
+      while !arrived < k do
+        Condition.wait c m
+      done;
+    Mutex.unlock m
+
+(* Every worker starts its first trial once all workers are up, and
+   exits once all have finished, so no domain's start-up or exit falls
+   inside another worker's trial (a trial is timed in its worker). *)
 let map_trials ~domains ~trials f =
   if domains <= 1 then Array.init trials f
   else begin
     let out = Array.make trials (`Failed, 0) in
+    let nworkers = min domains trials in
+    let all_started = barrier nworkers and all_done = barrier nworkers in
     let workers =
-      List.init (min domains trials) (fun w ->
+      List.init nworkers (fun w ->
           Domain.spawn (fun () ->
-              let i = ref w in
-              while !i < trials do
-                out.(!i) <- f !i;
-                i := !i + domains
-              done))
+              all_started ();
+              (* a raising trial still reaches the exit barrier, so the
+                 others are not left waiting and [Domain.join] re-raises *)
+              Fun.protect ~finally:all_done (fun () ->
+                  let i = ref w in
+                  while !i < trials do
+                    out.(!i) <- f !i;
+                    i := !i + domains
+                  done)))
     in
     List.iter Domain.join workers;
     out
   end
 
 let point ~domains ~trials ~seed ~d ~n f =
-  let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
+  let wall = Array.make trials 0. in
   let minor = Array.make trials 0. in
   let major = Array.make trials 0. in
-  (* GC counters are read around each trial, in the trial's own domain
-     (map_trials runs a trial wholly in one worker): minor words from
+  (* Wall clock and GC counters are read around each trial, in the
+     trial's own domain (map_trials runs a trial wholly in one worker),
+     so no Domain.spawn/join falls in any window: minor words from
      Gc.minor_words, which is exact there (Gc.counters misreads them on
      OCaml 5.1), major words from Gc.counters, read outside that
      window. *)
@@ -70,14 +94,16 @@ let point ~domains ~trials ~seed ~d ~n f =
     map_trials ~domains ~trials (fun trial ->
         let _, _, j0 = Gc.counters () in
         let m0 = Gc.minor_words () in
+        let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
         let outcome = run_trial ~d ~n ~f (trial_rng ~seed ~f ~trial) in
+        wall.(trial) <- (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0;
         let m1 = Gc.minor_words () in
         let _, _, j1 = Gc.counters () in
         minor.(trial) <- m1 -. m0;
         major.(trial) <- j1 -. j0;
         outcome)
   in
-  let wall_s = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0 in
+  let wall_s = Array.fold_left ( +. ) 0. wall in
   let count o0 =
     Array.fold_left (fun acc (o, _) -> if o = o0 then acc + 1 else acc) 0 outcomes
   in

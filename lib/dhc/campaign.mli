@@ -22,6 +22,10 @@ type point = {
       (** over all trials; dⁿ on success, the masked ring length on
           fallback, 0 on total failure *)
   wall_s : float;
+      (** the point's trials' own wall time, summed: each trial is timed
+          inside the worker that runs it, so domain start-up and joins
+          are not counted and the figure does not grow with [domains]
+          (it is not the elapsed time when trials run in parallel) *)
   minor_words_per_trial : float;
       (** steady-state minor-heap words allocated by one trial (minimum
           across the point's trials, read in the trial's own domain) *)

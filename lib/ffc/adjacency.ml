@@ -2,32 +2,33 @@ module W = Debruijn.Word
 module Nk = Debruijn.Necklace
 module Fa = Graphlib.Flatarr
 
-type t = { bstar : Bstar.t; reps : int array; idx_of_node : Fa.t }
+type t = { bstar : Bstar.t; reps : int array; idx_of_node : Fa.I32.t }
 
 (* Module-level recursion: a capturing [let rec] inside the loops below
    would heap-allocate one closure per necklace (the compiler cannot
    statically allocate closures with free variables), which dominated
    the pipeline's minor allocation; static functions cost nothing. *)
-let rec assign_necklace (idx_of_node : Fa.t) stride d i x y =
-  idx_of_node.{y} <- i;
+let rec assign_necklace (idx_of_node : Fa.I32.t) stride d i x y =
+  idx_of_node.{y} <- Int32.of_int i;
   let y' = (y mod stride * d) + (y / stride) in
   if y' <> x then assign_necklace idx_of_node stride d i x y'
 
 (* The necklace exit/entry rule, over any node → necklace key table
    that is −1 outside B*: the batch stages pass [idx_of_node] and an
-   index, [Live] its representative table and a representative. *)
-let rec exit_scan p (key : Fa.t) k w a =
+   index, [Live] its representative table and a representative.  Both
+   tables are 32-bit cells. *)
+let rec exit_scan p (key : Fa.I32.t) k w a =
   if a >= p.W.d then -1
   else
     let x = W.cons p a w in
-    if key.{x} = k then x else exit_scan p key k w (a + 1)
+    if Int32.to_int key.{x} = k then x else exit_scan p key k w (a + 1)
 [@@lint.hot]
 
-let rec entry_scan p (key : Fa.t) k w b =
+let rec entry_scan p (key : Fa.I32.t) k w b =
   if b >= p.W.d then -1
   else
     let x = W.snoc p w b in
-    if key.{x} = k then x else entry_scan p key k w (b + 1)
+    if Int32.to_int key.{x} = k then x else entry_scan p key k w (b + 1)
 [@@lint.hot]
 
 let build ?ws (bstar : Bstar.t) =
@@ -43,10 +44,10 @@ let build ?ws (bstar : Bstar.t) =
      count. *)
   let idx_of_node, growable =
     match ws with
-    | None -> (Fa.make size (-1), true)
+    | None -> (Fa.I32.make size (-1), true)
     | Some w ->
         Workspace.check w p;
-        Fa.fill w.Workspace.idx_of_node (-1);
+        Fa.I32.fill w.Workspace.idx_of_node (-1);
         (w.Workspace.idx_of_node, false)
   in
   let reps_buf =
@@ -56,7 +57,7 @@ let build ?ws (bstar : Bstar.t) =
   let d = p.W.d in
   let stride = size / d in
   for x = 0 to size - 1 do
-    if in_bstar.{x} <> 0 && idx_of_node.{x} < 0 then begin
+    if in_bstar.{x} <> 0 && Int32.to_int idx_of_node.{x} < 0 then begin
       if growable && !count = Fa.length !reps_buf then begin
         let b = Fa.create (2 * !count) in
         Fa.blit !reps_buf b;
@@ -82,7 +83,7 @@ let edges t =
     for a = 0 to p.W.d - 1 do
       let x = W.cons p a w in
       if in_bstar.{x} <> 0 then begin
-        members.(!k) <- t.idx_of_node.{x};
+        members.(!k) <- Int32.to_int t.idx_of_node.{x};
         incr k
       end
     done;
@@ -127,7 +128,8 @@ let labels_between t i j =
         let alpha = W.first_digit p x in
         let hit = ref false in
         for b = 0 to p.W.d - 1 do
-          if b <> alpha && t.idx_of_node.{W.cons p b w} = j then hit := true
+          if b <> alpha && Int32.to_int t.idx_of_node.{W.cons p b w} = j then
+            hit := true
         done;
         if !hit then acc := w :: !acc);
     List.sort Int.compare !acc
@@ -144,7 +146,8 @@ let iter_neighbors t i f =
       let w = W.suffix p x in
       for b = 0 to p.W.d - 1 do
         let y = W.cons p b w in
-        if y <> x && t.idx_of_node.{y} >= 0 then f t.idx_of_node.{y}
+        let j = Int32.to_int t.idx_of_node.{y} in
+        if y <> x && j >= 0 then f j
       done)
 
 let is_connected t =

@@ -16,8 +16,9 @@
 type t = {
   bstar : Bstar.t;
   reps : int array;  (** necklace representatives in B\u{2217}, increasing *)
-  idx_of_node : Graphlib.Flatarr.t;
-      (** node → necklace index, −1 outside B\u{2217} (off-heap) *)
+  idx_of_node : Graphlib.Flatarr.I32.t;
+      (** node → necklace index, −1 outside B\u{2217} (off-heap 32-bit
+          cells) *)
 }
 
 val build : ?ws:Workspace.t -> Bstar.t -> t
@@ -42,13 +43,13 @@ val node_with_prefix : t -> int -> int -> int option
 (** [node_with_prefix t idx w] is the unique node wβ (prefix w) on the
     necklace, if any — the potential entry point for w-edges. *)
 
-val exit_scan : Debruijn.Word.params -> Graphlib.Flatarr.t -> int -> int -> int -> int
+val exit_scan : Debruijn.Word.params -> Graphlib.Flatarr.I32.t -> int -> int -> int -> int
 (** [exit_scan p key k w 0] — the exit rule, shared with [Live]: the
     node αw with [key.{αw} = k], or −1.  [key] maps nodes to necklace
     keys, −1 outside B\u{2217} ([idx_of_node] and an index, or [Live]'s
     representative table and a representative). *)
 
-val entry_scan : Debruijn.Word.params -> Graphlib.Flatarr.t -> int -> int -> int -> int
+val entry_scan : Debruijn.Word.params -> Graphlib.Flatarr.I32.t -> int -> int -> int -> int
 (** [entry_scan p key k w 0] — the entry rule: the node wβ with
     [key.{wβ} = k], or −1. *)
 

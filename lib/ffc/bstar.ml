@@ -11,7 +11,7 @@ type t = {
   in_bstar : Fa.Byte.t;
   size : int;
   root : int;
-  dist : Fa.t;
+  dist : Fa.I32.t;
   ecc : int;
 }
 
@@ -61,7 +61,7 @@ let of_bfs p faults necklace_faulty (in_bstar : Fa.Byte.t) root (bfs : It.bfs)
     =
   let order = bfs.It.order and count = bfs.It.count in
   for i = 0 to count - 1 do
-    in_bstar.{order.{i}} <- 1
+    in_bstar.{Int32.to_int order.{i}} <- 1
   done;
   let dist = bfs.It.dist in
   {
@@ -75,7 +75,7 @@ let of_bfs p faults necklace_faulty (in_bstar : Fa.Byte.t) root (bfs : It.bfs)
     dist;
     (* BFS discovers by nondecreasing distance, so ecc(R) is the
        distance of the last discovery. *)
-    ecc = dist.{order.{count - 1}};
+    ecc = Int32.to_int dist.{Int32.to_int order.{count - 1}};
   }
 
 let rec first_live (necklace_faulty : Fa.Byte.t) v =
@@ -99,7 +99,7 @@ let fallback_root itws p necklace_faulty root_hint =
   in
   let best = ref max_int and hinted = ref false in
   for i = start to start + len - 1 do
-    let v = order.{i} in
+    let v = Int32.to_int order.{i} in
     if v < !best then best := v;
     if v = hint then hinted := true
   done;
@@ -109,7 +109,9 @@ let compute ?root_hint ?domains:_ ?ws p ~faults =
   let size = p.W.size in
   let necklace_faulty, in_bstar, itws =
     match ws with
-    | None -> (Fa.Byte.create size, Fa.Byte.make size 0, It.ws_create size)
+    | None ->
+        Fa.I32.check_nodes size;
+        (Fa.Byte.create size, Fa.Byte.make size 0, It.ws_create size)
     | Some w ->
         Workspace.check w p;
         Fa.Byte.fill w.Workspace.in_bstar 0;

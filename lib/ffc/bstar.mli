@@ -29,10 +29,10 @@ type t = {
           flag bytes, [m.{v} <> 0] to test *)
   size : int;  (** |B\u{2217}| — the fault-free cycle length *)
   root : int;  (** the distinguished node R with N(R) = \[R\] *)
-  dist : Graphlib.Flatarr.t;
-      (** node-level BFS distance from R inside B\u{2217} (−1 outside): the
-          levels of Step 1.1's broadcast tree T′, which [Spanning.build]
-          reads *)
+  dist : Graphlib.Flatarr.I32.t;
+      (** node-level BFS distance from R inside B\u{2217} (−1 outside), in
+          32-bit cells: the levels of Step 1.1's broadcast tree T′,
+          which [Spanning.build] reads *)
   ecc : int;
       (** eccentricity of R in B\u{2217} (max of [dist]) — the broadcast
           round count of Step 1.1 and Table 2.1/2.2's ecc(R) column *)
@@ -67,7 +67,10 @@ val compute :
     re-anchor.  With [?ws] nothing dⁿ-sized is allocated: the result's
     [necklace_faulty]/[in_bstar] alias workspace arrays and [dist] the
     workspace's traversal scratch (valid until the workspace's next use;
-    contents bit-identical to fresh). *)
+    contents bit-identical to fresh).
+    @raise Invalid_argument past 2³¹ nodes: without [?ws], before
+    allocating ({!Graphlib.Flatarr.I32.check_nodes}); with it,
+    {!Workspace.create} already refused such a (d, n). *)
 
 val component_of : Debruijn.Word.params -> faults:int list -> int -> t option
 (** The component containing the given node, with that node's necklace

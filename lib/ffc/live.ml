@@ -1,6 +1,7 @@
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
 module Fa = Graphlib.Flatarr
+module I32 = Graphlib.Flatarr.I32
 
 type event = Fault of int | Repair of int
 
@@ -37,7 +38,9 @@ let vec_push v x =
   v.len <- v.len + 1
 
 (* Every dⁿ- or dⁿ⁻¹-sized table is off-heap ({!Graphlib.Flatarr}), so
-   the GC never scans Live's state however large B(d,n) is. *)
+   the GC never scans Live's state however large B(d,n) is.  Node ids,
+   representatives and levels are 32-bit cells, indexed directly
+   ([Int32.to_int a.{i}]) so no read boxes and none is a call. *)
 type t = {
   p : W.params;
   root_hint : int option;
@@ -49,25 +52,21 @@ type t = {
   mutable live_nodes : int;  (* nodes on fault-free necklaces *)
   (* ---- B* state, all node-level (index-free, so splices never
      renumber anything) ---- *)
-  rep : Fa.t;  (* necklace representative; -1 outside B* (membership) *)
-  dist : Fa.t;  (* BFS distance from root; -1 outside B* *)
+  rep : I32.t;  (* necklace representative; -1 outside B* (membership) *)
+  dist : I32.t;  (* BFS distance from root; -1 outside B* *)
   digit : Succ_digit.t;  (* the ring, one successor digit per node *)
   mutable root : int;  (* -1 when B* is empty *)
   mutable bsize : int;
   mutable ecc : int;
   (* ---- derived necklace structure, keyed by representative ---- *)
-  chosen : Fa.t;  (* rep -> lex-min (dist, node); -1 if not a live rep *)
-  bucket_head : Fa.t;  (* label w -> first child rep, -1 *)
-  bucket_next : Fa.t;  (* rep -> next child rep in its label bucket *)
+  chosen : I32.t;  (* rep -> lex-min (dist, node); -1 if not a live rep *)
+  bucket_head : I32.t;  (* label w -> first child rep, -1 *)
+  bucket_next : I32.t;  (* rep -> next child rep in its label bucket *)
   (* ---- ecc maintenance ---- *)
   mutable hist : int array;  (* hist.(k) = members at distance k *)
-  (* ---- per-event scratch (epoch-stamped, never cleared wholesale) ---- *)
-  mutable stamp : int;
-  aff_stamp : Fa.t;  (* node -> stamp when invalidated this event *)
-  set_stamp : Fa.t;  (* node -> stamp when (re)settled this event *)
-  nk_stamp : Fa.t;  (* rep -> stamp when its necklace is marked *)
-  w_stamp : Fa.t;  (* label -> stamp when its bucket is dirty *)
-  cand : Fa.t;  (* node -> tentative distance during repair *)
+  (* ---- per-event scratch: marks, zero between events ---- *)
+  mark : Fa.Byte.t;  (* node -> [aff] / [settled] / [nk] bits *)
+  wmark : Fa.Byte.t;  (* label -> nonzero while its bucket is dirty *)
   queue : vec;
   affected : vec;
   changed : vec;
@@ -94,8 +93,8 @@ let root t = t.root
 let ecc t = t.ecc
 let ring_length t = t.bsize
 let is_empty t = t.bsize = 0
-let in_bstar t v = t.rep.{v} >= 0
-let dist t v = t.dist.{v}
+let in_bstar t v = Int32.to_int t.rep.{v} >= 0
+let dist t v = Int32.to_int t.dist.{v}
 let successor t v = Succ_digit.successor t.p t.digit v
 let is_faulty t v = t.faulty.{v} <> 0
 let fault_count t = t.fault_count
@@ -166,14 +165,43 @@ let bq_reset t =
   t.bq_hi <- -1
 
 (* ------------------------------------------------------------------ *)
+(* per-event marks                                                      *)
+
+(* The mark bits of a node.  An event sets them only on nodes that it
+   also pushes to one of its touched lists — [affected] (invalidated
+   by a fault, or on the necklace a repair revives), [changed] (a node
+   whose level or membership moved), [marked] (a necklace
+   representative) — and the labels
+   of dirty buckets on [dirty]; {!clear_marks} zeroes them from those
+   lists when the event ends, on the patched path and the fallback
+   alike.  So the marks cost O(touched) per event and a byte per node,
+   not a stamp word per node and table. *)
+let aff = 1  (* invalidated by this fault, or revived by this repair *)
+let settled = 2  (* its level is final for this event *)
+let nk = 4  (* a representative whose necklace this event re-derives *)
+
+let rec clear_list (m : Fa.Byte.t) (v : vec) i =
+  if i < v.len then begin
+    m.{v.buf.(i)} <- 0;
+    clear_list m v (i + 1)
+  end
+
+let clear_marks t =
+  clear_list t.mark t.affected 0;
+  clear_list t.mark t.changed 0;
+  clear_list t.mark t.marked 0;
+  clear_list t.wmark t.dirty 0
+[@@lint.hot]
+
+(* ------------------------------------------------------------------ *)
 (* full recompute: initialization and the safety-net fallback          *)
 
 let set_empty t =
-  Fa.fill t.rep (-1);
-  Fa.fill t.dist (-1);
+  I32.fill t.rep (-1);
+  I32.fill t.dist (-1);
   Fa.Byte.fill t.digit.Succ_digit.bytes Succ_digit.outside;
-  Fa.fill t.chosen (-1);
-  Fa.fill t.bucket_head (-1);
+  I32.fill t.chosen (-1);
+  I32.fill t.bucket_head (-1);
   Array.fill t.hist 0 (Array.length t.hist) 0;
   t.root <- -1;
   t.bsize <- 0;
@@ -189,7 +217,7 @@ let load t (e : Embed.t) =
   let adj = tree.Spanning.adj in
   let reps = adj.Adjacency.reps in
   let idx_of_node = adj.Adjacency.idx_of_node in
-  Fa.blit e.Embed.bstar.Bstar.dist t.dist;
+  I32.blit e.Embed.bstar.Bstar.dist t.dist;
   Succ_digit.blit e.Embed.modified.Spanning.digit t.digit;
   t.root <- e.Embed.bstar.Bstar.root;
   t.bsize <- e.Embed.bstar.Bstar.size;
@@ -197,23 +225,23 @@ let load t (e : Embed.t) =
   ensure_hist t t.ecc;
   Array.fill t.hist 0 (Array.length t.hist) 0;
   for v = 0 to t.p.W.size - 1 do
-    let i = idx_of_node.{v} in
+    let i = Int32.to_int idx_of_node.{v} in
     if i >= 0 then begin
-      t.rep.{v} <- reps.(i);
-      hist_inc t t.dist.{v}
+      t.rep.{v} <- Int32.of_int reps.(i);
+      hist_inc t (Int32.to_int t.dist.{v})
     end
-    else t.rep.{v} <- -1
+    else t.rep.{v} <- -1l
   done;
-  Fa.fill t.chosen (-1);
-  Fa.fill t.bucket_head (-1);
+  I32.fill t.chosen (-1);
+  I32.fill t.bucket_head (-1);
   Array.iteri
     (fun i r ->
       let y = tree.Spanning.chosen.{i} in
-      t.chosen.{r} <- y;
+      t.chosen.{r} <- Int32.of_int y;
       if i <> tree.Spanning.root_idx then begin
         let w = y / t.p.W.d in
         t.bucket_next.{r} <- t.bucket_head.{w};
-        t.bucket_head.{w} <- r
+        t.bucket_head.{w} <- Int32.of_int r
       end)
     reps
 
@@ -229,34 +257,34 @@ let recompute t =
    exactly the necklaces the BFS repair touched                         *)
 
 let mark_necklace t r =
-  if t.nk_stamp.{r} <> t.stamp then begin
-    t.nk_stamp.{r} <- t.stamp;
+  let m = t.mark.{r} in
+  if m land nk = 0 then begin
+    t.mark.{r} <- m lor nk;
     vec_push t.marked r
   end
 
 let dirty_bucket t w =
-  if t.w_stamp.{w} <> t.stamp then begin
-    t.w_stamp.{w} <- t.stamp;
+  if t.wmark.{w} = 0 then begin
+    t.wmark.{w} <- 1;
     vec_push t.dirty w
   end
 
 let bucket_unlink t w r =
-  if t.bucket_head.{w} = r then t.bucket_head.{w} <- t.bucket_next.{r}
+  if Int32.to_int t.bucket_head.{w} = r then
+    t.bucket_head.{w} <- t.bucket_next.{r}
   else begin
-    let c = ref t.bucket_head.{w} in
-    while !c >= 0 && t.bucket_next.{!c} <> r do
-      c := t.bucket_next.{!c}
+    let c = ref (Int32.to_int t.bucket_head.{w}) in
+    while !c >= 0 && Int32.to_int t.bucket_next.{!c} <> r do
+      c := Int32.to_int t.bucket_next.{!c}
     done;
     if !c >= 0 then t.bucket_next.{!c} <- t.bucket_next.{r}
   end
 
 (* Step 1.2 on one live necklace: the lexicographic (dist, node) minimum
    over the rotations of [y], walked until back at [r]. *)
-let rec earliest (dist : Fa.t) stride d r best y =
-  let best =
-    if dist.{y} < dist.{best} || (dist.{y} = dist.{best} && y < best) then y
-    else best
-  in
+let rec earliest (dist : I32.t) stride d r best y =
+  let dy = Int32.to_int dist.{y} and db = Int32.to_int dist.{best} in
+  let best = if dy < db || (dy = db && y < best) then y else best in
   let y' = (y mod stride * d) + (y / stride) in
   if y' = r then best else earliest dist stride d r best y'
 [@@lint.hot]
@@ -273,11 +301,16 @@ let rec collect_class t stride d r k pr =
     k + 1
   end
   else begin
-    let y = t.chosen.{r} in
-    let py = Spanning.find_parent t.dist stride d (y / d) t.dist.{y} 0 in
-    if py < 0 || (pr >= 0 && t.rep.{py} <> pr) then raise Fallback;
+    let y = Int32.to_int t.chosen.{r} in
+    let py =
+      Spanning.find_parent t.dist stride d (y / d) (Int32.to_int t.dist.{y}) 0
+    in
+    if py < 0 || (pr >= 0 && Int32.to_int t.rep.{py} <> pr) then raise Fallback;
     t.members.{k} <- r;
-    collect_class t stride d t.bucket_next.{r} (k + 1) t.rep.{py}
+    collect_class t stride d
+      (Int32.to_int t.bucket_next.{r})
+      (k + 1)
+      (Int32.to_int t.rep.{py})
   end
 [@@lint.hot]
 
@@ -289,7 +322,7 @@ let patch_derived t =
   let p = t.p in
   let d = p.W.d in
   let stride = p.W.size / d in
-  let root_rep = t.rep.{t.root} in
+  let root_rep = Int32.to_int t.rep.{t.root} in
   vec_clear t.marked;
   vec_clear t.dirty;
   (* necklaces of changed nodes, and of their B* successors (whose
@@ -297,33 +330,33 @@ let patch_derived t =
   for i = 0 to t.changed.len - 1 do
     let c = t.changed.buf.(i) in
     (* a node that just left B* is no longer in the table *)
-    let r = t.rep.{c} in
+    let r = Int32.to_int t.rep.{c} in
     mark_necklace t (if r >= 0 then r else Nk.canonical p c);
     let sw = c mod stride * d in
     for b = 0 to d - 1 do
-      let r = t.rep.{sw + b} in
+      let r = Int32.to_int t.rep.{sw + b} in
       if r >= 0 then mark_necklace t r
     done
   done;
   for i = 0 to t.marked.len - 1 do
     let r = t.marked.buf.(i) in
-    let old_chosen = t.chosen.{r} in
+    let old_chosen = Int32.to_int t.chosen.{r} in
     if old_chosen >= 0 && r <> root_rep then begin
       let old_w = old_chosen / d in
       bucket_unlink t old_w r;
       dirty_bucket t old_w
     end;
-    if t.rep.{r} >= 0 then begin
+    if Int32.to_int t.rep.{r} >= 0 then begin
       let y = earliest t.dist stride d r r r in
-      t.chosen.{r} <- y;
+      t.chosen.{r} <- Int32.of_int y;
       if r <> root_rep then begin
         let w = y / d in
         t.bucket_next.{r} <- t.bucket_head.{w};
-        t.bucket_head.{w} <- r;
+        t.bucket_head.{w} <- Int32.of_int r;
         dirty_bucket t w
       end
     end
-    else t.chosen.{r} <- -1
+    else t.chosen.{r} <- -1l
   done;
   (* rebuild every dirty bucket: reset the suffix-w digits to the
      necklace rotation (αw's digit is α), then relink the class with
@@ -332,9 +365,9 @@ let patch_derived t =
     let w = t.dirty.buf.(i) in
     for a = 0 to d - 1 do
       let x = (a * stride) + w in
-      if t.rep.{x} >= 0 then Succ_digit.set t.digit x a
+      if Int32.to_int t.rep.{x} >= 0 then Succ_digit.set t.digit x a
     done;
-    let head = t.bucket_head.{w} in
+    let head = Int32.to_int t.bucket_head.{w} in
     if head >= 0 then begin
       let k = collect_class t stride d head 0 (-1) in
       if not (Spanning.link_class p t.rep t.members k w t.digit) then
@@ -350,24 +383,26 @@ let rec supported t stride d pre dv a =
   if a = d then false
   else
     let u = (a * stride) + pre in
-    if t.rep.{u} >= 0 && t.aff_stamp.{u} <> t.stamp && t.dist.{u} = dv - 1 then
-      true
+    if
+      Int32.to_int t.rep.{u} >= 0
+      && t.mark.{u} land aff = 0
+      && Int32.to_int t.dist.{u} = dv - 1
+    then true
     else supported t stride d pre dv (a + 1)
 
 let remove_necklace t rep =
   let p = t.p in
   let d = p.W.d in
   let stride = p.W.size / d in
-  t.stamp <- t.stamp + 1;
   vec_clear t.queue;
   vec_clear t.affected;
   vec_clear t.changed;
   (* 1. drop the necklace's nodes *)
   Nk.iter_nodes_from p rep
     ((fun y ->
-       t.rep.{y} <- -1;
-       hist_dec t t.dist.{y};
-       t.dist.{y} <- -1;
+       t.rep.{y} <- -1l;
+       hist_dec t (Int32.to_int t.dist.{y});
+       t.dist.{y} <- -1l;
        Succ_digit.set_outside t.digit y;
        t.bsize <- t.bsize - 1;
        vec_push t.changed y)
@@ -383,7 +418,7 @@ let remove_necklace t rep =
     let sw = y mod stride * d in
     for b = 0 to d - 1 do
       let z = sw + b in
-      if t.rep.{z} >= 0 then vec_push t.queue z
+      if Int32.to_int t.rep.{z} >= 0 then vec_push t.queue z
     done
   done;
   let qi = (ref 0 [@lint.allow "R7 one invalidation-queue cursor per event"]) in
@@ -391,21 +426,26 @@ let remove_necklace t rep =
     let z = t.queue.buf.(!qi) in
     incr qi;
     if
-      t.rep.{z} >= 0 && t.aff_stamp.{z} <> t.stamp && z <> t.root
-      && not (supported t stride d (z / d) t.dist.{z} 0)
+      Int32.to_int t.rep.{z} >= 0
+      && t.mark.{z} land aff = 0
+      && z <> t.root
+      && not (supported t stride d (z / d) (Int32.to_int t.dist.{z}) 0)
     then begin
-      t.aff_stamp.{z} <- t.stamp;
+      t.mark.{z} <- aff;
       vec_push t.affected z;
       let sw = z mod stride * d in
       for b = 0 to d - 1 do
         let s = sw + b in
-        if t.rep.{s} >= 0 && t.aff_stamp.{s} <> t.stamp then vec_push t.queue s
+        if Int32.to_int t.rep.{s} >= 0 && t.mark.{s} land aff = 0 then
+          vec_push t.queue s
       done
     end
   done;
   (* 3. exact multi-source relayering of the affected set from its
      unaffected boundary (deletions only increase distances, so
-     unaffected levels are final) *)
+     unaffected levels are final).  A node may sit in several levels of
+     the bucket queue; the levels pop in ascending order, so its first
+     pop is its final level and a later copy meets its [settled] bit. *)
   bq_reset t;
   for i = 0 to t.affected.len - 1 do
     let v = t.affected.buf.(i) in
@@ -415,10 +455,10 @@ let remove_necklace t rep =
     in
     for a = 0 to d - 1 do
       let u = (a * stride) + pre in
-      if t.rep.{u} >= 0 && t.aff_stamp.{u} <> t.stamp && t.dist.{u} + 1 < !best
-      then best := t.dist.{u} + 1
+      let du = Int32.to_int t.dist.{u} in
+      if Int32.to_int t.rep.{u} >= 0 && t.mark.{u} land aff = 0 && du + 1 < !best
+      then best := du + 1
     done;
-    t.cand.{v} <- !best;
     if !best < max_int then bq_push t !best v
   done;
   let dv = (ref 0 [@lint.allow "R7 one level cursor per event"]) in
@@ -428,28 +468,20 @@ let remove_necklace t rep =
     while !li < level.len do
       let v = level.buf.(!li) in
       incr li;
-      if
-        t.aff_stamp.{v} = t.stamp && t.set_stamp.{v} <> t.stamp
-        && t.cand.{v} = !dv
-      then begin
-        t.set_stamp.{v} <- t.stamp;
-        if t.dist.{v} <> !dv then begin
-          hist_dec t t.dist.{v};
-          t.dist.{v} <- !dv;
+      if t.mark.{v} = aff then begin
+        t.mark.{v} <- aff lor settled;
+        let old = Int32.to_int t.dist.{v} in
+        if old <> !dv then begin
+          hist_dec t old;
+          t.dist.{v} <- Int32.of_int !dv;
           hist_inc t !dv;
           vec_push t.changed v
         end;
         let sw = v mod stride * d in
         for b = 0 to d - 1 do
           let s = sw + b in
-          if
-            t.rep.{s} >= 0 && t.aff_stamp.{s} = t.stamp
-            && t.set_stamp.{s} <> t.stamp
-            && t.cand.{s} > !dv + 1
-          then begin
-            t.cand.{s} <- !dv + 1;
+          if Int32.to_int t.rep.{s} >= 0 && t.mark.{s} = aff then
             bq_push t (!dv + 1) s
-          end
         done
       end
     done;
@@ -459,10 +491,10 @@ let remove_necklace t rep =
      they leave B* (their live necklaces are now a smaller component) *)
   for i = 0 to t.affected.len - 1 do
     let v = t.affected.buf.(i) in
-    if t.set_stamp.{v} <> t.stamp then begin
-      t.rep.{v} <- -1;
-      hist_dec t t.dist.{v};
-      t.dist.{v} <- -1;
+    if t.mark.{v} land settled = 0 then begin
+      t.rep.{v} <- -1l;
+      hist_dec t (Int32.to_int t.dist.{v});
+      t.dist.{v} <- -1l;
       Succ_digit.set_outside t.digit v;
       t.bsize <- t.bsize - 1;
       vec_push t.changed v
@@ -485,8 +517,10 @@ let adjacent_to_bstar t rep =
         let pre = y / d in
         let sw = y mod stride * d in
         for a = 0 to d - 1 do
-          if t.rep.{(a * stride) + pre} >= 0 || t.rep.{sw + a} >= 0 then
-            hit := true
+          if
+            Int32.to_int t.rep.{(a * stride) + pre} >= 0
+            || Int32.to_int t.rep.{sw + a} >= 0
+          then hit := true
         done
       end);
   !hit
@@ -495,20 +529,23 @@ let insert_necklace t rep =
   let p = t.p in
   let d = p.W.d in
   let stride = p.W.size / d in
-  t.stamp <- t.stamp + 1;
+  vec_clear t.affected;
   vec_clear t.changed;
   bq_reset t;
   (* tentative levels for the revived nodes from their settled B*
-     predecessors; everything else improves by relaxation *)
+     predecessors; everything else improves by relaxation.  As in
+     [remove_necklace], a node's first pop from the bucket queue is at
+     its final level. *)
   Nk.iter_nodes_from p rep (fun y ->
-      t.aff_stamp.{y} <- t.stamp;
+      t.mark.{y} <- aff;
+      vec_push t.affected y;
       let pre = y / d in
       let best = ref max_int in
       for a = 0 to d - 1 do
         let u = (a * stride) + pre in
-        if t.rep.{u} >= 0 && t.dist.{u} + 1 < !best then best := t.dist.{u} + 1
+        let du = Int32.to_int t.dist.{u} in
+        if Int32.to_int t.rep.{u} >= 0 && du + 1 < !best then best := du + 1
       done;
-      t.cand.{y} <- !best;
       if !best < max_int then bq_push t !best y);
   let dv = ref 0 in
   while !dv <= t.bq_hi do
@@ -517,40 +554,38 @@ let insert_necklace t rep =
     while !li < level.len do
       let v = level.buf.(!li) in
       incr li;
-      let settle_revived =
-        t.aff_stamp.{v} = t.stamp && t.set_stamp.{v} <> t.stamp
-        && t.cand.{v} = !dv
-      in
+      let m = t.mark.{v} in
+      let settle_revived = m = aff in
       let relax_existing =
-        t.aff_stamp.{v} <> t.stamp && t.rep.{v} >= 0 && t.dist.{v} = !dv
-        && t.set_stamp.{v} <> t.stamp
+        m = 0
+        && Int32.to_int t.rep.{v} >= 0
+        && Int32.to_int t.dist.{v} = !dv
       in
       if settle_revived then begin
-        t.set_stamp.{v} <- t.stamp;
-        t.rep.{v} <- rep;
-        t.dist.{v} <- !dv;
+        t.rep.{v} <- Int32.of_int rep;
+        t.dist.{v} <- Int32.of_int !dv;
         Succ_digit.set t.digit v (v / stride);
         t.bsize <- t.bsize + 1;
         hist_inc t !dv;
         vec_push t.changed v
-      end
-      else if relax_existing then t.set_stamp.{v} <- t.stamp;
+      end;
       if settle_revived || relax_existing then begin
+        t.mark.{v} <- m lor settled;
         let sw = v mod stride * d in
         for b = 0 to d - 1 do
           let s = sw + b in
-          if t.aff_stamp.{s} = t.stamp then begin
-            if t.set_stamp.{s} <> t.stamp && t.cand.{s} > !dv + 1 then begin
-              t.cand.{s} <- !dv + 1;
-              bq_push t (!dv + 1) s
-            end
+          let ms = t.mark.{s} in
+          if ms land aff <> 0 then begin
+            if ms = aff then bq_push t (!dv + 1) s
           end
-          else if t.rep.{s} >= 0 && t.dist.{s} > !dv + 1 then begin
+          else if
+            Int32.to_int t.rep.{s} >= 0 && Int32.to_int t.dist.{s} > !dv + 1
+          then begin
             (* a strictly shorter path through the revived necklace:
                improvements arrive in ascending level order, so each
                existing node moves at most once *)
-            hist_dec t t.dist.{s};
-            t.dist.{s} <- !dv + 1;
+            hist_dec t (Int32.to_int t.dist.{s});
+            t.dist.{s} <- Int32.of_int (!dv + 1);
             hist_inc t (!dv + 1);
             vec_push t.changed s;
             bq_push t (!dv + 1) s
@@ -563,7 +598,7 @@ let insert_necklace t rep =
   (* the merged component is strongly connected (the removed set is a
      union of necklaces), so every revived node must have settled *)
   Nk.iter_nodes_from p rep (fun y ->
-      if t.set_stamp.{y} <> t.stamp then raise Fallback)
+      if t.mark.{y} land settled = 0 then raise Fallback)
 
 (* ------------------------------------------------------------------ *)
 (* event dispatch                                                       *)
@@ -595,14 +630,14 @@ let do_fault t v =
   end
   else begin
     t.live_nodes <- t.live_nodes - Nk.length t.p rep;
-    if t.rep.{rep} < 0 then begin
+    if Int32.to_int t.rep.{rep} < 0 then begin
       (* a live-but-excluded necklace died: B* was strictly larger than
          every excluded component and those only shrank, so B*, its
          root and its distances are all unchanged *)
       t.c_unchanged <- t.c_unchanged + 1;
       Unchanged
     end
-    else if t.bsize = 0 || rep = t.rep.{t.root} then begin
+    else if t.bsize = 0 || rep = Int32.to_int t.rep.{t.root} then begin
       recompute t;
       Recomputed
     end
@@ -610,11 +645,15 @@ let do_fault t v =
       remove_necklace t rep;
       (* B* must stay the unique largest component: compare against the
          total excluded live mass (an upper bound on any rival) *)
-      if t.bsize <= t.live_nodes - t.bsize then begin
-        recompute t;
-        Recomputed
-      end
-      else finish_patch t
+      let outcome =
+        if t.bsize <= t.live_nodes - t.bsize then begin
+          recompute t;
+          Recomputed
+        end
+        else finish_patch t
+      in
+      clear_marks t;
+      outcome
     end
   end
 
@@ -657,12 +696,17 @@ let do_repair t v =
         t.c_unchanged <- t.c_unchanged + 1;
         Unchanged
       end
-    else
-      match insert_necklace t rep with
-      | () -> finish_patch t
-      | exception Fallback ->
-          recompute t;
-          Recomputed
+    else begin
+      let outcome =
+        match insert_necklace t rep with
+        | () -> finish_patch t
+        | exception Fallback ->
+            recompute t;
+            Recomputed
+      in
+      clear_marks t;
+      outcome
+    end
   end
 
 let apply t ev =
@@ -688,6 +732,7 @@ let apply t ev =
 (* ------------------------------------------------------------------ *)
 
 let create ?root_hint ?ws p ~faults =
+  I32.check_nodes p.W.size;
   (match ws with Some w -> Workspace.check w p | None -> ());
   let sz = p.W.size in
   let t =
@@ -699,22 +744,18 @@ let create ?root_hint ?ws p ~faults =
       nk_faults = Hashtbl.create 64;
       fault_count = 0;
       live_nodes = sz;
-      rep = Fa.make sz (-1);
-      dist = Fa.make sz (-1);
+      rep = I32.make sz (-1);
+      dist = I32.make sz (-1);
       digit = Succ_digit.create p;
       root = -1;
       bsize = 0;
       ecc = 0;
-      chosen = Fa.make sz (-1);
-      bucket_head = Fa.make (sz / p.W.d) (-1);
-      bucket_next = Fa.make sz (-1);
+      chosen = I32.make sz (-1);
+      bucket_head = I32.make (sz / p.W.d) (-1);
+      bucket_next = I32.make sz (-1);
       hist = Array.make 64 0;
-      stamp = 0;
-      aff_stamp = Fa.make sz 0;
-      set_stamp = Fa.make sz 0;
-      nk_stamp = Fa.make sz 0;
-      w_stamp = Fa.make (sz / p.W.d) 0;
-      cand = Fa.make sz max_int;
+      mark = Fa.Byte.make sz 0;
+      wmark = Fa.Byte.make (sz / p.W.d) 0;
       queue = vec_create ();
       affected = vec_create ();
       changed = vec_create ();

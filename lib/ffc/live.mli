@@ -30,18 +30,26 @@
     B\u{2217} that stops being the unique largest component — fall back to
     the batch pipeline ({!outcome} reports which path ran).
 
-    On B(2,22) a typical event touches a few dozen nodes: microseconds
-    against the ~1.7 s batch recompute (see [bench live]).
+    A patched event moves 160–195 nodes on average on B(2,20) (the
+    [live-churn] benchmark's traced [live.affected_per_event]), against
+    dⁿ for the batch recompute: tens of microseconds against the ~1.7 s
+    recompute of B(2,22) (see [bench live]).
 
     A [Live.t] owns all of its tables, off-heap ({!Graphlib.Flatarr}),
     with B\u{2217} membership keyed by necklace representative; the
     optional workspace is used only for the embedded batch fallback, so
     one [Live.t] plus one {!Workspace.t} per domain is the intended
-    churn-campaign setup.  The footprint is eight dⁿ-word tables, two
-    dⁿ⁻¹-word tables and two bytes per node: the fault flags, and the
-    ring as one {!Succ_digit} byte per node (the batch embed's own
-    format, copied in by a fallback at 1 byte per node; the escape
-    side table adds dⁿ words for d ≥ 255). *)
+    churn-campaign setup.  The footprint is 4·4 + 3 + 5/d bytes per
+    node, 21.5 at d = 2: four 32-bit cells per node (representative,
+    distance, and the chosen node and bucket link keyed by
+    representative) and one per (n−1)-suffix (the bucket heads); a
+    byte per node each for the fault flag, the ring as one
+    {!Succ_digit} digit (the batch embed's own format, copied in by a
+    fallback at 1 byte per node; the escape side table adds dⁿ words
+    for d ≥ 255) and the event's marks; and a mark byte per suffix.
+    The marks are set during an event and cleared from its touched
+    lists when it ends, so an event costs O(touched nodes), never
+    O(dⁿ). *)
 
 type event =
   | Fault of int  (** the node becomes faulty *)
@@ -84,7 +92,8 @@ val create :
     stays comparable to [Embed.embed ?root_hint ?ws] throughout; the
     fallbacks run sequentially.
     @raise Invalid_argument on an out-of-range fault or a workspace
-    built for a different (d, n). *)
+    built for a different (d, n), and past 2³¹ nodes before allocating
+    anything ({!Graphlib.Flatarr.I32.check_nodes}). *)
 
 val apply : t -> event -> (outcome, error) result
 (** Absorb one event.  [Error] rejects the event {e without} touching

@@ -16,11 +16,12 @@ let fail reason = Pipeline_error.raise_error ~stage:"Spanning" reason
    −1 outside B* in both engines, and callers ask only for dv ≥ 1.
    Module-level so the parent search allocates no closure — a capturing
    [let rec] in a loop would cost ~9 minor words per call. *)
-let rec find_parent (dist : Fa.t) stride d pre dv a =
+let rec find_parent (dist : Fa.I32.t) stride d pre dv a =
   if a = d then -1
   else
     let u = (a * stride) + pre in
-    if dist.{u} = dv - 1 then u else find_parent dist stride d pre dv (a + 1)
+    if Int32.to_int dist.{u} = dv - 1 then u
+    else find_parent dist stride d pre dv (a + 1)
 [@@lint.hot]
 
 let build ?domains:_ ?ws (adj : Adjacency.t) =
@@ -37,7 +38,7 @@ let build ?domains:_ ?ws (adj : Adjacency.t) =
   if in_bstar.{root} = 0 then fail "the root R is not in B*";
   let m = Array.length adj.Adjacency.reps in
   let idx_of_node = adj.Adjacency.idx_of_node in
-  let root_idx = idx_of_node.{root} in
+  let root_idx = Int32.to_int idx_of_node.{root} in
   (* Necklace-level arrays: workspace capacity is the fault-free
      necklace count ≥ m; only the first m entries are (re)set and
      read. *)
@@ -57,10 +58,11 @@ let build ?domains:_ ?ws (adj : Adjacency.t) =
      (dist, node) minimum per necklace.  One ascending node scan: on
      equal distance the first (smallest) node sticks. *)
   for v = 0 to size - 1 do
-    let i = idx_of_node.{v} in
+    let i = Int32.to_int idx_of_node.{v} in
     if i >= 0 then begin
       let b = chosen.{i} in
-      if b < 0 || dist.{v} < dist.{b} then chosen.{i} <- v
+      if b < 0 || Int32.to_int dist.{v} < Int32.to_int dist.{b} then
+        chosen.{i} <- v
     end
   done;
   (* Step 1.2 reads the T′ parent of each chosen Y alone, so the parent
@@ -73,10 +75,12 @@ let build ?domains:_ ?ws (adj : Adjacency.t) =
     let y = chosen.{i} in
     if y < 0 then fail "a necklace of B* has no reached node";
     if i <> root_idx then begin
-      let par_node = find_parent dist stride d (y / d) dist.{y} 0 in
+      let par_node =
+        find_parent dist stride d (y / d) (Int32.to_int dist.{y}) 0
+      in
       if par_node < 0 then fail "a necklace's earliest node has no T' parent";
       if in_bstar.{par_node} = 0 then fail "a necklace's T' parent lies outside B*";
-      parent.{i} <- idx_of_node.{par_node};
+      parent.{i} <- Int32.to_int idx_of_node.{par_node};
       label.{i} <- W.prefix p y
     end
   done;
@@ -264,7 +268,9 @@ let out_edge m idx w =
   let p = adj.Adjacency.bstar.Bstar.p in
   match Adjacency.node_with_suffix adj idx w with
   | Some exit when is_exit p m exit ->
-      Some adj.Adjacency.idx_of_node.{W.snoc p w (Succ_digit.get m.digit exit)}
+      Some
+        (Int32.to_int
+           adj.Adjacency.idx_of_node.{W.snoc p w (Succ_digit.get m.digit exit)})
   | _ -> None
 
 let d_edge_count m =

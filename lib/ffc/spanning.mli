@@ -28,7 +28,7 @@ type tree = {
   chosen : Graphlib.Flatarr.t;  (** per necklace: the earliest-reached node Y *)
 }
 
-val find_parent : Graphlib.Flatarr.t -> int -> int -> int -> int -> int -> int
+val find_parent : Graphlib.Flatarr.I32.t -> int -> int -> int -> int -> int -> int
 (** [find_parent dist stride d pre dv 0] — the T′ parent rule (Step 1.1),
     shared with [Live]: the least predecessor [a·stride + pre] at
     distance [dv − 1] (dv ≥ 1), or −1.  [dist] is −1 outside B\u{2217}. *)
@@ -66,8 +66,8 @@ type modified = {
 }
 
 val link_class :
-  Debruijn.Word.params -> Graphlib.Flatarr.t -> Graphlib.Flatarr.t -> int -> int ->
-  Succ_digit.t -> bool
+  Debruijn.Word.params -> Graphlib.Flatarr.I32.t -> Graphlib.Flatarr.t -> int ->
+  int -> Succ_digit.t -> bool
 (** [link_class p key members k w digit] — the T_w linking rule (Step
     2), shared with [Live]: sort the k keys in [members.{0 .. k−1}]
     ascending and write the w-cycle through them, exit(i) → entry(i+1

@@ -10,7 +10,7 @@ type t = {
   (* node-level scratch (dⁿ entries) *)
   necklace_faulty : Fa.Byte.t;
   in_bstar : Fa.Byte.t;
-  idx_of_node : Fa.t;
+  idx_of_node : Fa.I32.t;
   digit : Succ_digit.t;
   successor : Fa.t;
   cycle_seen : Bs.t;
@@ -52,22 +52,23 @@ let count_necklaces p =
 
 let create p =
   let size = p.W.size in
+  Fa.I32.check_nodes size;
   let wsize = size / p.W.d in
   let m = count_necklaces p in
-  (* All word/byte scratch comes out of one arena: two backing
-     allocations total, every region starting at a 64-byte-separated
-     offset (Flatarr.Arena), so two campaign domains — each with its own
-     workspace — or two arrays of one workspace never share a cache
-     line.  The backing sizes are the exact sums of the aligned carve
-     sizes below, in order. *)
+  (* All scratch comes out of one arena: one backing allocation per
+     cell kind (words, bytes, 32-bit cells), every region starting at a
+     64-byte-separated offset (Flatarr.Arena), so two campaign domains
+     — each with its own workspace — or two arrays of one workspace
+     never share a cache line.  The backing sizes are the exact sums of
+     the aligned carve sizes below, in order. *)
   let aw = Fa.Arena.aligned_words in
   let wide = Succ_digit.wide_length p in
   let words =
-    (2 * aw size) + aw wide + It.ws_arena_words size
-    + (5 * aw m) + aw (m + 1) + (2 * aw wsize)
+    aw size + aw wide + (5 * aw m) + aw (m + 1) + (2 * aw wsize)
   in
   let bytes = 3 * Fa.Arena.aligned_bytes size in
-  let arena = Fa.Arena.create ~words ~bytes in
+  let cells = Fa.Arena.aligned_cells size + It.ws_arena_cells size in
+  let arena = Fa.Arena.create ~words ~bytes ~cells in
   let carve n =
     let a = Fa.Arena.carve arena n in
     Fa.fill a (-1);
@@ -79,7 +80,10 @@ let create p =
     arena;
     necklace_faulty = Fa.Arena.carve_byte arena size;
     in_bstar = Fa.Arena.carve_byte arena size;
-    idx_of_node = carve size;
+    idx_of_node =
+      (let a = Fa.Arena.carve_i32 arena size in
+       Fa.I32.fill a (-1);
+       a);
     digit = { Succ_digit.bytes = Fa.Arena.carve_byte arena size; wide = carve wide };
     successor = carve size;
     cycle_seen = Bs.create size;

@@ -6,10 +6,10 @@
     index, adjacency/spanning buffers, the ring's digit table and the
     successor map — sized once by {!create} and reused across
     trials via the [?ws] argument of [Bstar.compute], [Embed.embed]
-    etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: two
-    [Bigarray] backing allocations (words + flag bytes) the GC never
-    scans, each region carved at a 64-byte-separated offset so no two
-    arrays — nor two domains' workspaces — share a cache line.  A
+    etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: three
+    [Bigarray] backing allocations (words, bytes and 32-bit cells) the
+    GC never scans, each region carved at a 64-byte-separated offset so
+    no two arrays — nor two domains' workspaces — share a cache line.  A
     steady-state trial then allocates almost nothing beyond the
     returned ring (see DESIGN.md §5 and §6b for the
     ownership/reset/layout contract).
@@ -33,11 +33,12 @@ type t = {
           necklace-level arrays (any B* has at most this many) *)
   arena : Graphlib.Flatarr.Arena.arena;
       (** the backing storage every array below is carved from —
-          exposed for size introspection ([words_used]/[bytes_used]) *)
+          exposed for size introspection ([words_used]/[bytes_used]/
+          [cells_used]) *)
   (* node-level scratch, dⁿ entries *)
   necklace_faulty : Graphlib.Flatarr.Byte.t;  (** owned by [Bstar.compute] *)
   in_bstar : Graphlib.Flatarr.Byte.t;  (** owned by [Bstar.compute] *)
-  idx_of_node : Graphlib.Flatarr.t;  (** owned by [Adjacency.build] *)
+  idx_of_node : Graphlib.Flatarr.I32.t;  (** owned by [Adjacency.build] *)
   digit : Succ_digit.t;
       (** the ring, one byte per node (and the escape table for
           d ≥ 255); owned by [Spanning.modify] *)
@@ -61,12 +62,17 @@ type t = {
 }
 
 val create : Debruijn.Word.params -> t
-(** Allocate the whole arena for (d, n): 4 words per node, 6 per
-    necklace and 2 per (n−1)-suffix (≈ 4·dⁿ + 6·K + 2·dⁿ⁻¹ words), plus
-    3 bytes per node (two flags and the ring's digit), in two backing
-    allocations; for d ≥ 255 the digit table's escape side table adds
-    dⁿ words.  Two one-bit-per-node sets live on the heap.  O(dⁿ) time
-    (one necklace-counting sweep). *)
+(** Allocate the whole arena for (d, n): per node 1 word (the
+    successor map), three 32-bit cells (the necklace index and Itopo's
+    [dist] and [order]) and 3 bytes (two flags and the ring's digit);
+    6 words per necklace and 2 per (n−1)-suffix.  That is
+    dⁿ + 6·K + 2·dⁿ⁻¹ words (K the necklace count), 3·dⁿ cells and
+    3·dⁿ bytes — about 34 bytes per node at B(2,20), 12 fewer than
+    with word cells — in one backing allocation per cell kind.  For d ≥ 255 the digit table's escape side table adds dⁿ
+    words.  Two one-bit-per-node sets live on the heap.  O(dⁿ) time
+    (one necklace-counting sweep).
+    @raise Invalid_argument past 2³¹ nodes, before allocating anything
+    ({!Graphlib.Flatarr.I32.check_nodes}). *)
 
 val check : t -> Debruijn.Word.params -> unit
 (** @raise Invalid_argument when the workspace was built for a

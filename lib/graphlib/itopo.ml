@@ -1,28 +1,38 @@
 type iter = int -> (int -> unit) -> unit
 
-type bfs = { dist : Flatarr.t; order : Flatarr.t; count : int }
+module I32 = Flatarr.I32
+
+type bfs = { dist : I32.t; order : I32.t; count : int }
 
 (* Reusable traversal scratch: one visited bitset plus full-size
    distance/order arrays, sized for a fixed node count [n].  The
-   dist/order arrays are off-heap ({!Flatarr}) — optionally carved out
-   of a caller-supplied arena — so a traversal's 2n-word working set
-   never enters the GC.  Every traversal that accepts [?ws] resets
-   exactly the state it uses (bitset clear is O(n/8); the dist fill is
-   O(n)), so reuse across traversals is bit-identical to fresh
-   allocation. *)
-type ws = { wn : int; wvisited : Bitset.t; wdist : Flatarr.t; worder : Flatarr.t }
+   dist/order arrays are off-heap 32-bit cells ({!Flatarr.I32}) —
+   optionally carved out of a caller-supplied arena — so a traversal's
+   8n-byte working set never enters the GC.  Every traversal that
+   accepts [?ws] resets exactly the state it uses (bitset clear is
+   O(n/8); the dist fill is O(n)), so reuse across traversals is
+   bit-identical to fresh allocation.  The loops below index the cells
+   directly ([Int32.to_int a.{i}]): a cross-module accessor would be a
+   call per node under [-opaque]. *)
+type ws = { wn : int; wvisited : Bitset.t; wdist : I32.t; worder : I32.t }
 
-let ws_arena_words n = 2 * Flatarr.Arena.aligned_words n
+let ws_arena_cells n = 2 * Flatarr.Arena.aligned_cells n
+
+(* Every fresh node table goes through the 2³¹ preflight first. *)
+let fresh_cells n v =
+  I32.check_nodes n;
+  I32.make n v
 
 let ws_create ?arena n =
   if n < 0 then invalid_arg "Itopo.ws_create: negative size";
+  I32.check_nodes n;
   let dist, order =
     match arena with
-    | None -> (Flatarr.make n (-1), Flatarr.make n 0)
+    | None -> (I32.make n (-1), I32.make n 0)
     | Some a ->
-        let d = Flatarr.Arena.carve a n in
-        Flatarr.fill d (-1);
-        (d, Flatarr.Arena.carve a n)
+        let d = Flatarr.Arena.carve_i32 a n in
+        I32.fill d (-1);
+        (d, Flatarr.Arena.carve_i32 a n)
   in
   { wn = n; wvisited = Bitset.create n; wdist = dist; worder = order }
 
@@ -63,13 +73,13 @@ let masked_visited ?ws ~n ~keep () =
   visited
 
 let order_array ?ws ~n () =
-  match ws with None -> Flatarr.make n 0 | Some w -> w.worder
+  match ws with None -> fresh_cells n 0 | Some w -> w.worder
 
 let dist_array ?ws ~n () =
   match ws with
-  | None -> Flatarr.make n (-1)
+  | None -> fresh_cells n (-1)
   | Some w ->
-      Flatarr.fill w.wdist (-1);
+      I32.fill w.wdist (-1);
       w.wdist
 
 let bfs ?ws ~n ~succs ?(keep = keep_all) src =
@@ -80,8 +90,8 @@ let bfs ?ws ~n ~succs ?(keep = keep_all) src =
   let visited = masked_visited ?ws ~n ~keep () in
   if not (Bitset.mem visited src) then begin
     Bitset.add visited src;
-    dist.{src} <- 0;
-    order.{0} <- src;
+    dist.{src} <- 0l;
+    order.{0} <- Int32.of_int src;
     count := 1;
     let level_start = ref 0 in
     let d = ref 0 in
@@ -91,8 +101,8 @@ let bfs ?ws ~n ~succs ?(keep = keep_all) src =
     let consider v =
       if not (Bitset.mem visited v) then begin
         Bitset.add visited v;
-        dist.{v} <- !d;
-        order.{!count} <- v;
+        dist.{v} <- Int32.of_int !d;
+        order.{!count} <- Int32.of_int v;
         incr count
       end
     in
@@ -101,35 +111,36 @@ let bfs ?ws ~n ~succs ?(keep = keep_all) src =
       level_start := hi;
       incr d;
       for i = lo to hi - 1 do
-        succs order.{i} consider
+        succs (Int32.to_int order.{i}) consider
       done
     done
   end;
   { dist; order; count = !count }
 
 let bfs_dist ~n ~succs ?keep src =
-  Flatarr.to_array (bfs ~n ~succs ?keep src).dist
+  I32.to_array (bfs ~n ~succs ?keep src).dist
 
 let eccentricity ~n ~succs ?keep src =
   let r = bfs ~n ~succs ?keep src in
   (* BFS discovers nodes by nondecreasing distance, so the last
      discovery is the farthest. *)
-  if r.count = 0 then 0 else r.dist.{r.order.{r.count - 1}}
+  if r.count = 0 then 0
+  else Int32.to_int r.dist.{Int32.to_int r.order.{r.count - 1}}
 
 (* Visited-bitset BFS (no distances) appending discoveries to [order]
    from position [!count]; [visited] must already have [src] unmarked
    and every excluded node pre-marked ({!masked_visited}).  Shared by
    the component sweeps so that one bitset + one order array span every
    seed. *)
-let flood ~succs ~visited ~(order : Flatarr.t) ~count src =
+let flood ~succs ~visited ~(order : I32.t) ~count src =
   Bitset.add visited src;
-  order.{!count} <- src;
+  order.{!count} <- Int32.of_int src;
   incr count;
   let level_start = ref (!count - 1) in
   let consider v =
     if not (Bitset.mem visited v) then begin
       Bitset.add visited v;
-      order.{!count} <- v;
+      order.{!count} <- Int32.of_int v;
       incr count
     end
   in
@@ -137,7 +148,7 @@ let flood ~succs ~visited ~(order : Flatarr.t) ~count src =
     let lo = !level_start and hi = !count in
     level_start := hi;
     for i = lo to hi - 1 do
-      succs order.{i} consider
+      succs (Int32.to_int order.{i}) consider
     done
   done
 
@@ -202,9 +213,9 @@ let lwc_sweep ~n ~both ~visited ~order =
 let largest_weak_component ~n ~succs ~preds ?(keep = keep_all) () =
   let both = symmetric ~succs ~preds in
   let visited = masked_visited ~n ~keep () in
-  let order = Flatarr.make n 0 in
+  let order = fresh_cells n 0 in
   let start, size = lwc_sweep ~n ~both ~visited ~order in
-  Flatarr.sub_to_array order start size
+  I32.sub_to_array order start size
 
 let largest_weak_component_span ~ws ~n ~succs ~preds ?(keep = keep_all) () =
   let both = symmetric ~succs ~preds in
@@ -216,7 +227,7 @@ let largest_weak_component_span ~ws ~n ~succs ~preds ?(keep = keep_all) () =
 let weak_labels ~n ~succs ~preds ?(keep = keep_all) () =
   let both = symmetric ~succs ~preds in
   let visited = masked_visited ~n ~keep () in
-  let order = Flatarr.make n 0 in
+  let order = fresh_cells n 0 in
   let count = ref 0 in
   let label = Array.make n (-1) in
   for seed = 0 to n - 1 do
@@ -224,7 +235,7 @@ let weak_labels ~n ~succs ~preds ?(keep = keep_all) () =
       let start = !count in
       flood ~succs:both ~visited ~order ~count seed;
       for i = start to !count - 1 do
-        label.(order.{i}) <- seed
+        label.(Int32.to_int order.{i}) <- seed
       done
     end
   done;

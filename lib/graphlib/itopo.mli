@@ -9,9 +9,11 @@
     building any adjacency structure at all; a [Digraph.t] is walked
     through its successor lists ([fun v f -> List.iter f (Digraph.succs
     g v)]), as [Euler] and [Kautz] do.  State is flat and off-heap:
-    distances and discovery order in {!Flatarr.t}s (the BFS queue {e is}
-    the discovery-order array — every node is pushed at most once, so no
-    ring buffer is needed), visited marks in {!Bitset}.  The seed's
+    distances and discovery order in 32-bit {!Flatarr.I32} cells (the
+    BFS queue {e is} the discovery-order array — every node is pushed
+    at most once, so no ring buffer is needed), visited marks in
+    {!Bitset}.  Node counts are therefore limited to 2³¹
+    ({!Flatarr.I32.check_nodes}).  The seed's
     list-based traversal layer survives only as the tests' reference
     ([Oracles.Traversal], in a test-only library).
 
@@ -32,8 +34,8 @@ val no_preds : iter
     walk [succs] alone — half the edge work and no wrapper closure. *)
 
 type bfs = {
-  dist : Flatarr.t;  (** distance from the source; [-1] if unreached *)
-  order : Flatarr.t;
+  dist : Flatarr.I32.t;  (** distance from the source; [-1] if unreached *)
+  order : Flatarr.I32.t;
       (** [order.{0 .. count−1}] are the reached nodes in discovery
           order (nondecreasing distance); entries beyond [count] are
           meaningless *)
@@ -51,13 +53,15 @@ type ws
 
 val ws_create : ?arena:Flatarr.Arena.arena -> int -> ws
 (** [ws_create n] — workspace for traversals over node ids
-    [0 .. n−1].  The 2n-word dist/order storage is off-heap: freshly
-    allocated, or carved from [?arena] (exactly {!ws_arena_words}[ n]
-    words — how [Ffc.Workspace] folds the traversal scratch into its
-    single backing allocation). *)
+    [0 .. n−1].  The 2n-cell dist/order storage is off-heap: freshly
+    allocated, or carved from [?arena] (exactly {!ws_arena_cells}[ n]
+    cells — how [Ffc.Workspace] folds the traversal scratch into its
+    arena).
+    @raise Invalid_argument past 2³¹ nodes, before allocating
+    ({!Flatarr.I32.check_nodes}). *)
 
-val ws_arena_words : int -> int
-(** Arena words consumed by [ws_create ~arena n]. *)
+val ws_arena_cells : int -> int
+(** Arena 32-bit cells consumed by [ws_create ~arena n]. *)
 
 val bfs : ?ws:ws -> n:int -> succs:iter -> ?keep:(int -> bool) -> int -> bfs
 (** [bfs ~n ~succs src] — BFS from [src] over node ids [0 .. n−1], in
@@ -101,7 +105,7 @@ val largest_weak_component_span :
   preds:iter ->
   ?keep:(int -> bool) ->
   unit ->
-  Flatarr.t * int * int
+  Flatarr.I32.t * int * int
 (** Allocation-free {!largest_weak_component}: returns
     [(order, start, size)] where [order.{start .. start+size−1}] is the
     largest component in BFS discovery order.  [order] is the

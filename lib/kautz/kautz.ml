@@ -95,6 +95,8 @@ let diameter t =
   for v = 0 to t.size - 1 do
     let r = It.bfs ~ws ~n:t.size ~succs v in
     if r.It.count = t.size then
-      best := max !best r.It.dist.{r.It.order.{r.It.count - 1}}
+      best :=
+        max !best
+          (Int32.to_int r.It.dist.{Int32.to_int r.It.order.{r.It.count - 1}})
   done;
   !best

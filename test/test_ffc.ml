@@ -51,7 +51,7 @@ let dist_matches_traversal (b : B.t) =
   let dist =
     Oracles.Traversal.bfs_dist_restricted g (fun v -> b.B.in_bstar.{v} <> 0) b.B.root
   in
-  Fa.to_array b.B.dist = dist && b.B.ecc = Array.fold_left max 0 dist
+  Fa.I32.to_array b.B.dist = dist && b.B.ecc = Array.fold_left max 0 dist
 
 (* ------------------------------------------------------------------ *)
 (* B* *)
@@ -194,7 +194,7 @@ let test_adjacency_figure_2_3 () =
   Bigarray.Array1.blit cut.B.in_bstar in_bstar;
   in_bstar.{0} <- 1;
   let mangled = A.build { cut with B.in_bstar; size = cut.B.size + 1 } in
-  check_int "[000] indexed" 0 mangled.A.idx_of_node.{0};
+  check_int "[000] indexed" 0 (Int32.to_int mangled.A.idx_of_node.{0});
   check_bool "N* with [000] back is disconnected" false (A.is_connected mangled)
 
 let test_adjacency_entry_exit () =
@@ -222,7 +222,7 @@ let test_adjacency_unique_alpha_w () =
       for w = 0 to p2.W.size - 1 do
         let hits =
           List.filter
-            (fun a -> adj.A.idx_of_node.{W.cons p33 a w} = i)
+            (fun a -> Int32.to_int adj.A.idx_of_node.{W.cons p33 a w} = i)
             [ 0; 1; 2 ]
         in
         check_bool "at most one" true (List.length hits <= 1)
@@ -697,7 +697,8 @@ let test_lemma_2_1_arc_structure () =
             Array.iteri
               (fun i v ->
                 let prev = cyc.(((i - 1) mod k + k) mod k) in
-                let nv = adj.A.idx_of_node.{v} and np = adj.A.idx_of_node.{prev} in
+                let nv = Int32.to_int adj.A.idx_of_node.{v}
+                and np = Int32.to_int adj.A.idx_of_node.{prev} in
                 if nv <> np then entries.(nv) <- entries.(nv) + 1)
               cyc;
             (* expected: the number of distinct w with an outgoing D-edge
@@ -706,7 +707,7 @@ let test_lemma_2_1_arc_structure () =
             for x = 0 to p.W.size - 1 do
               let beta = Ffc.Succ_digit.get m.Sp.digit x in
               if beta >= 0 && beta <> W.first_digit p x then begin
-                let i = adj.A.idx_of_node.{x} in
+                let i = Int32.to_int adj.A.idx_of_node.{x} in
                 out_degrees.(i) <- out_degrees.(i) + 1
               end
             done;

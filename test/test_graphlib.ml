@@ -240,14 +240,14 @@ let ipreds g v f = List.iter f (D.preds g v)
 
 let test_itopo_bfs_ring () =
   let r = It.bfs ~n:5 ~succs:(isuccs ring5) 0 in
-  Alcotest.(check (array int)) "dist" [| 0; 1; 2; 3; 4 |] (Fa.to_array r.It.dist);
+  Alcotest.(check (array int)) "dist" [| 0; 1; 2; 3; 4 |] (Fa.I32.to_array r.It.dist);
   check_int "count" 5 r.It.count;
   Alcotest.(check (array int)) "order" [| 0; 1; 2; 3; 4 |]
-    (Fa.sub_to_array r.It.order 0 r.It.count);
+    (Fa.I32.sub_to_array r.It.order 0 r.It.count);
   check_int "ecc" 4 (It.eccentricity ~n:5 ~succs:(isuccs ring5) 0);
   (* keep predicate cuts the ring *)
   let r = It.bfs ~n:5 ~succs:(isuccs ring5) ~keep:(fun v -> v <> 2) 0 in
-  check_int "blocked dist" (-1) r.It.dist.{3};
+  check_int "blocked dist" (-1) (Int32.to_int r.It.dist.{3});
   check_int "blocked count" 2 r.It.count;
   (* source failing keep reaches nothing *)
   let r = It.bfs ~n:5 ~succs:(isuccs ring5) ~keep:(fun v -> v <> 0) 0 in
@@ -450,8 +450,8 @@ let qsuite_compact =
         let dist, order = fifo_bfs g ~keep src in
         let matches (r : It.bfs) =
           r.It.count = Array.length order
-          && Fa.to_array r.It.dist = dist
-          && Fa.sub_to_array r.It.order 0 r.It.count = order
+          && Fa.I32.to_array r.It.dist = dist
+          && Fa.I32.sub_to_array r.It.order 0 r.It.count = order
         in
         let ws = It.ws_create n in
         let fresh = matches (It.bfs ~n ~succs ~keep src) in
@@ -461,7 +461,7 @@ let qsuite_compact =
         let span_order, start, size =
           It.largest_weak_component_span ~ws ~n ~succs ~preds ~keep ()
         in
-        let span = Fa.sub_to_array span_order start size = component in
+        let span = Fa.I32.sub_to_array span_order start size = component in
         fresh && reused && span && matches (It.bfs ~ws ~n ~succs ~keep src));
     Test.make ~name:"Itopo.bfs_dist = Traversal.bfs_dist" ~count:200 arb_graph
       (fun (n, es) ->
@@ -551,7 +551,7 @@ let test_flatarr_basics () =
 let test_flatarr_arena () =
   let words = 2 * Fa.Arena.aligned_words 10 in
   let bytes = Fa.Arena.aligned_bytes 100 in
-  let a = Fa.Arena.create ~words ~bytes in
+  let a = Fa.Arena.create ~words ~bytes ~cells:0 in
   let x = Fa.Arena.carve a 10 in
   let y = Fa.Arena.carve a 10 in
   check_int "zeroed" 0 x.{9};
@@ -573,21 +573,67 @@ let test_flatarr_arena () =
     (Invalid_argument "Flatarr.Arena.carve_byte: arena exhausted") (fun () ->
       ignore (Fa.Arena.carve_byte a 1))
 
+(* The 32-bit kind: node ids, keys and levels, and the -1 sentinel. *)
+let test_flatarr_i32 () =
+  let module I = Fa.I32 in
+  let edge = [| -1; 0; Int32.to_int Int32.max_int; Int32.to_int Int32.min_int |] in
+  let a = I.create 4 in
+  Array.iteri (fun i v -> a.{i} <- Int32.of_int v) edge;
+  Array.iteri
+    (fun i v -> check_int (Printf.sprintf "cell %d round-trips" i) v (Int32.to_int a.{i}))
+    edge;
+  Alcotest.(check (array int)) "to_array" edge (I.to_array a);
+  Alcotest.(check (array int)) "sub_to_array" [| 0; Int32.to_int Int32.max_int |]
+    (I.sub_to_array a 1 2);
+  let b = I.make 5 (-1) in
+  check_int "make fills" (-1) (Int32.to_int b.{4});
+  check_int "length" 5 (I.length b);
+  I.fill b 3;
+  Alcotest.(check (array int)) "fill" [| 3; 3; 3; 3; 3 |] (I.to_array b);
+  I.check_nodes I.max_nodes;
+  check_int "limit" (1 lsl 31) I.max_nodes;
+  Alcotest.check_raises "past 2^31 nodes"
+    (Invalid_argument
+       "d^n = 2147483649 nodes is past the 2^31 limit of the 32-bit node tables")
+    (fun () -> I.check_nodes (I.max_nodes + 1))
+
+let test_flatarr_i32_arena () =
+  let cells = Fa.Arena.aligned_cells 10 + Fa.Arena.aligned_cells 16 in
+  let a = Fa.Arena.create ~words:0 ~bytes:0 ~cells in
+  check_int "16 cells per 64 bytes" 16 (Fa.Arena.aligned_cells 10);
+  let x = Fa.Arena.carve_i32 a 10 in
+  check_int "next carve starts one 64-byte line on" 16 (Fa.Arena.cells_used a);
+  let y = Fa.Arena.carve_i32 a 16 in
+  check_int "cells used" 32 (Fa.Arena.cells_used a);
+  check_int "carve length" 10 (Fa.I32.length x);
+  Alcotest.(check (array int)) "zeroed" (Array.make 16 0) (Fa.I32.to_array y);
+  (* disjoint views of one backing *)
+  Array.iteri (fun i v -> x.{i} <- Int32.of_int v) [| -1; 0; 1; 2; 3; 4; 5; 6; 7; 8 |];
+  y.{0} <- Int32.max_int;
+  check_int "no overlap" 8 (Int32.to_int x.{9});
+  Fa.I32.blit x y;
+  Alcotest.(check (array int)) "blit between views"
+    [| -1; 0; 1; 2; 3; 4; 5; 6; 7; 8; 0; 0; 0; 0; 0; 0 |]
+    (Fa.I32.to_array y);
+  Alcotest.check_raises "cell arena exhausted"
+    (Invalid_argument "Flatarr.Arena.carve_i32: arena exhausted") (fun () ->
+      ignore (Fa.Arena.carve_i32 a 1))
+
 let test_itopo_ws_arena () =
   (* A workspace carved from an arena behaves exactly like a fresh one. *)
   let n = 64 in
   let arena =
-    Fa.Arena.create ~words:(It.ws_arena_words n) ~bytes:0
+    Fa.Arena.create ~words:0 ~bytes:0 ~cells:(It.ws_arena_cells n)
   in
   let ws = It.ws_create ~arena n in
-  check_int "arena fully consumed" (It.ws_arena_words n)
-    (Fa.Arena.words_used arena);
+  check_int "arena fully consumed" (It.ws_arena_cells n)
+    (Fa.Arena.cells_used arena);
   let succs v f = if v + 1 < n then f (v + 1) in
   let fresh = It.bfs ~n ~succs 0 in
   let arened = It.bfs ~ws ~n ~succs 0 in
   check_int "same count" fresh.It.count arened.It.count;
-  Alcotest.(check (array int)) "same dist" (Fa.to_array fresh.It.dist)
-    (Fa.to_array arened.It.dist)
+  Alcotest.(check (array int)) "same dist" (Fa.I32.to_array fresh.It.dist)
+    (Fa.I32.to_array arened.It.dist)
 
 let () =
   Alcotest.run "graphlib"
@@ -652,6 +698,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_flatarr_basics;
           Alcotest.test_case "arena carving" `Quick test_flatarr_arena;
+          Alcotest.test_case "32-bit cells" `Quick test_flatarr_i32;
+          Alcotest.test_case "32-bit arena carving" `Quick test_flatarr_i32_arena;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qsuite);
       ( "compact vs reference",

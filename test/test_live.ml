@@ -31,7 +31,8 @@ let oracle_agrees ?(materialize = true) ?domains (live : Lv.t) p faults =
           for v = 0 to p.W.size - 1 do
             if Lv.in_bstar live v <> (b.B.in_bstar.{v} <> 0) then ok := false;
             if Lv.successor live v <> e.E.successor.{v} then ok := false;
-            if b.B.in_bstar.{v} <> 0 && Lv.dist live v <> b.B.dist.{v} then
+            if b.B.in_bstar.{v} <> 0 && Lv.dist live v <> Int32.to_int b.B.dist.{v}
+            then
               ok := false
           done;
           !ok)
@@ -177,6 +178,65 @@ let test_heap_footprint () =
   if words >= p.W.size / 16 then
     Alcotest.failf "a Live.t of B(2,16) reaches %d heap words" words
 
+(* A churn sequence generated up front from a shadow fault set, with
+   the birth-death rule of [churn_agrees], so that applying it runs
+   nothing but [Live.apply]. *)
+let churn_events p ~seed ~count ~target =
+  let rng = Util.Rng.create seed in
+  let faulty = Array.make p.W.size false in
+  let active = Array.make count 0 in
+  let nf = ref 0 in
+  Array.init count (fun _ ->
+      if !nf < p.W.size && (!nf = 0 || Util.Rng.int rng (target + !nf) < target)
+      then begin
+        let v = ref (Util.Rng.int rng p.W.size) in
+        while faulty.(!v) do
+          v := Util.Rng.int rng p.W.size
+        done;
+        faulty.(!v) <- true;
+        active.(!nf) <- !v;
+        incr nf;
+        Lv.Fault !v
+      end
+      else begin
+        let i = Util.Rng.int rng !nf in
+        let v = active.(i) in
+        decr nf;
+        active.(i) <- active.(!nf);
+        faulty.(v) <- false;
+        Lv.Repair v
+      end)
+
+let test_event_allocation_ceiling () =
+  (* The event path reads and writes 32-bit cells and mark bytes that
+     the compiler keeps unboxed; one boxed [int32] per touched node
+     (three words each) would show here.  Mean minor words per accepted
+     event on a warm engine with a workspace, fallbacks included; each
+     ceiling is about twice the figure the engine reads (at n = 10 and
+     n = 5, 83 and 57 words). *)
+  List.iter
+    (fun (d, n, ceiling) ->
+      let p = W.params ~d ~n in
+      let warm = 200 and count = 400 in
+      let evs = churn_events p ~seed:11 ~count:(warm + count) ~target:4 in
+      let live = Lv.create ~root_hint:1 ~ws:(Ffc.Workspace.create p) p ~faults:[] in
+      for i = 0 to warm - 1 do
+        ignore (Lv.apply live evs.(i))
+      done;
+      let before = (Lv.stats live).Lv.events in
+      let m0 = Gc.minor_words () in
+      for i = warm to warm + count - 1 do
+        ignore (Lv.apply live evs.(i))
+      done;
+      let words = Gc.minor_words () -. m0 in
+      let accepted = (Lv.stats live).Lv.events - before in
+      check_int "every event accepted" count accepted;
+      let per_event = words /. float accepted in
+      if per_event > ceiling then
+        Alcotest.failf "B(%d,%d): %.1f minor words per event, ceiling %.0f" d n
+          per_event ceiling)
+    [ (2, 10, 160.); (3, 5, 110.) ]
+
 let test_stats_accounting () =
   let p = W.params ~d:2 ~n:6 in
   let live = Lv.create ~root_hint:1 p ~faults:[] in
@@ -250,7 +310,9 @@ let test_tprime_parent_outside_bstar () =
       for i = 0 to Graphlib.Flatarr.length tree.Sp.chosen - 1 do
         if i <> tree.Sp.root_idx then begin
           let y = tree.Sp.chosen.{i} in
-          let par = Sp.find_parent dist (p.W.size / d) d (y / d) dist.{y} 0 in
+          let par =
+            Sp.find_parent dist (p.W.size / d) d (y / d) (Int32.to_int dist.{y}) 0
+          in
           let in_bstar = Graphlib.Flatarr.Byte.make p.W.size 0 in
           Bigarray.Array1.blit healthy.B.in_bstar in_bstar;
           in_bstar.{par} <- 0;
@@ -358,6 +420,8 @@ let () =
           Alcotest.test_case "empty and back" `Quick test_empty_to_full_cycle;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
           Alcotest.test_case "heap footprint" `Quick test_heap_footprint;
+          Alcotest.test_case "per-event allocation ceiling" `Quick
+            test_event_allocation_ceiling;
         ] );
       ( "crash-paths",
         [

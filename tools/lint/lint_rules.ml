@@ -270,7 +270,8 @@ let rec r3_init_shape ctx e =
           match comps with
           | [ m; f ] when List.mem m mutable_modules && List.mem f mutable_makers ->
               Some (Printf.sprintf "a mutable %s.%s" m f)
-          | [ "Flatarr"; (("Byte" | "Arena") as sub); f ] when List.mem f mutable_makers ->
+          | [ "Flatarr"; (("Byte" | "I32" | "Arena") as sub); f ]
+            when List.mem f mutable_makers ->
               Some (Printf.sprintf "an off-heap Flatarr.%s.%s" sub f)
           | [ "Bigarray"; "Array1"; f ] when List.mem f mutable_makers ->
               Some (Printf.sprintf "a mutable Bigarray.Array1.%s" f)
@@ -306,10 +307,11 @@ let r3 =
    private to the pipeline stages, and a function taking [?ws] may
    thread the arena along or project its fields, but must not package
    the handle itself into returned/stored data (that silently extends
-   arena lifetime past the aliasing contract).  The Bigarray backing
-   has the same lifetime discipline: [Flatarr.Arena.carve]/[carve_byte]
-   hand out aliasing views, so carving is confined to the workspace and
-   Itopo scratch constructors (and Flatarr itself). *)
+   arena lifetime past the aliasing contract).  The Bigarray backings
+   have the same lifetime discipline: [Flatarr.Arena.carve],
+   [carve_byte] and [carve_i32] hand out aliasing views, so carving is
+   confined to the workspace and Itopo scratch constructors (and
+   Flatarr itself). *)
 
 let r4_arena_file path =
   Lint_project.under_dir "lib/ffc" path
@@ -319,10 +321,10 @@ let r4_carve_files =
   [ "lib/ffc/workspace.ml"; "lib/graphlib/itopo.ml"; "lib/graphlib/flatarr.ml" ]
 
 (* Alias-robust: matches [Flatarr.Arena.carve], [Fa.Arena.carve_byte],
-   [Graphlib.Flatarr.Arena.carve], ... *)
+   [Graphlib.Flatarr.Arena.carve_i32], ... *)
 let r4_carve_access comps =
   match List.rev comps with
-  | (("carve" | "carve_byte") as f) :: "Arena" :: _ -> Some f
+  | (("carve" | "carve_byte" | "carve_i32") as f) :: "Arena" :: _ -> Some f
   | _ -> None
 
 let r4_public_workspace_values = [ "create"; "check" ]
@@ -464,7 +466,8 @@ let r7_alloc_table =
     ("Result", [ "ok"; "error"; "map"; "bind" ]);
     ("Flatarr", [ "create"; "make"; "of_array"; "to_array"; "sub_to_array" ]);
     ("Byte", [ "create"; "make"; "to_bool_array" ]);
-    ("Arena", [ "create"; "carve"; "carve_byte" ]);
+    ("I32", [ "create"; "make"; "to_array"; "sub_to_array" ]);
+    ("Arena", [ "create"; "carve"; "carve_byte"; "carve_i32" ]);
     ("Array1", [ "create"; "of_array"; "sub" ]);
     ("Array2", [ "create"; "of_array" ]);
     ("Atomic", [ "make" ]);
