@@ -2,12 +2,13 @@
    all-gather and allreduce driven on (a) the FFC-embedded ring under
    node faults (Chapter 2) and (b) up to psi(d) edge-disjoint
    Hamiltonian rings under link faults (Chapter 3), each through BOTH
-   library executors: the message-by-message netsim reference
-   Collective.Exec and the compiled zero-copy Collective.Fastpath that
-   Core's drivers run.  The rings of a point are built once, before
-   either executor is timed: the FFC embed plus the faulty-necklace
-   flags, the first k disjoint streams, or the streams that survive the
-   link faults.  Each timed call is the executor alone.
+   executors: the message-by-message netsim reference
+   Oracles.Collective_reference and the compiled zero-copy
+   Collective.Fastpath that Core's drivers run.  The rings of a point
+   are built once, before either executor is timed: the FFC embed plus
+   the faulty-necklace flags, the first k disjoint streams, or the
+   streams that survive the link faults.  Each timed call is the
+   executor alone.
 
    Smoke: B(2,10) for the FFC cases, B(4,5) for striping, plus a
    full-scale B(2,16) bidirectional fastpath allreduce (the PR lane
@@ -143,7 +144,8 @@ let striped_rings ~d ~n ~k ~edge_faults =
 (* One timed request per executor, on rings built beforehand: the
    timing and allocation figures are the executor's alone. *)
 let netsim ?(edge_faults = []) ~p (faulty, rings) spec =
-  Jrec.time_gc (fun () -> Collective.Exec.run ~edge_faults ~p ~faulty ~rings spec)
+  Jrec.time_gc (fun () ->
+      Oracles.Collective_reference.run ~edge_faults ~p ~faulty ~rings spec)
 
 let fastpath ?(edge_faults = []) ~p (faulty, rings) spec =
   Jrec.time_gc (fun () -> Collective.Fastpath.run ~edge_faults ~p ~faulty ~rings spec)

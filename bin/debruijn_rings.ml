@@ -402,16 +402,22 @@ let collective_cmd =
   let run d n op rings_k ranks chunk_words faults seed bidir clamp_ranks =
     let p = params d n in
     let rng = Core.Rng.create seed in
-    let report =
+    let op_name = Core.Collective_schedule.op_to_string op in
+    (* The run comes first: the header is printed with its report, so a
+       run that fails prints none. *)
+    let header, report =
       try
         if rings_k = 0 then begin
           let fault_nodes =
             Core.Rng.sample_distinct rng ~k:faults ~bound:p.Core.Word.size
           in
-          Printf.printf "# %s over the FFC ring of B(%d,%d), %d node fault(s)\n"
-            (Core.Collective_schedule.op_to_string op) d n faults;
-          Core.collective_over_fault_free_ring ~bidirectional:bidir ~clamp_ranks
-            ~d ~n ~faults:fault_nodes ~op ~ranks ~chunk_words ()
+          let report =
+            Core.collective_over_fault_free_ring ~bidirectional:bidir ~clamp_ranks
+              ~d ~n ~faults:fault_nodes ~op ~ranks ~chunk_words ()
+          in
+          ( Printf.sprintf "# %s over the FFC ring of B(%d,%d), %d node fault(s)"
+              op_name d n faults,
+            report )
         end
         else begin
           let rec sample k acc =
@@ -423,11 +429,14 @@ let collective_cmd =
               sample (k - 1) ((u, v) :: acc)
           in
           let edge_faults = sample faults [] in
-          Printf.printf
-            "# %s striped over %d edge-disjoint ring(s) of B(%d,%d), %d link fault(s)\n"
-            (Core.Collective_schedule.op_to_string op) rings_k d n faults;
-          Core.striped_collective_over_disjoint_rings ~bidirectional:bidir
-            ~clamp_ranks ~edge_faults ~d ~n ~k:rings_k ~op ~ranks ~chunk_words ()
+          let report =
+            Core.striped_collective_over_disjoint_rings ~bidirectional:bidir
+              ~clamp_ranks ~edge_faults ~d ~n ~k:rings_k ~op ~ranks ~chunk_words ()
+          in
+          ( Printf.sprintf
+              "# %s striped over %d edge-disjoint ring(s) of B(%d,%d), %d link fault(s)"
+              op_name rings_k d n faults,
+            report )
         end
       with Invalid_argument msg -> die "%s" msg
     in
@@ -436,6 +445,7 @@ let collective_cmd =
         prerr_endline "no ring survives the fault set";
         exit 1
     | Some r ->
+        print_endline header;
         Printf.printf "# rings %d  ranks %d  phases %d  rounds %d\n"
           r.Core.Collective_exec.rings r.Core.Collective_exec.ranks
           r.Core.Collective_exec.phases r.Core.Collective_exec.rounds;

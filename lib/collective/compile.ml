@@ -1,33 +1,6 @@
 module W = Debruijn.Word
 module Fa = Graphlib.Flatarr
 
-module Fault_probe = struct
-  (* [table = None] is the common fault-free case: [mem] must cost one
-     branch, not a hash probe, because Exec runs it per topology edge. *)
-  type t = { size : int; table : (int, unit) Hashtbl.t option }
-
-  let make ~size ~bidirectional faults =
-    let in_range v = v >= 0 && v < size in
-    let live = List.filter (fun (u, v) -> in_range u && in_range v) faults in
-    match live with
-    | [] -> { size; table = None }
-    | _ ->
-        let h = Hashtbl.create ((2 * List.length live) + 1) in
-        List.iter
-          (fun (u, v) ->
-            Hashtbl.replace h ((u * size) + v) ();
-            if bidirectional then Hashtbl.replace h ((v * size) + u) ())
-          live;
-        { size; table = Some h }
-
-  let mem t u v =
-    match t.table with
-    | None -> false
-    | Some h -> Hashtbl.mem h ((u * t.size) + v)
-
-  let is_empty t = match t.table with None -> true | Some _ -> false
-end
-
 let resolve_ranks ~what ~clamp_ranks ~ranks ~length =
   let resolved =
     if ranks > length then
@@ -68,7 +41,6 @@ type t = {
   length : int;
   ranks : int;
   cycles : int array array;
-  bounds : int array;
   seg_len : Fa.t;
   seg_pref : Fa.t;
   codes : cells;
@@ -193,7 +165,7 @@ let lower ~what ~clamp_ranks ~edge_faults ~bidirectional ~ranks ~chunk_words ~p
     raise
       (Netsim.Simulator.Illegal_send
          { round = !bad_round; src = !bad_src; dst = !bad_dst });
-  { p; nrings; length; ranks; cycles; bounds; seg_len; seg_pref; codes }
+  { p; nrings; length; ranks; cycles; seg_len; seg_pref; codes }
 
 let completion_rounds t ~phases =
   let ranks = t.ranks in
@@ -234,18 +206,6 @@ let memberships codes ~row ~k =
   done;
   !n
 
-(* The largest number of equal values among vals.(0 … n−1), n ≥ 1. *)
-let deepest_tie (vals : int array) n =
-  let best = ref 1 in
-  for a = 0 to n - 2 do
-    let cnt = ref 1 in
-    for b = a + 1 to n - 1 do
-      if vals.(b) = vals.(a) then incr cnt
-    done;
-    if !cnt > !best then best := !cnt
-  done;
-  !best
-
 let max_edge_share t =
   if t.nrings = 1 then 1
   else begin
@@ -266,72 +226,115 @@ let max_edge_share t =
    h + len[s−1] + len[s−2], …: the phase-0 wave reaches offset h at
    round h, and each later phase waits for the previous one to cross
    the predecessor segments.  A node's load at a round is the number of
-   its memberships sending then.  With uniform segments the rounds are
-   h + p·len, and |h − h'| < len makes two memberships collide iff
-   h = h'. *)
-let max_port_load t ~phases =
-  if t.nrings = 1 then 1
-  else begin
-    let k = t.nrings and ranks = t.ranks in
-    let seg_len = t.seg_len and seg_pref = t.seg_pref in
-    (* Node-major ring positions, read only where a row has a code. *)
-    let pos = Fa.create (t.p.W.size * k) in
+   its memberships sending then. *)
+
+(* Uniform segments of [len] hops: the rounds are h + p·len, and
+   |h − h'| < len makes two memberships collide iff h = h'.  The
+   memberships at offset h sit at ring positions h, h + len, …, one per
+   segment of every ring, and a ring never repeats a node, so a node's
+   count in that group of k·R is its collision depth at offset h.  The
+   groups are counted in one small open-addressing table, cleared
+   after each, so the sweep needs no node-sized table; it stops once
+   the depth reaches k, the most any node can have. *)
+let port_load_uniform t ~len =
+  let k = t.nrings and ranks = t.ranks in
+  (* Slots: the least power of two above the group size, so a probe
+     always meets a free slot. *)
+  let bits = ref 1 in
+  while 1 lsl !bits <= k * ranks do
+    incr bits
+  done;
+  let slots = 1 lsl !bits and shift = Sys.int_size - !bits in
+  let keys = Array.make slots (-1) and hits = Array.make slots 0 in
+  let best = ref 1 and h = ref 0 and i = ref 0 in
+  (while !best < k && !h < len do
+     for j = 0 to k - 1 do
+       let cycle = t.cycles.(j) in
+       for s = 0 to ranks - 1 do
+         let v = cycle.(!h + (s * len)) in
+         (* Multiplicative hashing: the product's top bits. *)
+         i := (v * 0x3E3779B97F4A7C15) lsr shift;
+         while keys.(!i) >= 0 && keys.(!i) <> v do
+           i := (!i + 1) land (slots - 1)
+         done;
+         if keys.(!i) < 0 then begin
+           keys.(!i) <- v;
+           hits.(!i) <- 1
+         end
+         else begin
+           hits.(!i) <- hits.(!i) + 1;
+           if hits.(!i) > !best then best := hits.(!i)
+         end
+       done
+     done;
+     Array.fill keys 0 slots (-1);
+     incr h
+   done)
+  [@lint.hot];
+  !best
+
+(* Segments of ⌊L/R⌋ and ⌈L/R⌉ hops: each row runs a k-way merge of its
+   memberships' send rounds, read from a node-major position table. *)
+let port_load_merge t ~phases =
+  let k = t.nrings and ranks = t.ranks in
+  let seg_len = t.seg_len and seg_pref = t.seg_pref in
+  (* Node-major ring positions, read only where a row has a code. *)
+  let pos = Fa.create (t.p.W.size * k) in
+  for j = 0 to k - 1 do
+    let cycle = t.cycles.(j) in
+    for i = 0 to t.length - 1 do
+      pos.{(cycle.(i) * k) + j} <- i
+    done
+  done;
+  let vals = Array.make k 0 and ptr = Array.make k 0 and nxt = Array.make k 0 in
+  (* The deepest send-round collision among node v's [deg] memberships. *)
+  let collisions v deg =
+    let e = ref 0 in
     for j = 0 to k - 1 do
-      let cycle = t.cycles.(j) in
-      for i = 0 to t.length - 1 do
-        pos.{(cycle.(i) * k) + j} <- i
-      done
+      if cell t.codes ((v * k) + j) <> absent then begin
+        let i = pos.{(v * k) + j} in
+        let s = seg_of seg_pref ~ranks i in
+        vals.(!e) <- i - seg_pref.{s};
+        nxt.(!e) <- (if s = 0 then ranks - 1 else s - 1);
+        ptr.(!e) <- 0;
+        incr e
+      end
     done;
-    (* [Schedule.boundaries] makes every segment ⌊L/R⌋ or ⌈L/R⌉ long. *)
-    let len = seg_len.{0} in
-    let uniform = t.length = len * ranks in
-    let vals = Array.make k 0 and ptr = Array.make k 0 and nxt = Array.make k 0 in
-    (* The deepest send-round collision among node v's [deg] memberships. *)
-    let collisions v deg =
-      let e = ref 0 in
-      for j = 0 to k - 1 do
-        if cell t.codes ((v * k) + j) <> absent then begin
-          let i = pos.{(v * k) + j} in
-          (if uniform then vals.(!e) <- i mod len
-           else
-             let s = seg_of seg_pref ~ranks i in
-             vals.(!e) <- i - seg_pref.{s};
-             nxt.(!e) <- (if s = 0 then ranks - 1 else s - 1);
-             ptr.(!e) <- 0);
-          incr e
+    let best = ref 1 and live = ref deg in
+    while !live > 0 do
+      let mn = ref max_int in
+      for e = 0 to deg - 1 do
+        if ptr.(e) < phases && vals.(e) < !mn then mn := vals.(e)
+      done;
+      let cnt = ref 0 in
+      for e = 0 to deg - 1 do
+        if ptr.(e) < phases && vals.(e) = !mn then begin
+          incr cnt;
+          ptr.(e) <- ptr.(e) + 1;
+          if ptr.(e) = phases then decr live
+          else begin
+            vals.(e) <- vals.(e) + seg_len.{nxt.(e)};
+            nxt.(e) <- (if nxt.(e) = 0 then ranks - 1 else nxt.(e) - 1)
+          end
         end
       done;
-      if uniform then deepest_tie vals deg
-      else begin
-        let best = ref 1 and live = ref deg in
-        while !live > 0 do
-          let mn = ref max_int in
-          for e = 0 to deg - 1 do
-            if ptr.(e) < phases && vals.(e) < !mn then mn := vals.(e)
-          done;
-          let cnt = ref 0 in
-          for e = 0 to deg - 1 do
-            if ptr.(e) < phases && vals.(e) = !mn then begin
-              incr cnt;
-              ptr.(e) <- ptr.(e) + 1;
-              if ptr.(e) = phases then decr live
-              else begin
-                vals.(e) <- vals.(e) + seg_len.{nxt.(e)};
-                nxt.(e) <- (if nxt.(e) = 0 then ranks - 1 else nxt.(e) - 1)
-              end
-            end
-          done;
-          if !cnt > !best then best := !cnt
-        done;
-        !best
-      end
-    in
-    let best = ref 1 in
-    (for v = 0 to t.p.W.size - 1 do
-       let deg = memberships t.codes ~row:(v * k) ~k in
-       (* A node's collision depth is at most its membership count. *)
-       if deg > !best then best := max !best (collisions v deg)
-     done)
-    [@lint.hot];
+      if !cnt > !best then best := !cnt
+    done;
     !best
-  end
+  in
+  let best = ref 1 in
+  (for v = 0 to t.p.W.size - 1 do
+     let deg = memberships t.codes ~row:(v * k) ~k in
+     (* A node's collision depth is at most its membership count. *)
+     if deg > !best then best := max !best (collisions v deg)
+   done)
+  [@lint.hot];
+  !best
+
+let max_port_load t ~phases =
+  if t.nrings = 1 then 1
+  else
+    (* [Schedule.boundaries] makes every segment ⌊L/R⌋ or ⌈L/R⌉ long. *)
+    let len = t.seg_len.{0} in
+    if t.length = len * t.ranks then port_load_uniform t ~len
+    else port_load_merge t ~phases

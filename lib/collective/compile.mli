@@ -1,45 +1,16 @@
-(** Lowering ring collectives to flat tables — the shared front end of
-    both executors.
+(** Lowering ring collectives to flat tables — the front end of
+    {!Fastpath} (and of the test suite's netsim reference executor).
 
     {!lower} validates a (rings, rank-boundary) configuration once and
     compiles it into flat tables: segment hop-lengths and their prefix
     sums ({!Graphlib.Flatarr} storage), and one node-major table of edge
-    codes, next to the driven node cycles themselves.  The Netsim
-    executor ({!Exec}) uses the tables for its role maps and congestion
-    accounting; the compiled executor ({!Fastpath}) runs the whole
-    schedule off them without ever materializing the network.
+    codes, next to the driven node cycles themselves.  {!Fastpath} runs
+    the whole schedule off them without ever materializing the network.
 
     The closed-form accounting helpers ({!completion_rounds},
     {!max_edge_share}, {!max_port_load}) reproduce the simulator's
     self-timed pipelining figures exactly; the agreement is
     qcheck-pinned against {!Netsim.Simulator} runs in the test suite. *)
-
-(** Constant-time membership for directed-edge fault sets, keyed by the
-    packed integer u·dⁿ + v — the same hashed/packed-key trick as
-    {!Dhc.Edge_fault.Faults}, but accepting arbitrary node pairs (a
-    fault that is not a real De Bruijn edge simply never matches).
-    {!Exec.topology} runs it on every message the simulator sends;
-    {!lower} does not need it. *)
-module Fault_probe : sig
-  type t
-
-  val make : size:int -> bidirectional:bool -> (int * int) list -> t
-  (** [make ~size ~bidirectional faults] — under [bidirectional] each
-      fault kills both directions of the link.  Pairs with a node
-      outside [0, size) are kept out of the table (they cannot name a
-      real edge, so they must never match one). *)
-
-  val mem : t -> int -> int -> bool
-  val is_empty : t -> bool
-end
-
-val resolve_ranks :
-  what:string -> clamp_ranks:bool -> ranks:int -> length:int -> int
-(** The rank-count policy shared by both executors: [ranks > length]
-    raises [Invalid_argument] unless [clamp_ranks] is set, in which
-    case the count is clamped to [length] (the clamp reaches callers
-    through the report's [ranks] field).  A resolved count below 2
-    always raises.  [what] prefixes the error messages. *)
 
 type cells
 (** The cells of the code table: one byte each while d ≤ 127, one word
@@ -51,11 +22,11 @@ type t = {
   length : int;  (** ring length L *)
   ranks : int;  (** logical ranks R, after any clamp *)
   cycles : int array array;  (** all driven node cycles, row-per-ring *)
-  bounds : int array;  (** rank → ring position ({!Schedule.boundaries}) *)
   seg_len : Graphlib.Flatarr.t;  (** rank r → hops from rank r to rank r+1 *)
   seg_pref : Graphlib.Flatarr.t;
       (** R+1 prefix sums of [seg_len]; [seg_pref.{r}] = hops before
-          rank r (= [bounds.(r)]), [seg_pref.{R}] = L *)
+          rank r (its ring position, {!Schedule.boundaries}),
+          [seg_pref.{R}] = L *)
   codes : cells;
       (** node-major edge codes: cell v·nrings + j holds the code of
           node v's out-edge on ring j, or marks that ring j misses v *)
@@ -72,11 +43,13 @@ val lower :
   faulty:(int -> bool) ->
   rings:int array list ->
   t
-(** Validate and compile.  Checks (same contract, and same
-    [Invalid_argument] messages modulo the [what] prefix, as the
-    historical {!Exec.run} front end): at least one ring, all of equal
-    length ≥ 2, [chunk_words ≥ 1], every ring node in range, non-faulty
-    and visited at most once per ring, and {!resolve_ranks}.
+(** Validate and compile.  Checks (the [Invalid_argument] messages
+    carry the [what] prefix): at least one ring, all of equal length
+    ≥ 2, [chunk_words ≥ 1], every ring node in range, non-faulty and
+    visited at most once per ring, and the rank count: [ranks > L]
+    raises unless [clamp_ranks] is set, in which case the count is
+    clamped to L (the clamp reaches callers through the report's
+    [ranks] field), and a resolved count below 2 always raises.
 
     One pass per ring fills the code table; writing u's cell is the
     revisit check.  A forward edge u → v has x = v − (u mod dⁿ⁻¹)·d in
@@ -118,9 +91,13 @@ val max_edge_share : t -> int
 
 val max_port_load : t -> phases:int -> int
 (** Peak sends by one node in one round of the self-timed run, in
-    closed form: 1 for a single ring.  Otherwise a node-major position
-    table gives each membership its segment s and offset h, whose
-    phase-p send leaves at round h + Σ_{q<p} len[(s−1−q) mod R].  With
-    uniform segments two memberships collide iff their offsets are
-    equal; otherwise each row runs a k-way merge of its send rounds.
-    Rows with no more memberships than the best so far are skipped. *)
+    closed form: 1 for a single ring.  A membership at offset h of
+    segment s sends its phase-p message at round
+    h + Σ_{q<p} len[(s−1−q) mod R].  With uniform segments two
+    memberships collide iff their offsets are equal, so a sweep over
+    the offsets counts repeats among the k·R nodes at each one in a
+    table of at most 2·k·R slots, with no node-sized table, and stops
+    once a depth reaches k.  Otherwise a node-major position table
+    gives each membership s and h, and each row runs a k-way merge of
+    its send rounds; rows with no more memberships than the best so
+    far are skipped. *)

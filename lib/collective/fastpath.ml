@@ -24,7 +24,8 @@ let run_internal ~edge_faults ~clamp_ranks ~init ~payload ~p ~faulty ~rings
      [Schedule.recv_chunk] is c in that phase.  Each (ring, chunk)
      column is therefore an independent chain, run start to finish in
      [col] (rank r's words at r·cw): the same words, in the same phase
-     order, as [Exec.run]'s arena column, without the arena. *)
+     order, as the netsim reference executor's arena column, without
+     the arena. *)
   let col = Fa.create (ranks * cw) in
   (* [acc] sums the fill's values in wave order from rank c, so after
      the fill it holds the allreduce total or the all-gather owner
@@ -72,8 +73,8 @@ let run_internal ~edge_faults ~clamp_ranks ~init ~payload ~p ~faulty ~rings
            done
        done;
        (* Exact check of every word against the closed form, and the
-          checksum: [Exec.verify_arena]'s verdict and sum for a pure
-          [init]. *)
+          checksum: the reference executor's arena verdict and sum for
+          a pure [init]. *)
        for r = 0 to ranks - 1 do
          let base = r * cw in
          let form = if prefix then want else acc in

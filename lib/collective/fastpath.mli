@@ -2,10 +2,12 @@
     and the one executor [Core]'s collective drivers (and so the
     [collective] CLI command) call.
 
-    Same inputs, same {!Exec.report}, same payload arena as {!Exec.run},
-    without the network: {!Compile.lower} flattens the (rings,
-    rank-boundary) configuration into segment tables once, then the
-    schedule runs one (ring, chunk) column at a time.  Relay hops are
+    Same inputs, same {!Exec.report} and same payload arena as the
+    hop-by-hop execution over {!Netsim.Simulator} (the test suite's
+    netsim reference executor), without the network: {!Compile.lower}
+    flattens the (rings, rank-boundary) configuration into segment
+    tables once, then the schedule runs one (ring, chunk) column at a
+    time.  Relay hops are
     pure routing (the shared-relay observation: a relay never
     transforms payload), so in phase p chunk c moves only from rank
     (c+p) mod R to rank (c+p+1) mod R, and a ring's R chunk columns are
@@ -21,15 +23,21 @@
     self-timed pipelining figures exactly.
 
     The equivalence is enforced three ways: an exact word-for-word
-    check of every final payload word against the closed form
-    {!Exec.verify_arena} states (the same relay observation applied to
-    the data: chunk c ends as a sum of the ranks' own init words, so no
-    schedule is re-run to know it), taken from the values the column
-    fill drew, so the verdict and checksum equal {!Exec.verify_arena}'s
-    on the same payload; a qcheck suite pinning report counters and
-    final arenas identical to Exec across ops × ranks × chunk_words ×
-    bidirectional × fault draws, and the verdict to {!Exec.verify_arena}
-    on the returned snapshot; and the bench harness comparing the two
+    check of every final payload word against its closed form (the
+    same relay observation applied to the data: chunk c ends as a sum
+    of the ranks' own init words, so no schedule is re-run to know
+    it), for ring j, chunk c and word w:
+    - allreduce: every rank holds Σ_r init(j, r, c, w);
+    - all-gather: every rank holds init(j, c, c, w);
+    - reduce-scatter: rank (c + k) mod R holds the prefix sum
+      Σ_{i=0..k} init(j, (c + i) mod R, c, w), k = 0 … R−1;
+
+    taken from the values the column fill drew, so the verdict and
+    checksum equal the reference executor's arena check on the same
+    payload; a qcheck suite pinning report counters and final arenas
+    identical to the reference across ops × ranks × chunk_words ×
+    bidirectional × fault draws, and the verdict to its arena check on
+    the returned snapshot; and the bench harness comparing the two
     engines on every matrix point.  What changes is cost: zero
     allocation per hop, work proportional to
     rings·ranks·phases·chunk_words instead of rings·length·phases
@@ -50,9 +58,9 @@ val run :
   rings:int array list ->
   Exec.spec ->
   Exec.report
-(** Drop-in replacement for {!Exec.run}: identical validation
-    (including [Invalid_argument] messages, modulo the
-    ["Collective.Fastpath.run"] prefix), identical
+(** Drop-in replacement for the netsim reference executor's [run]:
+    identical validation (including [Invalid_argument] messages,
+    modulo the ["Collective.Fastpath.run"] prefix), identical
     {!Netsim.Simulator.Illegal_send} on a ring crossing a missing or
     faulted edge — raised at compile time, carrying the round at which
     the simulator would first attempt that send — and an identical
@@ -73,7 +81,8 @@ val run_with_payload :
   Exec.spec ->
   Exec.report * int array
 (** [run] plus a heap snapshot of the final payload arena, in
-    {!Exec.run_with_payload}'s layout — what the agreement qcheck
-    compares word-for-word against it.  This is the one call that
+    the reference executor's layout (ring-major, then rank-major, then
+    chunk-major slices of [chunk_words] words) — what the agreement
+    qcheck compares word-for-word against it.  This is the one call that
     allocates rings·ranks²·chunk_words words: each column is copied in
     once it is checked. *)

@@ -14,8 +14,6 @@ let op_names =
     ("all-gather", All_gather); ("ar", Allreduce); ("allreduce", Allreduce);
   ]
 
-let op_of_string s = List.assoc_opt s op_names
-
 let check_ranks ranks =
   if ranks < 2 then invalid_arg "Schedule: ranks must be >= 2"
 

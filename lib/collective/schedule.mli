@@ -3,7 +3,7 @@
 
     A collective runs over a logical ring of [ranks] participants
     (mapped onto an embedded ring by {!boundaries}; the physical hops
-    between consecutive ranks are relayed, see {!Exec}).  The payload is
+    between consecutive ranks are relayed, see {!Fastpath}).  The payload is
     divided into [ranks] chunks; in every phase each rank sends exactly
     one chunk to its ring successor and receives one from its
     predecessor — the classic bandwidth-optimal ring schedule both
@@ -32,10 +32,9 @@ val op_to_string : op -> string
 (** ["reduce-scatter"], ["all-gather"], ["allreduce"]. *)
 
 val op_names : (string * op) list
-(** Every name {!op_of_string} accepts, paired with its operation: the
-    {!op_to_string} names and the short forms ["rs"], ["ag"], ["ar"]. *)
-
-val op_of_string : string -> op option
+(** Every name the [collective] CLI accepts, paired with its
+    operation: the {!op_to_string} names and the short forms ["rs"],
+    ["ag"], ["ar"]. *)
 
 val phases : op -> ranks:int -> int
 (** R − 1 for the one-pass operations, 2(R − 1) for allreduce.
@@ -82,6 +81,6 @@ val simulate : op -> ranks:int -> chunk_words:int ->
     heap buffers and return the final [ranks] buffers (each
     ranks·chunk_words words, chunk-major).  The test and bench oracle
     — a few dozen lines of obviously-sequential folds, no simulator —
-    that pins the closed form {!Exec.verify_arena} checks.  The
-    executors do not call it: they check that closed form in one pass
-    rather than re-run the schedule per request. *)
+    that pins the closed form {!Fastpath} checks.  The executors do not
+    call it: they check that closed form in one pass rather than re-run
+    the schedule per request. *)

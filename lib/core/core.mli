@@ -117,8 +117,8 @@ val collective_over_fault_free_ring :
 (** One-call driver for the Chapter-2 setting: embed the FFC ring
     avoiding the faulty processors, then run the given collective over
     it through {!Collective.Fastpath.run}, exact-verifying the reduced
-    values.  The report equals what the netsim reference executor
-    {!Collective.Exec} returns on the same ring.  [None] when no ring
+    values.  The report equals what the test suite's netsim reference
+    executor returns on the same ring.  [None] when no ring
     survives the fault set.
     @raise Invalid_argument as {!Collective.Fastpath.run} does, e.g.
     when [ranks] exceeds the ring length without [clamp_ranks]. *)
@@ -140,7 +140,7 @@ val striped_collective_over_disjoint_rings :
     [edge_faults], when given) and stripe one collective across all of
     them in a single {!Collective.Fastpath.run} — k× the application
     bytes per step of the single-ring schedule.  The report equals what
-    {!Collective.Exec} returns on the same rings.  [None] when no ring
+    the netsim reference executor returns on the same rings.  [None] when no ring
     survives.
     @raise Invalid_argument if [edge_faults] is empty and k is outside
     [1, ψ(d)], or as {!Collective.Fastpath.run} does. *)

@@ -19,8 +19,6 @@ let product ~s ~t a b =
   let len = la * lb in
   Array.init len (fun i -> (a.(i mod la) * t) + b.(i mod lb))
 
-let split_digit ~t v = (v / t, v mod t)
-
 let rec disjoint_hamiltonian_cycles ~d ~n =
   match N.factorize d with
   | [] | [ _ ] -> Strategies.disjoint_hamiltonian_cycles ~d ~n

@@ -10,10 +10,6 @@ val product : s:int -> t:int -> int array -> int array -> int array
     a common n, and gcd(s,t) = 1.
     @raise Invalid_argument otherwise. *)
 
-val split_digit : t:int -> int -> int * int
-(** [split_digit ~t v] = (v / t, v mod t): the inverse digit map used to
-    project edges of B(st,n) to their factor edges. *)
-
 val disjoint_hamiltonian_cycles : d:int -> n:int -> int array list
 (** ψ(d) pairwise edge-disjoint HCs of B(d,n) for any d ≥ 2, n ≥ 2,
     built by composing the prime-power families over the factorization

@@ -41,9 +41,6 @@ module Faults : sig
 
   val mem : t -> int -> int -> bool
   (** [mem t u v] — (u, v) must be a De Bruijn edge. *)
-
-  val mem_code : t -> int -> bool
-  (** Membership by pre-computed {!Debruijn.Word.edge_code}. *)
 end
 
 (** {1 Streaming engine} *)

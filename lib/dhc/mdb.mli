@@ -31,10 +31,8 @@ val build : d:int -> n:int -> t
 
 val verify : t -> bool
 (** All cycles Hamiltonian in [graph], pairwise edge-disjoint, the graph
-    d-regular (in and out), and UMB ⊇ UB. *)
-
-val contains_ub : t -> bool
-(** Every UB(d,n) adjacency appears (in some orientation) in MB. *)
+    d-regular (in and out), and UMB ⊇ UB (every UB(d,n) adjacency
+    appears in MB in some orientation). *)
 
 val new_edge_count : t -> int
 (** Number of MB edges that are not B(d,n) edges. *)

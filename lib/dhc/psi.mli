@@ -4,12 +4,10 @@
     cp(d) in the thesis), and MAX(ψ(d)−1, φ(d)) (Proposition 3.4 and
     Table 3.2). *)
 
-val psi_prime_power : int -> int -> int
-(** [psi_prime_power p e] = pᵉ − 1 when p = 2; (pᵉ+1)/2 when (p−1)/2 is
-    even and condition (b) of Lemma 3.5 holds; (pᵉ−1)/2 otherwise. *)
-
 val psi : int -> int
-(** ψ(d) = ∏ ψ(pᵢᵉⁱ) over the factorization of d ≥ 2. *)
+(** ψ(d) = ∏ ψ(pᵢᵉⁱ) over the factorization of d ≥ 2, where ψ(pᵉ) =
+    pᵉ − 1 when p = 2; (pᵉ+1)/2 when (p−1)/2 is even and condition (b)
+    of Lemma 3.5 holds; (pᵉ−1)/2 otherwise. *)
 
 val phi_bound : int -> int
 (** φ(d) = p₁ᵉ¹ + … + p_kᵉᵏ − 2k: the number of edge faults tolerated by

@@ -48,14 +48,11 @@ val start_node : t -> int -> int
 (** The node at position 0 of [shifted t s] viewed as a node sequence
     (the default-seed window s…s(s+1)). *)
 
-val owner_of_window : t -> int array -> int
-(** [owner_of_window t w] for an (n+1)-digit window: the unique s with
-    w appearing in s + C (assuming w is not a loop window sⁿ⁺¹);
-    computed from the affine recurrence as
-    s = (w_n − Σ aⱼwⱼ)·(1 − ω)^{-1}. *)
-
 val owner_of_edge : t -> int * int -> int
-(** Same, for an edge given as a node pair of B(d,n). *)
+(** [owner_of_edge t (u, v)]: the unique s with the edge u → v of
+    B(d,n) on s + C (assuming it is not a loop); computed from the
+    affine recurrence on its (n+1)-digit window w as
+    s = (w_n − Σ aⱼwⱼ)·(1 − ω)^{-1}. *)
 
 val hamiltonize : t -> s:int -> k:int -> int array
 (** H_s with replacement cycle k ≠ s: the sequence of length dⁿ whose

@@ -87,6 +87,9 @@ let selected_shifts field choice =
       in
       List.sort Int.compare with_zero
 
+(* The shift-cycle family and the ψ(d) pairs (s, f(s)) that the chosen
+   strategy makes pairwise disjoint: the shared core of the two
+   constructions below. *)
 let disjoint_shift_pairs ~d ~n =
   let t = Shift_cycles.make ~d ~n in
   let field = t.Shift_cycles.lfsr.Lfsr.field in

@@ -39,11 +39,6 @@ val selected_shifts : Galois.Gf.t -> choice -> int list
     pairwise disjoint: nonzero elements for S1; even-λ-power coset
     members (plus 0 when admissible) for S2/S3. *)
 
-val disjoint_shift_pairs : d:int -> n:int -> Shift_cycles.t * (int * int) list
-(** The shift-cycle family and the ψ(d) pairs (s, f(s)) that the chosen
-    strategy makes pairwise disjoint — the shared core of the
-    materializing and streaming constructions below. *)
-
 val disjoint_hamiltonian_cycles : d:int -> n:int -> int array list
 (** ψ(d)-many pairwise edge-disjoint Hamiltonian cycles of B(d,n), as
     sequences of length dⁿ — for prime-power d, n ≥ 2 (Proposition 3.1;

@@ -53,13 +53,9 @@ val to_sequence : t -> int array
 (** Materialize the digit sequence (first digit of each node) — the
     format of the seed Chapter-3 API. *)
 
-val first_return : t -> max_steps:int -> int option
-(** Steps until the walk first re-enters [start], if ≤ [max_steps] —
-    O(1) memory.  In a functional graph this is exactly the length of
-    the cycle through [start]. *)
-
 val is_cycle : t -> bool
-(** First return occurs at exactly [length] steps. *)
+(** The walk first re-enters [start] at exactly [length] steps — O(1)
+    memory. *)
 
 val is_hamiltonian : t -> bool
 (** [is_cycle] and [length] = dⁿ: visits every node, O(1) memory. *)

@@ -2,6 +2,8 @@ module N = Numtheory
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
 
+(* Propositions 4.1 and 4.2 over any class whose sizes [gamma j] =
+   #Γ(j) are known. *)
 let of_length_generic ~gamma t =
   N.sum_over_divisors t (fun j -> gamma j * N.mobius (t / j)) / t
 

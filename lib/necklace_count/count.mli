@@ -9,13 +9,6 @@
     Instantiations: all nodes (counting by length), nodes of a given
     weight (binary and d-ary), and nodes of a given type. *)
 
-val of_length_generic : gamma:(int -> int) -> int -> int
-(** [of_length_generic ~gamma t] — Proposition 4.1's formula; [gamma j]
-    must be #Γ(j). *)
-
-val total_generic : gamma:(int -> int) -> int -> int
-(** [total_generic ~gamma n] — Proposition 4.2's formula. *)
-
 val of_length : d:int -> n:int -> t:int -> int
 (** Number of necklaces of length [t] in B(d,n); 0 unless t divides n. *)
 

@@ -62,8 +62,6 @@ let divisors n =
   in
   List.sort Int.compare ds
 
-let num_distinct_prime_factors n = List.length (factorize n)
-
 let mobius n =
   let fs = factorize n in
   if List.exists (fun (_, e) -> e > 1) fs then 0

@@ -36,9 +36,6 @@ val factorize : int -> (int * int) list
 val divisors : int -> int list
 (** All positive divisors of [n ≥ 1], sorted increasingly. *)
 
-val num_distinct_prime_factors : int -> int
-(** ω(n): the number of distinct primes dividing [n ≥ 1]. *)
-
 val mobius : int -> int
 (** Möbius μ(n) for [n ≥ 1]: 1 if n = 1, (−1)^k for squarefree n with k
     prime factors, 0 otherwise. *)

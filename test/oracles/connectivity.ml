@@ -2,6 +2,8 @@
    residual network.  Sizes here are experiment-scale, so clarity wins
    over asymptotics. *)
 
+module Digraph = Graphlib.Digraph
+
 let infinity_cap = max_int / 4
 
 type network = {

@@ -7,19 +7,19 @@
     graphs with BFS-augmenting max-flow (Edmonds–Karp) over the
     standard node-splitting construction. *)
 
-val max_edge_disjoint_paths : Digraph.t -> int -> int -> int
+val max_edge_disjoint_paths : Graphlib.Digraph.t -> int -> int -> int
 (** Maximum number of pairwise edge-disjoint u→v paths (u ≠ v). *)
 
-val max_node_disjoint_paths : Digraph.t -> int -> int -> int
+val max_node_disjoint_paths : Graphlib.Digraph.t -> int -> int -> int
 (** Maximum number of internally node-disjoint u→v paths (u ≠ v,
     counting a direct edge as one path). *)
 
-val edge_connectivity : Digraph.t -> int
+val edge_connectivity : Graphlib.Digraph.t -> int
 (** λ(G) = min over ordered pairs of {!max_edge_disjoint_paths} — 0 for
     graphs that are not strongly connected.  O(V²) flow computations;
     for experiment-sized graphs. *)
 
-val node_connectivity : Digraph.t -> int
+val node_connectivity : Graphlib.Digraph.t -> int
 (** κ(G): minimum over non-adjacent ordered pairs of internally
     node-disjoint paths (standard convention; complete digraphs get
     n−1).  Loops are ignored. *)

@@ -1,3 +1,6 @@
+module Digraph = Graphlib.Digraph
+module Itopo = Graphlib.Itopo
+
 let edges_in_one_component g =
   let label =
     Itopo.weak_labels ~n:(Digraph.n_nodes g)

@@ -1,9 +1,11 @@
 (* Tests for lib/collective: the arithmetic ring-collective schedule,
-   its rank-space reference executor, and the network execution over
-   embedded rings of B(d,n). *)
+   its rank-space reference executor, and the compiled executor, pinned
+   against the network execution over embedded rings of B(d,n)
+   (Oracles.Collective_reference). *)
 
 module S = Collective.Schedule
 module E = Collective.Exec
+module Ref = Oracles.Collective_reference
 module W = Debruijn.Word
 module Co = Dhc.Compose
 module P = Dhc.Psi
@@ -101,7 +103,7 @@ let test_simulate_oracle () =
 (* Reduce-scatter on every chunk, not just the owned one: the wave
    that starts at rank c has folded in ranks c … c+k when it lands at
    rank c + k, so that rank holds the prefix sum over those k + 1
-   ranks — the closed form Exec.verify_arena checks. *)
+   ranks — the closed form Ref.verify_arena checks. *)
 let test_reduce_scatter_prefix () =
   List.iter
     (fun (ranks, cw) ->
@@ -132,7 +134,7 @@ let run_ring ?(bidirectional = false) ?rings ~d ~n ~ranks ~chunk_words op =
   let rings =
     match rings with Some r -> r | None -> [ hamiltonian_ring ~d ~n ]
   in
-  E.run ~p
+  Ref.run ~p
     ~faulty:(fun _ -> false)
     ~rings
     { E.op; ranks; chunk_words; bidirectional }
@@ -180,7 +182,7 @@ let test_exec_domains_bit_identical () =
   let p = W.params ~d ~n in
   let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:3) in
   let spec = { E.op = S.Allreduce; ranks = 8; chunk_words = 2; bidirectional = false } in
-  let a, pa = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+  let a, pa = Ref.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
   let b, pb = Collective.Fastpath.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
   check_bool "verified" true a.E.verified;
   check_int "same rounds" a.E.rounds b.E.rounds;
@@ -209,14 +211,14 @@ let test_exec_topology () =
       in
       List.iter
         (fun bidirectional ->
-          let probe = Collective.Compile.Fault_probe.make ~size ~bidirectional faults in
+          let probe = Ref.Fault_probe.make ~size ~bidirectional faults in
           let g = Debruijn.Graph.b p in
           let g = if bidirectional then Graphlib.Digraph.undirected_view g else g in
           let g =
             Graphlib.Digraph.remove_edges g (fun (u, v) ->
-                Collective.Compile.Fault_probe.mem probe u v)
+                Ref.Fault_probe.mem probe u v)
           in
-          let t = E.topology ~p ~bidirectional probe in
+          let t = Ref.topology ~p ~bidirectional probe in
           check_int "node count" size t.Netsim.Simulator.nodes;
           for u = 0 to size - 1 do
             for v = 0 to size - 1 do
@@ -233,22 +235,22 @@ let test_exec_validation () =
   let p = W.params ~d ~n in
   let ring = hamiltonian_ring ~d ~n in
   let spec = { E.op = S.Allreduce; ranks = 4; chunk_words = 1; bidirectional = false } in
-  Alcotest.check_raises "no rings" (Invalid_argument "Collective.Exec.run: no rings")
-    (fun () -> ignore (E.run ~p ~faulty:(fun _ -> false) ~rings:[] spec));
+  Alcotest.check_raises "no rings" (Invalid_argument "Oracles.Collective_reference.run: no rings")
+    (fun () -> ignore (Ref.run ~p ~faulty:(fun _ -> false) ~rings:[] spec));
   Alcotest.check_raises "faulty node on ring"
-    (Invalid_argument "Collective.Exec.run: ring touches a faulty node") (fun () ->
-      ignore (E.run ~p ~faulty:(fun v -> v = ring.(3)) ~rings:[ ring ] spec));
+    (Invalid_argument "Oracles.Collective_reference.run: ring touches a faulty node") (fun () ->
+      ignore (Ref.run ~p ~faulty:(fun v -> v = ring.(3)) ~rings:[ ring ] spec));
   Alcotest.check_raises "unequal lengths"
-    (Invalid_argument "Collective.Exec.run: rings of unequal length") (fun () ->
+    (Invalid_argument "Oracles.Collective_reference.run: rings of unequal length") (fun () ->
       ignore
-        (E.run ~p ~faulty:(fun _ -> false)
+        (Ref.run ~p ~faulty:(fun _ -> false)
            ~rings:[ ring; Array.sub ring 0 (Array.length ring - 2) ]
            spec));
   (* A ring crossing a dead link is rejected by the simulator itself —
      a clean run proves the rings avoid the fault set. *)
   let u = ring.(0) and v = ring.(1) in
   check_bool "illegal send on faulted link" true
-    (match E.run ~edge_faults:[ (u, v) ] ~p ~faulty:(fun _ -> false) ~rings:[ ring ] spec with
+    (match Ref.run ~edge_faults:[ (u, v) ] ~p ~faulty:(fun _ -> false) ~rings:[ ring ] spec with
     | exception Netsim.Simulator.Illegal_send _ -> true
     | _ -> false)
 
@@ -283,7 +285,7 @@ let ffc_ring_and_faulty ~d ~n ~faults =
   | None -> Alcotest.fail "FFC embed failed"
 
 let agree ?edge_faults ?(faulty = fun _ -> false) ~what ~p ~rings spec =
-  let re, pe = E.run_with_payload ?edge_faults ~p ~faulty ~rings spec in
+  let re, pe = Ref.run_with_payload ?edge_faults ~p ~faulty ~rings spec in
   let rf, pf = F.run_with_payload ?edge_faults ~p ~faulty ~rings spec in
   check_bool (what ^ ": reports agree") true (same_report re rf);
   check_bool (what ^ ": payload arenas agree") true (same_payload pe pf)
@@ -341,7 +343,7 @@ let test_fastpath_closed_form () =
   check_int "reduce-scatter rounds" ((3 * 4) + 1) rs.E.rounds;
   (* And the same figures from the measuring executor. *)
   let ns op =
-    E.run ~p ~faulty:(fun _ -> false) ~rings:[ ring ]
+    Ref.run ~p ~faulty:(fun _ -> false) ~rings:[ ring ]
       { E.op; ranks = 4; chunk_words = 1; bidirectional = false }
   in
   check_int "netsim agrees (ar)" (ns S.Allreduce).E.rounds ar.E.rounds;
@@ -356,15 +358,15 @@ let test_clamp_ranks () =
   in
   Alcotest.check_raises "exec rejects ranks > length"
     (Invalid_argument
-       "Collective.Exec.run: spec.ranks 99 > ring length 16 (pass \
+       "Oracles.Collective_reference.run: spec.ranks 99 > ring length 16 (pass \
         ~clamp_ranks:true to clamp)") (fun () ->
-      ignore (E.run ~p ~faulty:(fun _ -> false) ~rings:[ ring ] (spec 99)));
+      ignore (Ref.run ~p ~faulty:(fun _ -> false) ~rings:[ ring ] (spec 99)));
   Alcotest.check_raises "fastpath rejects ranks > length"
     (Invalid_argument
        "Collective.Fastpath.run: spec.ranks 99 > ring length 16 (pass \
         ~clamp_ranks:true to clamp)") (fun () ->
       ignore (F.run ~p ~faulty:(fun _ -> false) ~rings:[ ring ] (spec 99)));
-  let re = E.run ~clamp_ranks:true ~p ~faulty:(fun _ -> false) ~rings:[ ring ] (spec 99) in
+  let re = Ref.run ~clamp_ranks:true ~p ~faulty:(fun _ -> false) ~rings:[ ring ] (spec 99) in
   let rf = F.run ~clamp_ranks:true ~p ~faulty:(fun _ -> false) ~rings:[ ring ] (spec 99) in
   check_int "exec clamps to length" 16 re.E.ranks;
   check_bool "clamped runs agree" true (same_report re rf)
@@ -429,7 +431,7 @@ let test_verify_rejects_corruption () =
       let r, payload = F.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
       let name = S.op_to_string op in
       let verify a =
-        E.verify_arena op ~init:E.default_init ~rings:2 ~ranks ~chunk_words:cw a
+        Ref.verify_arena op ~init:E.default_init ~rings:2 ~ranks ~chunk_words:cw a
       in
       let ok, sum = verify (Fa.of_array payload) in
       check_bool (name ^ ": clean arena verifies") true (ok && r.E.verified);
@@ -479,7 +481,7 @@ let verify_props =
         in
         let owned = match op with S.All_gather -> 1 | S.Reduce_scatter | S.Allreduce -> ranks in
         r.E.verified
-        && E.verify_arena op ~init:seeded ~rings:r.E.rings ~ranks ~chunk_words:cw
+        && Ref.verify_arena op ~init:seeded ~rings:r.E.rings ~ranks ~chunk_words:cw
              (Fa.of_array payload)
            = (r.E.verified, r.E.checksum)
         && !calls = r.E.rings * ranks * owned * cw);
@@ -545,7 +547,7 @@ let test_share_link_load () =
   let rings = List.hd rings :: rings in
   check_int "share 2" 2 (C.max_edge_share (lower_family ~p rings));
   let spec = { E.op = S.Allreduce; ranks = 4; chunk_words = 2; bidirectional = false } in
-  let re = E.run ~p ~faulty:(fun _ -> false) ~rings spec in
+  let re = Ref.run ~p ~faulty:(fun _ -> false) ~rings spec in
   let rf = F.run ~p ~faulty:(fun _ -> false) ~rings spec in
   check_int "exec link load = share x phases" (2 * re.E.phases) re.E.max_link_load;
   check_int "fastpath link load = share x phases" (2 * rf.E.phases) rf.E.max_link_load;
@@ -598,7 +600,7 @@ let scan_illegal ~p ~bidirectional ~edge_faults ~ranks rings =
   let rev c = Array.init length (fun i -> c.(length - 1 - i)) in
   let cycles = if bidirectional then rings @ List.map rev rings else rings in
   let bounds = S.boundaries ~ranks ~length in
-  let probe = C.Fault_probe.make ~size:p.W.size ~bidirectional edge_faults in
+  let probe = Ref.Fault_probe.make ~size:p.W.size ~bidirectional edge_faults in
   let adjacent u v =
     W.suffix p u = W.prefix p v || (bidirectional && W.suffix p v = W.prefix p u)
   in
@@ -611,7 +613,7 @@ let scan_illegal ~p ~bidirectional ~edge_faults ~ranks rings =
           incr seg
         done;
         let u = cycle.(i) and v = cycle.((i + 1) mod length) in
-        if (not (adjacent u v)) || C.Fault_probe.mem probe u v then
+        if (not (adjacent u v)) || Ref.Fault_probe.mem probe u v then
           let h = i - bounds.(!seg) in
           match !best with
           | Some (h', u', _) when h' < h || (h' = h && u' <= u) -> ()
@@ -684,7 +686,7 @@ let qsuite =
           1 + (((ring * 101) + (rank * 13) + (chunk * 7) + (word * 3)) mod 89)
         in
         let r =
-          E.run ~init:seeded ~p
+          Ref.run ~init:seeded ~p
             ~faulty:(fun _ -> false)
             ~rings
             { E.op; ranks; chunk_words = cw; bidirectional = false }
@@ -715,7 +717,7 @@ let qsuite =
         | sts ->
             let p = W.params ~d ~n in
             let r =
-              E.run ~edge_faults:victims ~p
+              Ref.run ~edge_faults:victims ~p
                 ~faulty:(fun _ -> false)
                 ~rings:(List.map Str.to_nodes sts)
                 {
@@ -735,7 +737,7 @@ let qsuite =
         let p = W.params ~d ~n in
         let spec = { E.op = S.Allreduce; ranks; chunk_words = cw; bidirectional = false } in
         let rings = [ hamiltonian_ring ~d ~n ] in
-        let a, pa = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let a, pa = Ref.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
         let b, pb =
           Collective.Fastpath.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec
         in
@@ -760,7 +762,7 @@ let qsuite =
           1 + (((ring * 211) + (rank * 17) + (chunk * 5) + (word * 3)) mod 83)
         in
         let re, pe =
-          E.run_with_payload ~init:seeded ~p ~faulty ~rings:[ ring ] spec
+          Ref.run_with_payload ~init:seeded ~p ~faulty ~rings:[ ring ] spec
         in
         let rf, pf =
           F.run_with_payload ~init:seeded ~p ~faulty ~rings:[ ring ] spec
@@ -792,7 +794,7 @@ let qsuite =
               { E.op = S.Allreduce; ranks = 6; chunk_words = 2; bidirectional = false }
             in
             let re, pe =
-              E.run_with_payload ~edge_faults:victims ~p
+              Ref.run_with_payload ~edge_faults:victims ~p
                 ~faulty:(fun _ -> false) ~rings spec
             in
             let rf, pf =
@@ -823,7 +825,7 @@ let qsuite =
         let rings = List.map (fun i -> all.(i mod Array.length all)) picks in
         let ranks = 2 + (r mod (p.W.size - 1)) in
         let spec = { E.op; ranks; chunk_words = 1 + (r mod 2); bidirectional } in
-        let re, pe = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let re, pe = Ref.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
         let rf, pf = F.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
         let c =
           C.lower ~what:"test" ~clamp_ranks:false ~edge_faults:[] ~bidirectional ~ranks
@@ -883,7 +885,7 @@ let qsuite =
         in
         let a = simulated_arena op ~init:seeded ~rings ~ranks ~cw in
         let verify () =
-          E.verify_arena op ~init:seeded ~rings ~ranks ~chunk_words:cw a
+          Ref.verify_arena op ~init:seeded ~rings ~ranks ~chunk_words:cw a
         in
         let sum = arena_sum a in
         let clean = verify () = (true, sum) in
@@ -901,7 +903,7 @@ let qsuite =
         let rings = List.map Str.to_nodes (Co.disjoint_streams_upto ~d ~n ~k:3) in
         let p = W.params ~d ~n in
         let spec = { E.op; ranks = 8; chunk_words = cw; bidirectional = true } in
-        let re, pe = E.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
+        let re, pe = Ref.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
         let rf, pf = F.run_with_payload ~p ~faulty:(fun _ -> false) ~rings spec in
         re.E.verified && same_report re rf && same_payload pe pf);
   ]

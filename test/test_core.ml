@@ -93,8 +93,9 @@ let test_counts () =
   check_int "length 6" 9 (Core.necklace_count_of_length ~d:2 ~n:12 ~t:6)
 
 (* Core's collective drivers run Collective.Fastpath; their reports
-   must equal what the netsim reference executor Collective.Exec
-   returns on the same rings, built here without the drivers. *)
+   must equal what the netsim reference executor
+   Oracles.Collective_reference returns on the same rings, built here
+   without the drivers. *)
 let check_report what (want : Core.Collective_exec.report)
     (got : Core.Collective_exec.report) =
   let field name sel = check_int (what ^ " " ^ name) (sel want) (sel got) in
@@ -115,12 +116,12 @@ let check_report what (want : Core.Collective_exec.report)
 
 let test_collective_drivers () =
   let ranks = 8 and chunk_words = 4 in
-  (* Each op through the driver against Exec.run on [rings]. *)
+  (* Each op through the driver against the reference on [rings]. *)
   let check_case label ~p ~faulty ~rings ?(edge_faults = []) ~bidirectional driver =
     List.iter
       (fun op ->
         let want =
-          Core.Collective_exec.run ~edge_faults ~p ~faulty ~rings
+          Oracles.Collective_reference.run ~edge_faults ~p ~faulty ~rings
             { Core.Collective_exec.op; ranks; chunk_words; bidirectional }
         in
         check_report

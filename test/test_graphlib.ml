@@ -2,7 +2,7 @@
 
 module D = Graphlib.Digraph
 module T = Oracles.Traversal
-module E = Graphlib.Euler
+module E = Oracles.Euler
 module C = Graphlib.Cycle
 
 let check_int = Alcotest.(check int)
@@ -296,7 +296,7 @@ let test_itopo_no_preds () =
 (* ------------------------------------------------------------------ *)
 (* connectivity *)
 
-module Conn = Graphlib.Connectivity
+module Conn = Oracles.Connectivity
 
 let test_connectivity_ring () =
   check_int "ring kappa" 1 (Conn.node_connectivity ring5);

@@ -429,8 +429,8 @@ let r5 =
 
 (* ------------------------------------------------------------------ *)
 (* R7 — zero-allocation hot paths: the scope under a [@lint.hot] /
-   [@@lint.hot] annotation (the steady-state relay of Collective.Exec,
-   the Fastpath phase kernel, Live event patching, the ring walk) must
+   [@@lint.hot] annotation (the Fastpath column loop, the code-table
+   pass of Compile.lower, Live event patching, the ring walk) must
    contain no allocation construct.  The check is
    intraprocedural and syntactic — a portable, project-level analogue
    of flambda's [@zero_alloc]: closures, tuples, records, boxed
