@@ -4,14 +4,28 @@ module Fa = Graphlib.Flatarr
 
 type t = { bstar : Bstar.t; reps : int array; idx_of_node : Fa.I32.t }
 
-(* Module-level recursion: a capturing [let rec] inside the loops below
-   would heap-allocate one closure per necklace (the compiler cannot
-   statically allocate closures with free variables), which dominated
-   the pipeline's minor allocation; static functions cost nothing. *)
-let rec assign_necklace (idx_of_node : Fa.I32.t) stride d i x y =
+(* The necklace walk of the ascending pass: [digits] holds the
+   representative x's base-d digits, most significant first, so the
+   j-th rotation y = a·dⁿ⁻¹ + w of x, a = digits.(j), steps to
+   w·d + a with no division.  Module-level recursion: a capturing
+   [let rec] inside the pass would allocate a closure per necklace. *)
+let rec walk_necklace (idx_of_node : Fa.I32.t) digits top d i x y j =
   idx_of_node.{y} <- Int32.of_int i;
-  let y' = (y mod stride * d) + (y / stride) in
-  if y' <> x then assign_necklace idx_of_node stride d i x y'
+  let a = digits.(j) in
+  let y' = ((y - (a * top)) * d) + a in
+  if y' <> x then walk_necklace idx_of_node digits top d i x y' (j + 1)
+[@@lint.hot]
+
+(* Step the odometer [digits] (least significant last) from x to
+   x + 1; past dⁿ − 1 it wraps to zero. *)
+let rec tick digits d j =
+  if j >= 0 then
+    if digits.(j) = d - 1 then begin
+      digits.(j) <- 0;
+      tick digits d (j - 1)
+    end
+    else digits.(j) <- digits.(j) + 1
+[@@lint.hot]
 
 (* The necklace exit/entry rule, over any node → necklace key table
    that is −1 outside B*: the batch stages pass [idx_of_node] and an
@@ -55,7 +69,7 @@ let build ?ws (bstar : Bstar.t) =
   in
   let count = ref 0 in
   let d = p.W.d in
-  let stride = size / d in
+  let top = size / d and digits = Array.make p.W.n 0 in
   for x = 0 to size - 1 do
     if in_bstar.{x} <> 0 && Int32.to_int idx_of_node.{x} < 0 then begin
       if growable && !count = Fa.length !reps_buf then begin
@@ -64,10 +78,10 @@ let build ?ws (bstar : Bstar.t) =
         reps_buf := b
       end;
       !reps_buf.{!count} <- x;
-      (* Inlined necklace walk (rotate left until back at x). *)
-      assign_necklace idx_of_node stride d !count x x;
+      walk_necklace idx_of_node digits top d !count x x 0;
       incr count
-    end
+    end;
+    tick digits d (p.W.n - 1)
   done;
   let reps = Fa.sub_to_array !reps_buf 0 !count in
   { bstar; reps; idx_of_node }

@@ -8,10 +8,13 @@
     rotations preserve weight), which makes entry/exit points unique.
 
     The necklace index ([reps]/[idx_of_node]) is built in one ascending
-    arithmetic pass and is the only N\u{2217} state kept: edges are read
-    from [idx_of_node] when needed (the w-edges at a node αw go to the
-    necklaces of the live nodes βw, β ≠ α), so N\u{2217} is never
-    materialized. *)
+    pass and is the only N\u{2217} state kept.  The first live node of
+    each necklace is its representative x; the pass keeps x's base-d
+    digits as an odometer and walks the necklace by them, each rotation
+    a·dⁿ⁻¹ + w → w·d + a taking a as x's next digit, so no node costs a
+    division.  Edges are read from [idx_of_node] when needed (the
+    w-edges at a node αw go to the necklaces of the live nodes βw,
+    β ≠ α), so N\u{2217} is never materialized. *)
 
 type t = {
   bstar : Bstar.t;

@@ -7,14 +7,20 @@
     necklaces is matched by the edge βw→wα in the other direction), so
     "component" is unambiguous.
 
-    All computations here are {e implicit}: they traverse B(d,n) through
-    the arithmetic neighbor iterators ([Debruijn.Word.iter_succs]), so
-    nothing graph-shaped is allocated.  The [graph] field materializes
-    the full B(d,n) as a [Digraph.t] lazily.  No library code forces it
-    any more — the netsim-backed engines run on the arithmetic edge test
-    [Debruijn.Word.is_edge] — and only the repository benchmark's
-    [distributed-ffc] workload still does, so it goes at that
-    benchmark's next re-anchor. *)
+    All computations here are {e implicit}: nothing graph-shaped is
+    allocated.  {!compute} and {!component_of} flood B(d,n) with one
+    FIFO routine of their own: x expands to its successors
+    (x mod dⁿ⁻¹)·d + a for a ascending, and a successor v is taken iff
+    [in_bstar.{v} lor necklace_faulty.{v} = 0], so the B\u{2217} flags
+    are the visited set and the levels are written straight into
+    32-bit cells.  The diagnostics ({!component_members}, {!diameter},
+    {!is_strongly_connected}) run {!Graphlib.Itopo} over the arithmetic
+    neighbor iterators ([Debruijn.Word.iter_succs]).  The [graph] field
+    materializes the full B(d,n) as a [Digraph.t] lazily.  No library
+    code forces it any more — the netsim-backed engines run on the
+    arithmetic edge test [Debruijn.Word.is_edge] — and only the
+    repository benchmark's [distributed-ffc] workload still does, so it
+    goes at that benchmark's next re-anchor. *)
 
 type t = {
   p : Debruijn.Word.params;
@@ -30,7 +36,7 @@ type t = {
   size : int;  (** |B\u{2217}| — the fault-free cycle length *)
   root : int;  (** the distinguished node R with N(R) = \[R\] *)
   dist : Graphlib.Flatarr.I32.t;
-      (** node-level BFS distance from R inside B\u{2217} (−1 outside), in
+      (** node-level distance from R inside B\u{2217} (−1 outside), in
           32-bit cells: the levels of Step 1.1's broadcast tree T′,
           which [Spanning.build] reads *)
   ecc : int;
@@ -52,22 +58,25 @@ val compute :
     necklace representative in the component.  Ties between equal-size
     components break toward the one containing the smallest node.
 
-    One BFS usually does all of it.  It starts from the root candidate
-    — the hint's representative when its necklace is live, otherwise
-    the smallest live node — over the live nodes.  When it reaches a
-    strict majority of them (dⁿ minus the nodes on faulty necklaces),
-    its component is the unique largest: that is B\u{2217}, the candidate
-    is R, and the BFS's distances are [dist].  Otherwise a sweep over
-    every component picks B\u{2217} and R by the rules above, and the
-    same BFS then runs from that R.
+    One flood usually does all of it.  It starts from the root
+    candidate — the hint's representative when its necklace is live,
+    otherwise the smallest live node — over the live nodes.  When it
+    reaches a strict majority of them (dⁿ minus the nodes on faulty
+    necklaces), its component is the unique largest: that is
+    B\u{2217}, the candidate is R, and the flood's levels are [dist].
+    Otherwise the sweep clears the first flood's marks, floods every
+    unmarked live node's component in ascending order (each seed is its
+    component's smallest node), keeps the strictly largest by the rules
+    above, and floods once more from that R.
 
-    [?domains] is ignored: the BFS and the sweep are sequential.  It
+    [?domains] is ignored: the flood and the sweep are sequential.  It
     stays in the signature only because the repository benchmark
     ([bench/suite]) passes it, and goes with that benchmark's next
     re-anchor.  With [?ws] nothing dⁿ-sized is allocated: the result's
-    [necklace_faulty]/[in_bstar] alias workspace arrays and [dist] the
-    workspace's traversal scratch (valid until the workspace's next use;
-    contents bit-identical to fresh).
+    [necklace_faulty], [in_bstar] (the flood's visited marks) and
+    [dist] (its levels) alias the workspace arrays of those names, and
+    the flood's queue is the workspace's [order] (valid until the
+    workspace's next use; contents bit-identical to fresh).
     @raise Invalid_argument past 2³¹ nodes: without [?ws], before
     allocating ({!Graphlib.Flatarr.I32.check_nodes}); with it,
     {!Workspace.create} already refused such a (d, n). *)
@@ -75,10 +84,11 @@ val compute :
 val component_of : Debruijn.Word.params -> faults:int list -> int -> t option
 (** The component containing the given node, with that node's necklace
     representative as root; [None] if the node lies on a faulty
-    necklace.  Used for the Table 2.1/2.2 experiments.  One BFS from
+    necklace.  Used for the Table 2.1/2.2 experiments.  One flood from
     the root fills every field, so [dist]/[ecc] are as in {!compute}.
     Costs O(dⁿ) time and words whatever the component's size: the fault
-    marks, the visited mask and the BFS arrays all span every node. *)
+    marks, the visited marks and the flood's arrays all span every
+    node. *)
 
 val component_members :
   Debruijn.Word.params -> faults:int list -> int -> int array
@@ -103,7 +113,7 @@ val necklace_count : t -> int
 val eccentricity_of_root : t -> int
 (** [t.ecc]: max distance from the root within B\u{2217} — the broadcast
     round count of Step 1.1.  A field read; {!compute} already ran the
-    BFS. *)
+    flood. *)
 
 val diameter : t -> int
 (** The thesis's K: the diameter of B\u{2217} (O(|B\u{2217}|·edges); meant for

@@ -1,7 +1,6 @@
 module W = Debruijn.Word
 module Bs = Graphlib.Bitset
 module Fa = Graphlib.Flatarr
-module It = Graphlib.Itopo
 
 type t = {
   p : W.params;
@@ -14,7 +13,8 @@ type t = {
   digit : Succ_digit.t;
   successor : Fa.t;
   cycle_seen : Bs.t;
-  it : It.ws;
+  dist : Fa.I32.t;
+  order : Fa.I32.t;
   (* necklace-level scratch (max_necklaces entries unless noted) *)
   reps_buf : Fa.t;
   parent : Fa.t;
@@ -27,34 +27,13 @@ type t = {
   bucket_head : Fa.t;
 }
 
-(* Necklace count of the fault-free B(d,n) — an upper bound on the live
-   necklace count of any B*.  Same ascending first-hit sweep as
-   Adjacency.build: the first unseen node of each necklace is its
-   minimal rotation. *)
-let count_necklaces p =
-  let size = p.W.size in
-  let seen = Bs.create size in
-  let d = p.W.d in
-  let stride = size / d in
-  let count = ref 0 in
-  for x = 0 to size - 1 do
-    if not (Bs.mem seen x) then begin
-      incr count;
-      let rec mark y =
-        Bs.add seen y;
-        let y' = (y mod stride * d) + (y / stride) in
-        if y' <> x then mark y'
-      in
-      mark x
-    end
-  done;
-  !count
-
 let create p =
   let size = p.W.size in
   Fa.I32.check_nodes size;
   let wsize = size / p.W.d in
-  let m = count_necklaces p in
+  (* The fault-free necklace count (Ch. 4's closed form) bounds the
+     live necklace count of any B*. *)
+  let m = Necklace_count.Count.total ~d:p.W.d ~n:p.W.n in
   (* All scratch comes out of one arena: one backing allocation per
      cell kind (words, bytes, 32-bit cells), every region starting at a
      64-byte-separated offset (Flatarr.Arena), so two campaign domains
@@ -67,7 +46,7 @@ let create p =
     aw size + aw wide + (5 * aw m) + aw (m + 1) + (2 * aw wsize)
   in
   let bytes = 3 * Fa.Arena.aligned_bytes size in
-  let cells = Fa.Arena.aligned_cells size + It.ws_arena_cells size in
+  let cells = 3 * Fa.Arena.aligned_cells size in
   let arena = Fa.Arena.create ~words ~bytes ~cells in
   let carve n =
     let a = Fa.Arena.carve arena n in
@@ -87,7 +66,8 @@ let create p =
     digit = { Succ_digit.bytes = Fa.Arena.carve_byte arena size; wide = carve wide };
     successor = carve size;
     cycle_seen = Bs.create size;
-    it = It.ws_create ~arena size;
+    dist = Fa.Arena.carve_i32 arena size;
+    order = Fa.Arena.carve_i32 arena size;
     reps_buf = carve m;
     parent = carve m;
     label = carve m;

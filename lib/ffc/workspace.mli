@@ -2,7 +2,7 @@
     one (d, n).
 
     A workspace bundles every scratch structure the four pipeline
-    stages need — traversal state ({!Graphlib.Itopo.ws}), the necklace
+    stages need — B\u{2217}'s flood levels and queue, the necklace
     index, adjacency/spanning buffers, the ring's digit table and the
     successor map — sized once by {!create} and reused across
     trials via the [?ws] argument of [Bstar.compute], [Embed.embed]
@@ -44,11 +44,12 @@ type t = {
           d ≥ 255); owned by [Spanning.modify] *)
   successor : Graphlib.Flatarr.t;  (** owned by [Embed.successor_map] *)
   cycle_seen : Graphlib.Bitset.t;  (** owned by [Embed.verify] *)
-  it : Graphlib.Itopo.ws;
-      (** owned by [Bstar.compute] (its BFS and, without a majority
-          component, its component sweep); the B\u{2217} record's [dist]
-          aliases it, so any later traversal with the same workspace
-          clobbers that field *)
+  dist : Graphlib.Flatarr.I32.t;
+      (** owned by [Bstar.compute]: its flood's levels, which the
+          B\u{2217} record's [dist] aliases *)
+  order : Graphlib.Flatarr.I32.t;
+      (** owned by [Bstar.compute]: its flood's FIFO queue, which is
+          the discovery order *)
   (* necklace-level scratch, [max_necklaces] entries unless noted *)
   reps_buf : Graphlib.Flatarr.t;  (** owned by [Adjacency.build] *)
   parent : Graphlib.Flatarr.t;  (** owned by [Spanning.build] *)
@@ -63,14 +64,15 @@ type t = {
 
 val create : Debruijn.Word.params -> t
 (** Allocate the whole arena for (d, n): per node 1 word (the
-    successor map), three 32-bit cells (the necklace index and Itopo's
-    [dist] and [order]) and 3 bytes (two flags and the ring's digit);
-    6 words per necklace and 2 per (n−1)-suffix.  That is
+    successor map), three 32-bit cells (the necklace index and
+    [Bstar]'s [dist] and [order]) and 3 bytes (two flags and the
+    ring's digit); 6 words per necklace and 2 per (n−1)-suffix.  That is
     dⁿ + 6·K + 2·dⁿ⁻¹ words (K the necklace count), 3·dⁿ cells and
     3·dⁿ bytes — about 34 bytes per node at B(2,20), 12 fewer than
     with word cells — in one backing allocation per cell kind.  For d ≥ 255 the digit table's escape side table adds dⁿ
-    words.  Two one-bit-per-node sets live on the heap.  O(dⁿ) time
-    (one necklace-counting sweep).
+    words.  One one-bit-per-node set ([cycle_seen]) lives on the heap.
+    K comes from Ch. 4's closed form ({!Necklace_count.Count.total}),
+    so the time is the arena's O(dⁿ) first fill.
     @raise Invalid_argument past 2³¹ nodes, before allocating anything
     ({!Graphlib.Flatarr.I32.check_nodes}). *)
 

@@ -68,11 +68,12 @@ module Byte : sig
 end
 
 (** 32-bit cells (kind [int32]), half a word: the tables whose values
-    are node ids, necklace keys or BFS levels — Itopo's [dist] and
-    [order], the necklace index, [Ffc.Live]'s representative, level
-    and bucket tables.  Every such value is −1 or below the node count
-    dⁿ, so the cells hold them while dⁿ ≤ 2³¹ ({!check_nodes}).  The
-    whole-array operations take and return [int]s. *)
+    are node ids, necklace keys or BFS levels — [Ffc.Bstar]'s and
+    Itopo's [dist] and [order], the necklace index, [Ffc.Live]'s
+    representative, level and bucket tables.  Every such value is −1
+    or below the node count dⁿ, so the cells hold them while
+    dⁿ ≤ 2³¹ ({!check_nodes}).  The whole-array operations take and
+    return [int]s. *)
 module I32 : sig
   type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -6,35 +6,25 @@ type bfs = { dist : I32.t; order : I32.t; count : int }
 
 (* Reusable traversal scratch: one visited bitset plus full-size
    distance/order arrays, sized for a fixed node count [n].  The
-   dist/order arrays are off-heap 32-bit cells ({!Flatarr.I32}) —
-   optionally carved out of a caller-supplied arena — so a traversal's
-   8n-byte working set never enters the GC.  Every traversal that
-   accepts [?ws] resets exactly the state it uses (bitset clear is
-   O(n/8); the dist fill is O(n)), so reuse across traversals is
-   bit-identical to fresh allocation.  The loops below index the cells
-   directly ([Int32.to_int a.{i}]): a cross-module accessor would be a
-   call per node under [-opaque]. *)
+   dist/order arrays are off-heap 32-bit cells ({!Flatarr.I32}), so a
+   traversal's 8n-byte working set never enters the GC.  Every
+   traversal that accepts [?ws] resets exactly the state it uses
+   (bitset clear is O(n/8); the dist fill is O(n)), so reuse across
+   traversals is bit-identical to fresh allocation.  The loops below
+   index the cells directly ([Int32.to_int a.{i}]): a cross-module
+   accessor would be a call per node under [-opaque]. *)
 type ws = { wn : int; wvisited : Bitset.t; wdist : I32.t; worder : I32.t }
-
-let ws_arena_cells n = 2 * Flatarr.Arena.aligned_cells n
 
 (* Every fresh node table goes through the 2³¹ preflight first. *)
 let fresh_cells n v =
   I32.check_nodes n;
   I32.make n v
 
-let ws_create ?arena n =
+let ws_create n =
   if n < 0 then invalid_arg "Itopo.ws_create: negative size";
   I32.check_nodes n;
-  let dist, order =
-    match arena with
-    | None -> (I32.make n (-1), I32.make n 0)
-    | Some a ->
-        let d = Flatarr.Arena.carve_i32 a n in
-        I32.fill d (-1);
-        (d, Flatarr.Arena.carve_i32 a n)
-  in
-  { wn = n; wvisited = Bitset.create n; wdist = dist; worder = order }
+  let wdist = I32.make n (-1) and worder = I32.make n 0 in
+  { wn = n; wvisited = Bitset.create n; wdist; worder }
 
 let ws_check ws n =
   if ws.wn <> n then invalid_arg "Itopo: workspace sized for a different n"
@@ -72,20 +62,15 @@ let masked_visited ?ws ~n ~keep () =
     done;
   visited
 
-let order_array ?ws ~n () =
-  match ws with None -> fresh_cells n 0 | Some w -> w.worder
-
-let dist_array ?ws ~n () =
-  match ws with
-  | None -> fresh_cells n (-1)
-  | Some w ->
-      I32.fill w.wdist (-1);
-      w.wdist
-
 let bfs ?ws ~n ~succs ?(keep = keep_all) src =
   if src < 0 || src >= n then invalid_arg "Itopo.bfs: source out of range";
-  let dist = dist_array ?ws ~n () in
-  let order = order_array ?ws ~n () in
+  let dist, order =
+    match ws with
+    | None -> (fresh_cells n (-1), fresh_cells n 0)
+    | Some w ->
+        I32.fill w.wdist (-1);
+        (w.wdist, w.worder)
+  in
   let count = ref 0 in
   let visited = masked_visited ?ws ~n ~keep () in
   if not (Bitset.mem visited src) then begin
@@ -187,11 +172,13 @@ let component_members ~n ~succs ~preds ?(keep = keep_all) src =
     Array.sub !buf 0 !len
   end
 
-(* Shared sweep: floods every component into [order] and returns the
-   span (start, size) of the largest one.  Each component occupies a
-   contiguous segment of [order], already in BFS discovery order from
-   its smallest member (seeds ascend). *)
-let lwc_sweep ~n ~both ~visited ~order =
+(* Floods every component into [order] and keeps the largest.  Each
+   component occupies a contiguous segment of [order], already in BFS
+   discovery order from its smallest member (seeds ascend). *)
+let largest_weak_component ~n ~succs ~preds ?(keep = keep_all) () =
+  let both = symmetric ~succs ~preds in
+  let visited = masked_visited ~n ~keep () in
+  let order = fresh_cells n 0 in
   let count = ref 0 in
   let best_start = ref 0 and best_size = ref 0 in
   for seed = 0 to n - 1 do
@@ -208,21 +195,7 @@ let lwc_sweep ~n ~both ~visited ~order =
       end
     end
   done;
-  (!best_start, !best_size)
-
-let largest_weak_component ~n ~succs ~preds ?(keep = keep_all) () =
-  let both = symmetric ~succs ~preds in
-  let visited = masked_visited ~n ~keep () in
-  let order = fresh_cells n 0 in
-  let start, size = lwc_sweep ~n ~both ~visited ~order in
-  I32.sub_to_array order start size
-
-let largest_weak_component_span ~ws ~n ~succs ~preds ?(keep = keep_all) () =
-  let both = symmetric ~succs ~preds in
-  let visited = masked_visited ~ws ~n ~keep () in
-  let order = ws.worder in
-  let start, size = lwc_sweep ~n ~both ~visited ~order in
-  (order, start, size)
+  I32.sub_to_array order !best_start !best_size
 
 let weak_labels ~n ~succs ~preds ?(keep = keep_all) () =
   let both = symmetric ~succs ~preds in

@@ -1,5 +1,6 @@
 (** Traversals over {e implicit} topologies — the library's one
-    traversal engine.
+    generic traversal engine ([Ffc.Bstar] floods B(d,n) itself, over
+    its own byte tables).
 
     Every algorithm here takes the graph as neighbor-iterator closures
     instead of a materialized {!Digraph.t}: [succs v f] must call [f] on
@@ -19,7 +20,7 @@
 
     Every traversal is one sequential FIFO loop, so discovery order,
     distances and component tie-breaks are a function of the iterators
-    alone; [Ffc.Bstar] reads that order as T′'s levels. *)
+    alone. *)
 
 type iter = int -> (int -> unit) -> unit
 (** [iter v f] calls [f] on each neighbor of [v], in a deterministic
@@ -51,17 +52,11 @@ type ws
     to the fresh-allocation path — each traversal resets exactly the
     workspace state it reads. *)
 
-val ws_create : ?arena:Flatarr.Arena.arena -> int -> ws
+val ws_create : int -> ws
 (** [ws_create n] — workspace for traversals over node ids
-    [0 .. n−1].  The 2n-cell dist/order storage is off-heap: freshly
-    allocated, or carved from [?arena] (exactly {!ws_arena_cells}[ n]
-    cells — how [Ffc.Workspace] folds the traversal scratch into its
-    arena).
+    [0 .. n−1], with its 2n-cell dist/order storage off-heap.
     @raise Invalid_argument past 2³¹ nodes, before allocating
     ({!Flatarr.I32.check_nodes}). *)
-
-val ws_arena_cells : int -> int
-(** Arena 32-bit cells consumed by [ws_create ~arena n]. *)
 
 val bfs : ?ws:ws -> n:int -> succs:iter -> ?keep:(int -> bool) -> int -> bfs
 (** [bfs ~n ~succs src] — BFS from [src] over node ids [0 .. n−1], in
@@ -97,20 +92,6 @@ val largest_weak_component :
     the component containing the smallest node (both as in the seed's
     [Oracles.Traversal.largest_weak_component]).  Empty iff no node
     passes [keep]. *)
-
-val largest_weak_component_span :
-  ws:ws ->
-  n:int ->
-  succs:iter ->
-  preds:iter ->
-  ?keep:(int -> bool) ->
-  unit ->
-  Flatarr.I32.t * int * int
-(** Allocation-free {!largest_weak_component}: returns
-    [(order, start, size)] where [order.{start .. start+size−1}] is the
-    largest component in BFS discovery order.  [order] is the
-    workspace's order array — the span is valid until the workspace's
-    next use.  Same contents and tie-breaks as the copying variant. *)
 
 val weak_labels :
   n:int -> succs:iter -> preds:iter -> ?keep:(int -> bool) -> unit -> int array

@@ -113,34 +113,50 @@ let test_bstar_root_hint () =
   (* hint 221 normalizes to its necklace representative 122. *)
   check_int "root canonicalized" (W.of_string p33 "122") b.B.root
 
-(* Bstar.compute's second path.  The BFS from the root candidate settles
-   B* alone only when it reaches a strict majority of the live nodes;
-   these B(2,4) cases, found by exhaustive search, must fall back to the
+(* Bstar.compute's second path.  The flood from the root candidate
+   settles B* alone only when it reaches a strict majority of the live
+   nodes; these cases, found by exhaustive search, must fall back to the
    sweep over every component, and still agree with the frozen
-   reference and with a list BFS from R. *)
+   reference and with a list BFS from R.  Each runs twice: fresh, and
+   through a workspace that has just embedded a majority instance. *)
 let test_bstar_fallback () =
-  let p = W.params ~d:2 ~n:4 in
-  let w = W.of_string p in
-  let case what ?root_hint faults ~root ~members =
-    let b = Option.get (B.compute ?root_hint p ~faults) in
-    check_int (what ^ ": root") root b.B.root;
-    check_int (what ^ ": size") (List.length members) b.B.size;
-    Alcotest.(check (list int)) (what ^ ": members") members (B.nodes b);
-    check_bool (what ^ ": dist/ecc = list BFS from R") true (dist_matches_traversal b);
-    let e = Option.get (E.embed ?root_hint p ~faults) in
-    let r = Option.get (Oracles.Ffc_reference.embed ?root_hint p ~faults) in
-    check_bool (what ^ ": pipeline = reference") true (matches_reference e r)
+  let case what p ?root_hint faults ~root ~members =
+    let run how ws =
+      let what = what ^ how in
+      let b = Option.get (B.compute ?root_hint ?ws p ~faults) in
+      check_int (what ^ ": root") root b.B.root;
+      check_int (what ^ ": size") (List.length members) b.B.size;
+      Alcotest.(check (list int)) (what ^ ": members") members (B.nodes b);
+      check_bool (what ^ ": dist/ecc = list BFS from R") true (dist_matches_traversal b);
+      let e = Option.get (E.embed ?root_hint ?ws p ~faults) in
+      let r = Option.get (Oracles.Ffc_reference.embed ?root_hint p ~faults) in
+      check_bool (what ^ ": pipeline = reference") true (matches_reference e r)
+    in
+    run "" None;
+    let ws = Ffc.Workspace.create p in
+    ignore (E.embed ~ws p ~faults:[]);
+    run " (workspace)" (Some ws)
   in
+  let p4 = W.params ~d:2 ~n:4 in
+  let w = W.of_string p4 in
   (* Two 5-node halves: the hint's half holds exactly half of the 10
      live nodes, no strict majority, so the tie goes to the half
      holding 0000. *)
-  case "halves" ~root_hint:(w "0111") [ w "0011"; w "0101" ] ~root:0
+  case "halves" p4 ~root_hint:(w "0111") [ w "0011"; w "0101" ] ~root:0
     ~members:[ 0; 1; 2; 4; 8 ];
   (* The largest component holds 4 of the 8 live nodes. *)
-  case "no majority" [ w "0001"; w "0111" ] ~root:3 ~members:[ 3; 6; 9; 12 ];
-  (* 0000 is isolated: the first BFS reaches one node. *)
-  case "isolated candidate" [ w "0001" ] ~root:3
-    ~members:[ 3; 5; 6; 7; 9; 10; 11; 12; 13; 14; 15 ]
+  case "no majority" p4 [ w "0001"; w "0111" ] ~root:3 ~members:[ 3; 6; 9; 12 ];
+  (* 0000 is isolated: the first flood reaches one node. *)
+  case "isolated candidate" p4 [ w "0001" ] ~root:3
+    ~members:[ 3; 5; 6; 7; 9; 10; 11; 12; 13; 14; 15 ];
+  (* 17 live nodes in components of 6, 5, 5 and 1.  The first flood,
+     from 00000, reaches the largest component but no majority, so the
+     sweep must flood it again: a sweep that kept the first flood's
+     marks would skip it and return 00111's 5 nodes. *)
+  let p5 = W.params ~d:2 ~n:5 in
+  let w = W.of_string p5 in
+  case "largest holds the candidate" p5 [ w "00011"; w "00101"; w "01111" ] ~root:0
+    ~members:[ 0; 1; 2; 4; 8; 16 ]
 
 let test_bstar_eccentricity () =
   let b = example_bstar () in
@@ -1241,7 +1257,7 @@ let qsuite =
         let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
         match (E.embed p ~faults, Oracles.Ffc_reference.embed p ~faults) with
         | None, None -> true
-        | Some e, Some r -> matches_reference e r
+        | Some e, Some r -> matches_reference e r && dist_matches_traversal e.E.bstar
         | _ -> false);
     (* The hint lands anywhere in [0, dⁿ): on a live necklace of B*, on
        a faulty necklace, or in a smaller component — so both of

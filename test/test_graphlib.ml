@@ -445,7 +445,7 @@ let qsuite_compact =
     Test.make ~name:"Itopo.bfs order = FIFO oracle" ~count:300 arb_kept_graph
       (fun ((n, es), kept, src) ->
         let g = D.of_edges n es in
-        let succs = isuccs g and preds = ipreds g in
+        let succs = isuccs g in
         let keep v = kept.(v) in
         let dist, order = fifo_bfs g ~keep src in
         let matches (r : It.bfs) =
@@ -457,12 +457,7 @@ let qsuite_compact =
         let fresh = matches (It.bfs ~n ~succs ~keep src) in
         ignore (It.bfs ~ws ~n ~succs 0);
         let reused = matches (It.bfs ~ws ~n ~succs ~keep src) in
-        let component = It.largest_weak_component ~n ~succs ~preds ~keep () in
-        let span_order, start, size =
-          It.largest_weak_component_span ~ws ~n ~succs ~preds ~keep ()
-        in
-        let span = Fa.I32.sub_to_array span_order start size = component in
-        fresh && reused && span && matches (It.bfs ~ws ~n ~succs ~keep src));
+        fresh && reused && matches (It.bfs ~ws ~n ~succs ~keep src));
     Test.make ~name:"Itopo.bfs_dist = Traversal.bfs_dist" ~count:200 arb_graph
       (fun (n, es) ->
         let g = D.of_edges n es in
@@ -619,22 +614,6 @@ let test_flatarr_i32_arena () =
     (Invalid_argument "Flatarr.Arena.carve_i32: arena exhausted") (fun () ->
       ignore (Fa.Arena.carve_i32 a 1))
 
-let test_itopo_ws_arena () =
-  (* A workspace carved from an arena behaves exactly like a fresh one. *)
-  let n = 64 in
-  let arena =
-    Fa.Arena.create ~words:0 ~bytes:0 ~cells:(It.ws_arena_cells n)
-  in
-  let ws = It.ws_create ~arena n in
-  check_int "arena fully consumed" (It.ws_arena_cells n)
-    (Fa.Arena.cells_used arena);
-  let succs v f = if v + 1 < n then f (v + 1) in
-  let fresh = It.bfs ~n ~succs 0 in
-  let arened = It.bfs ~ws ~n ~succs 0 in
-  check_int "same count" fresh.It.count arened.It.count;
-  Alcotest.(check (array int)) "same dist" (Fa.I32.to_array fresh.It.dist)
-    (Fa.I32.to_array arened.It.dist)
-
 let () =
   Alcotest.run "graphlib"
     [
@@ -692,7 +671,6 @@ let () =
           Alcotest.test_case "component members order" `Quick test_itopo_component_members;
           Alcotest.test_case "largest weak component" `Quick test_itopo_largest_weak;
           Alcotest.test_case "no_preds sweep" `Quick test_itopo_no_preds;
-          Alcotest.test_case "arena workspace" `Quick test_itopo_ws_arena;
         ] );
       ( "flatarr",
         [

@@ -310,15 +310,11 @@ let r3 =
    arena lifetime past the aliasing contract).  The Bigarray backings
    have the same lifetime discipline: [Flatarr.Arena.carve],
    [carve_byte] and [carve_i32] hand out aliasing views, so carving is
-   confined to the workspace and Itopo scratch constructors (and
-   Flatarr itself). *)
+   confined to the workspace constructor (and Flatarr itself). *)
 
-let r4_arena_file path =
-  Lint_project.under_dir "lib/ffc" path
-  || Lint_project.same_path "lib/graphlib/itopo.ml" path
+let r4_arena_file path = Lint_project.under_dir "lib/ffc" path
 
-let r4_carve_files =
-  [ "lib/ffc/workspace.ml"; "lib/graphlib/itopo.ml"; "lib/graphlib/flatarr.ml" ]
+let r4_carve_files = [ "lib/ffc/workspace.ml"; "lib/graphlib/flatarr.ml" ]
 
 (* Alias-robust: matches [Flatarr.Arena.carve], [Fa.Arena.carve_byte],
    [Graphlib.Flatarr.Arena.carve_i32], ... *)
@@ -375,7 +371,7 @@ let r4 =
                    emit ~id:"R4" ~loc
                      (Printf.sprintf
                         "Arena.%s: carving hands out aliasing views; arenas are carved only \
-                         by the Workspace and Itopo scratch constructors" f)
+                         by the Workspace constructor" f)
                | None -> ())
            | _ -> ());
         if not (r4_arena_file ctx.path) then
@@ -446,7 +442,7 @@ let r7_alloc_table =
     ( "Array",
       [ "make"; "init"; "append"; "concat"; "copy"; "sub"; "of_list"; "to_list";
         "of_seq"; "to_seq"; "to_seqi"; "map"; "mapi"; "map2"; "split"; "combine";
-        "make_matrix" ] );
+        "make_matrix"; "sort"; "stable_sort"; "fast_sort" ] );
     ( "List",
       [ "init"; "map"; "mapi"; "map2"; "rev"; "rev_append"; "rev_map"; "append";
         "concat"; "concat_map"; "flatten"; "filter"; "filteri"; "filter_map";
