@@ -88,7 +88,9 @@ let total_wall pts =
 (* The arena's accounting: identical seeded trials through the fresh
    and the pooled path, sequentially (gated rows), then the pooled path
    striding its trials over 4 domains (machine-dependent, so the engine
-   name makes the gate skip it). *)
+   name makes the gate skip it).  A point's wall_s sums its trials' own
+   times, so the x4 ratio compares per-trial cost with trials running
+   side by side, not elapsed time. *)
 let ws_vs_fresh ~smoke () =
   (* B(2,12) in smoke, not B(2,10): distinct from the Table-2.1 instance
      so every JSON row identity (d, n, engine, f) stays unique. *)
@@ -116,7 +118,7 @@ let ws_vs_fresh ~smoke () =
       ~domains ~trials ~fs ~d ~n ()
   in
   let par_speedup = total_wall fresh /. total_wall par in
-  Printf.printf "  speedup vs fresh at %d domains: %5.2fx (%d cores available)\n"
+  Printf.printf "  fresh/workspace at %d domains (trial times summed): %5.2fx (%d cores)\n"
     domains par_speedup
     (Domain.recommended_domain_count ());
   record

@@ -1,8 +1,5 @@
 let b p = Graphlib.Digraph.of_successors p.Word.size (Word.successors p)
 
-let iter_succs = Word.iter_succs
-let iter_preds = Word.iter_preds
-
 let ub p =
   let n = p.Word.size in
   let bld = Graphlib.Digraph.Builder.create n in

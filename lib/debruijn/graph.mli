@@ -11,14 +11,6 @@ val ub : Word.params -> Graphlib.Digraph.t
 (** UB(d,n): loops deleted, orientation removed, parallel edges merged.
     Represented as a symmetric digraph with one edge per direction. *)
 
-val iter_succs : Word.params -> int -> (int -> unit) -> unit
-(** Arithmetic edge iterators — B(d,n) as an implicit topology for
-    [Graphlib.Itopo], no graph built.  [iter_succs] and
-    [iter_preds] are {!Word.iter_succs}/{!Word.iter_preds} re-exported
-    under the graph-flavored name. *)
-
-val iter_preds : Word.params -> int -> (int -> unit) -> unit
-
 val degree_census : Graphlib.Digraph.t -> (int * int) list
 (** Sorted [(degree, how_many)] pairs of out-degrees — for UB this
     checks the [PR82] census: d nodes of degree 2d−2, d(d−1) of degree

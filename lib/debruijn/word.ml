@@ -103,20 +103,12 @@ let predecessors p x =
   let w = prefix p x in
   List.init p.d (fun a -> cons p a w)
 
-(* Allocation-free counterparts of [successors]/[predecessors], in the
-   same digit order — the {!Graphlib.Itopo.iter}s that let traversals
-   run on B(d,n) without materializing it. *)
+(* Allocation-free counterpart of [successors], in the same digit
+   order. *)
 let iter_succs p x f =
   let base = x mod (p.size / p.d) * p.d in
   for a = 0 to p.d - 1 do
     f (base + a)
-  done
-
-let iter_preds p x f =
-  let w = x / p.d in
-  let stride = p.size / p.d in
-  for a = 0 to p.d - 1 do
-    f ((a * stride) + w)
   done
 
 (* suffix u = prefix v, by arithmetic and range-checked without

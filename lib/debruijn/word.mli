@@ -69,11 +69,7 @@ val predecessors : params -> int -> int list
 
 val iter_succs : params -> int -> (int -> unit) -> unit
 (** [iter_succs p x f] calls [f] on the d successors in the same order
-    as {!successors}, allocating nothing ([fun x f -> iter_succs p x f]
-    is a [Graphlib.Itopo.iter]).  No range check on [x]. *)
-
-val iter_preds : params -> int -> (int -> unit) -> unit
-(** Likewise for {!predecessors}. *)
+    as {!successors}, allocating nothing.  No range check on [x]. *)
 
 val is_edge : params -> int -> int -> bool
 (** [is_edge p u v]: is u → v an edge of B(d,n), i.e. suffix u =

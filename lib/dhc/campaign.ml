@@ -13,12 +13,6 @@ type point = {
   major_words_per_trial : float;
 }
 
-(* Per-trial generators are substreams of (campaign seed, f, trial)
-   alone — Util.Rng.split, the seeding scheme shared with
-   Ffc.Campaign — so the per-trial fault samples, and hence every
-   statistic except wall_s, are bit-identical at any ?domains. *)
-let trial_rng ~seed ~f ~trial = Util.Rng.split seed ((1_000_003 * f) + trial)
-
 (* Node masking materializes B* over all dⁿ nodes; past this size the
    fallback costs more than the datum is worth, so failures just score
    ring length 0. *)
@@ -40,70 +34,14 @@ let run_trial ~d ~n ~f rng =
             | None -> (`Failed, 0)
           else (`Failed, 0))
 
-(* A blocking barrier for [k] workers: none returns until all [k] have
-   called it. *)
-let barrier k =
-  let m = Mutex.create () and c = Condition.create () and arrived = ref 0 in
-  fun () ->
-    Mutex.lock m;
-    incr arrived;
-    if !arrived = k then Condition.broadcast c
-    else
-      while !arrived < k do
-        Condition.wait c m
-      done;
-    Mutex.unlock m
-
-(* Every worker starts its first trial once all workers are up, and
-   exits once all have finished, so no domain's start-up or exit falls
-   inside another worker's trial (a trial is timed in its worker). *)
-let map_trials ~domains ~trials f =
-  if domains <= 1 then Array.init trials f
-  else begin
-    let out = Array.make trials (`Failed, 0) in
-    let nworkers = min domains trials in
-    let all_started = barrier nworkers and all_done = barrier nworkers in
-    let workers =
-      List.init nworkers (fun w ->
-          Domain.spawn (fun () ->
-              all_started ();
-              (* a raising trial still reaches the exit barrier, so the
-                 others are not left waiting and [Domain.join] re-raises *)
-              Fun.protect ~finally:all_done (fun () ->
-                  let i = ref w in
-                  while !i < trials do
-                    out.(!i) <- f !i;
-                    i := !i + domains
-                  done)))
-    in
-    List.iter Domain.join workers;
-    out
-  end
-
+(* Per-trial generators come from Util.Trials.rng, so every statistic
+   but the wall/GC figures is the same at any ?domains. *)
 let point ~domains ~trials ~seed ~d ~n f =
-  let wall = Array.make trials 0. in
-  let minor = Array.make trials 0. in
-  let major = Array.make trials 0. in
-  (* Wall clock and GC counters are read around each trial, in the
-     trial's own domain (map_trials runs a trial wholly in one worker),
-     so no Domain.spawn/join falls in any window: minor words from
-     Gc.minor_words, which is exact there (Gc.counters misreads them on
-     OCaml 5.1), major words from Gc.counters, read outside that
-     window. *)
-  let outcomes =
-    map_trials ~domains ~trials (fun trial ->
-        let _, _, j0 = Gc.counters () in
-        let m0 = Gc.minor_words () in
-        let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
-        let outcome = run_trial ~d ~n ~f (trial_rng ~seed ~f ~trial) in
-        wall.(trial) <- (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0;
-        let m1 = Gc.minor_words () in
-        let _, _, j1 = Gc.counters () in
-        minor.(trial) <- m1 -. m0;
-        major.(trial) <- j1 -. j0;
-        outcome)
+  let r =
+    Util.Trials.run ~domains ~trials (fun _ trial ->
+        run_trial ~d ~n ~f (Util.Trials.rng ~seed ~f ~trial))
   in
-  let wall_s = Array.fold_left ( +. ) 0. wall in
+  let outcomes = r.Util.Trials.outcome in
   let count o0 =
     Array.fold_left (fun acc (o, _) -> if o = o0 then acc + 1 else acc) 0 outcomes
   in
@@ -118,13 +56,9 @@ let point ~domains ~trials ~seed ~d ~n f =
     via_disjoint;
     masked_fallbacks = count `Masked;
     mean_ring_length = float_of_int total_len /. float_of_int trials;
-    wall_s;
-    (* Steady-state allocation: the minimum across trials, for the same
-       reason as Ffc.Campaign — the runtime occasionally books a
-       nondeterministic GC-internal burst into one trial's window, and
-       the min is the stable "one more trial" figure. *)
-    minor_words_per_trial = Array.fold_left min minor.(0) minor;
-    major_words_per_trial = Array.fold_left min major.(0) major;
+    wall_s = r.Util.Trials.wall_s;
+    minor_words_per_trial = r.Util.Trials.minor_words;
+    major_words_per_trial = r.Util.Trials.major_words;
   }
 
 let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fmax ~d ~n () =

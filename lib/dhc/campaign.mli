@@ -22,13 +22,12 @@ type point = {
       (** over all trials; dⁿ on success, the masked ring length on
           fallback, 0 on total failure *)
   wall_s : float;
-      (** the point's trials' own wall time, summed: each trial is timed
-          inside the worker that runs it, so domain start-up and joins
-          are not counted and the figure does not grow with [domains]
-          (it is not the elapsed time when trials run in parallel) *)
+      (** the point's trials' own wall times, summed ({!Util.Trials.run}:
+          domain start-up and joins are not counted, and at
+          [domains > 1] it is not the elapsed time) *)
   minor_words_per_trial : float;
-      (** steady-state minor-heap words allocated by one trial (minimum
-          across the point's trials, read in the trial's own domain) *)
+      (** steady-state minor-heap words allocated by one trial
+          ({!Util.Trials.run}'s minimum over the point's trials) *)
   major_words_per_trial : float;  (** likewise for the major heap *)
 }
 
@@ -42,9 +41,9 @@ val run :
   unit ->
   point list
 (** Points for f = 0, 1, …, fmax (default 2·MAX(ψ(d)−1, φ(d)) + 2,
-    clamped to the edge count dⁿ·d).  [?domains] parallelizes the
-    trials of each point; per-trial seeds are derived from [seed], [f]
-    and the trial index, so every field except [wall_s] and the
+    clamped to the edge count dⁿ·d).  [?domains] strides the trials
+    of each point across domains; per-trial generators come from
+    {!Util.Trials.rng}, so every field except [wall_s] and the
     measured allocation counters is independent of [domains].
     Defaults: 20 trials, seed 0x5eed.
     @raise Invalid_argument when [trials < 1], [domains < 1] or

@@ -148,23 +148,3 @@ let labels_between t i j =
         if !hit then acc := w :: !acc);
     List.sort Int.compare !acc
   end
-
-(* N* as an implicit topology, read from [idx_of_node] the way the
-   batch stages read it: necklace i's neighbours are the live necklaces
-   holding another node βw with the (n−1)-suffix w of one of i's nodes
-   αw.  The w-edges come in twin pairs, so reachability from one
-   necklace is connectivity. *)
-let iter_neighbors t i f =
-  let p = t.bstar.Bstar.p in
-  Nk.iter_nodes_from p t.reps.(i) (fun x ->
-      let w = W.suffix p x in
-      for b = 0 to p.W.d - 1 do
-        let y = W.cons p b w in
-        let j = Int32.to_int t.idx_of_node.{y} in
-        if y <> x && j >= 0 then f j
-      done)
-
-let is_connected t =
-  let n = Array.length t.reps in
-  n <= 1
-  || (Graphlib.Itopo.bfs ~n ~succs:(iter_neighbors t) 0).Graphlib.Itopo.count = n

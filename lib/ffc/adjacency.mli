@@ -58,8 +58,3 @@ val entry_scan : Debruijn.Word.params -> Graphlib.Flatarr.I32.t -> int -> int ->
 
 val labels_between : t -> int -> int -> int list
 (** All labels w of edges from one necklace index to another, sorted. *)
-
-val is_connected : t -> bool
-(** N\u{2217} is connected iff B\u{2217} was a single component — always true by
-    construction; exposed for tests.  One {!Graphlib.Itopo.bfs} over
-    the necklace indices, with neighbours read from [idx_of_node]. *)

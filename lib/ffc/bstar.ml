@@ -1,7 +1,6 @@
 module W = Debruijn.Word
 module Nk = Debruijn.Necklace
 module Fa = Graphlib.Flatarr
-module It = Graphlib.Itopo
 
 type t = {
   p : W.params;
@@ -14,9 +13,6 @@ type t = {
   dist : Fa.I32.t;
   ecc : int;
 }
-
-let succs p = fun x f -> W.iter_succs p x f
-let preds p = fun x f -> W.iter_preds p x f
 
 (* Mark the necklace of [x] in [buf], walking its rotation cycle from
    [y] back to [x]; returns [acc] plus the number of nodes newly
@@ -176,14 +172,6 @@ let compute ?root_hint ?domains:_ ?ws p ~faults =
     end
   end
 
-let component_members p ~faults node =
-  let necklace_faulty = Nk.mark_faulty_necklaces p faults in
-  if necklace_faulty.(node) then [||]
-  else
-    It.component_members ~n:p.W.size ~succs:(succs p) ~preds:(preds p)
-      ~keep:(fun v -> not necklace_faulty.(v))
-      node
-
 let component_of p ~faults node =
   let necklace_faulty, in_bstar, dist, order = tables None p in
   ignore (mark_faulty_necklaces_byte p faults necklace_faulty);
@@ -221,20 +209,3 @@ let necklace_count t =
   !count
 
 let eccentricity_of_root t = t.ecc
-
-let diameter t =
-  let in_bstar = t.in_bstar in
-  let keep v = in_bstar.{v} <> 0 in
-  let best = ref 0 in
-  for v = 0 to t.p.W.size - 1 do
-    if t.in_bstar.{v} <> 0 then
-      best :=
-        max !best (It.eccentricity ~n:t.p.W.size ~succs:(succs t.p) ~keep v)
-  done;
-  !best
-
-let is_strongly_connected t =
-  let in_bstar = t.in_bstar in
-  It.is_strongly_connected ~n:t.p.W.size ~succs:(succs t.p) ~preds:(preds t.p)
-    ~keep:(fun v -> in_bstar.{v} <> 0)
-    ()

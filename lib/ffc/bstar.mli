@@ -13,12 +13,10 @@
     (x mod dⁿ⁻¹)·d + a for a ascending, and a successor v is taken iff
     [in_bstar.{v} lor necklace_faulty.{v} = 0], so the B\u{2217} flags
     are the visited set and the levels are written straight into
-    32-bit cells.  The diagnostics ({!component_members}, {!diameter},
-    {!is_strongly_connected}) run {!Graphlib.Itopo} over the arithmetic
-    neighbor iterators ([Debruijn.Word.iter_succs]).  The [graph] field
-    materializes the full B(d,n) as a [Digraph.t] lazily.  No library
-    code forces it any more — the netsim-backed engines run on the
-    arithmetic edge test [Debruijn.Word.is_edge] — and only the
+    32-bit cells.  That flood is the library's one BFS.  The [graph]
+    field materializes the full B(d,n) as a [Digraph.t] lazily.  No
+    library code forces it any more — the netsim-backed engines run on
+    the arithmetic edge test [Debruijn.Word.is_edge] — and only the
     repository benchmark's [distributed-ffc] workload still does, so it
     goes at that benchmark's next re-anchor. *)
 
@@ -90,12 +88,6 @@ val component_of : Debruijn.Word.params -> faults:int list -> int -> t option
     marks, the visited marks and the flood's arrays all span every
     node. *)
 
-val component_members :
-  Debruijn.Word.params -> faults:int list -> int -> int array
-(** The members of that component in BFS discovery order from the node
-    (symmetric closure, live nodes only); [[||]] if the node lies on a
-    faulty necklace. *)
-
 val fault_probe : t -> int -> bool
 (** [fault_probe t] is the membership test of [t.faults] — the
     [~faulty] predicate of the netsim-backed engines, which call it once
@@ -114,10 +106,3 @@ val eccentricity_of_root : t -> int
 (** [t.ecc]: max distance from the root within B\u{2217} — the broadcast
     round count of Step 1.1.  A field read; {!compute} already ran the
     flood. *)
-
-val diameter : t -> int
-(** The thesis's K: the diameter of B\u{2217} (O(|B\u{2217}|·edges); meant for
-    experiment sizes). *)
-
-val is_strongly_connected : t -> bool
-(** Sanity: B\u{2217} should always be strongly connected. *)

@@ -24,19 +24,13 @@ type outcome = { osize : int; oring : int; oecc : int; over : bool; oerr : bool 
 
 let nothing = { osize = 0; oring = 0; oecc = 0; over = false; oerr = false }
 
-(* Per-trial generators are substreams of (campaign seed, f, trial)
-   alone — the same Rng.split scheme as Dhc.Campaign — so the fault
-   samples, and hence every statistic except the wall/GC figures, are
-   bit-identical at any ?domains and with or without workspace reuse. *)
-let trial_rng ~seed ~f ~trial = Util.Rng.split seed ((1_000_003 * f) + trial)
-
 let length_bound p f =
   if f >= 0 && f <= p.W.d - 2 then Some (p.W.size - (p.W.n * f))
   else if p.W.d = 2 && f = 1 then Some (p.W.size - (p.W.n + 1))
   else None
 
 let run_trial ~p ~ws ~seed ~f trial =
-  let rng = trial_rng ~seed ~f ~trial in
+  let rng = Util.Trials.rng ~seed ~f ~trial in
   let faults = Util.Rng.sample_distinct rng ~k:f ~bound:p.W.size in
   (* R = 0…01, the thesis's distinguished node for Tables 2.1/2.2; when
      its necklace is faulty the embedding re-roots at the smallest live
@@ -56,42 +50,15 @@ let run_trial ~p ~ws ~seed ~f trial =
          trial is recorded as failed instead of aborting the sweep. *)
       { nothing with oerr = true }
 
-let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
-  let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
-  let out = Array.make trials nothing in
-  let nworkers = if domains <= 1 then 1 else min domains trials in
-  let minor = Array.make trials 0. in
-  let major = Array.make trials 0. in
-  (* Strided trial assignment, one workspace per worker: worker w runs
-     trials w, w+nworkers, …  Outcomes land at their trial index, so
-     aggregation order — and every derived statistic — is independent
-     of scheduling.  GC counters are read per trial, in the trial's own
-     domain: minor words from Gc.minor_words, which is exact there
-     (Gc.counters misreads them on OCaml 5.1), major words from
-     Gc.counters, read outside that window. *)
-  let worker w =
-    let ws = if Array.length wss = 0 then None else Some wss.(w) in
-    let i = ref w in
-    while !i < trials do
-      let _, _, j0 = Gc.counters () in
-      let m0 = Gc.minor_words () in
-      out.(!i) <- run_trial ~p ~ws ~seed ~f !i;
-      let m1 = Gc.minor_words () in
-      let _, _, j1 = Gc.counters () in
-      minor.(!i) <- m1 -. m0;
-      major.(!i) <- j1 -. j0;
-      i := !i + nworkers
-    done
+(* Trials stride over Util.Trials.run's workers, worker w on workspace
+   [wss.(w)] ([None] on the fresh path).  Outcomes land at their trial
+   index, so every statistic but the wall/GC figures is independent of
+   scheduling. *)
+let point ~domains ~trials ~seed ~wss ~p f =
+  let r =
+    Util.Trials.run ~domains ~trials (fun w trial -> run_trial ~p ~ws:wss.(w) ~seed ~f trial)
   in
-  if nworkers = 1 then worker 0
-  else begin
-    let spawned =
-      List.init (nworkers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned
-  end;
-  let wall_s = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0 in
+  let out = r.Util.Trials.outcome in
   let embedded = ref 0 and verified = ref 0 and errors = ref 0 in
   let sb = ref 0 and sr = ref 0 and se = ref 0 in
   let minr = ref max_int and maxr = ref 0 and mine = ref max_int and maxe = ref 0 in
@@ -116,13 +83,6 @@ let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
         Array.fold_left (fun acc o -> if o.oring >= b then acc + 1 else acc) 0 out
   in
   let tf = float_of_int trials in
-  (* Steady-state allocation: the minimum across the point's trials.
-     The OCaml runtime occasionally books a large nondeterministic
-     allocation burst into one trial's window (a GC-internal artifact,
-     not pipeline allocation — it appears and vanishes across identical
-     reruns); the min is stable run to run and is exactly the "what
-     does one more trial cost" figure the arena is accountable to. *)
-  let steady a = Array.fold_left min a.(0) a in
   {
     f;
     trials;
@@ -138,12 +98,17 @@ let point ~domains ~trials ~seed ~(wss : Workspace.t array) ~p f =
     max_ring_length = !maxr;
     min_ecc = !mine;
     max_ecc = !maxe;
-    wall_s;
-    minor_words_per_trial = steady minor;
-    major_words_per_trial = steady major;
+    wall_s = r.Util.Trials.wall_s;
+    minor_words_per_trial = r.Util.Trials.minor_words;
+    major_words_per_trial = r.Util.Trials.major_words;
   }
 
 let default_fault_counts = [ 1; 5; 10; 30; 50 ]
+
+(* One workspace per worker of Util.Trials.run, or none on the
+   fresh-allocation path. *)
+let workspaces ~reuse ~domains ~trials p =
+  Array.init (min domains trials) (fun _ -> if reuse then Some (Workspace.create p) else None)
 
 (* ------------------------------------------------------------------ *)
 (* churn mode: Live under a fault/repair birth-death process            *)
@@ -190,7 +155,7 @@ let churn_nothing =
    trial), so every outcome statistic is domain- and reuse-independent;
    only the per-event wall clocks in [ev_wall] are not. *)
 let churn_trial ~p ~ws ~seed ~target ~events ~ev_wall trial =
-  let rng = trial_rng ~seed ~f:target ~trial in
+  let rng = Util.Trials.rng ~seed ~f:target ~trial in
   let live = Live.create ~root_hint:1 ?ws p ~faults:[] in
   let active = ref (Array.make 16 0) in
   let f = ref 0 in
@@ -248,37 +213,13 @@ let churn_trial ~p ~ws ~seed ~target ~events ~ev_wall trial =
       }
   | exception Pipeline_error.Error _ -> churn_nothing
 
-let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
-    target =
-  let t0 = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) in
-  let out = Array.make trials churn_nothing in
-  let nworkers = if domains <= 1 then 1 else min domains trials in
+let churn_point ~domains ~trials ~seed ~events ~wss ~p target =
   let ev_wall = Array.make (trials * events) 0. in
-  let minor = Array.make trials 0. in
-  let major = Array.make trials 0. in
-  let worker w =
-    let ws = if Array.length wss = 0 then None else Some wss.(w) in
-    let i = ref w in
-    while !i < trials do
-      let _, _, j0 = Gc.counters () in
-      let m0 = Gc.minor_words () in
-      out.(!i) <- churn_trial ~p ~ws ~seed ~target ~events ~ev_wall !i;
-      let m1 = Gc.minor_words () in
-      let _, _, j1 = Gc.counters () in
-      minor.(!i) <- (m1 -. m0) /. float_of_int events;
-      major.(!i) <- (j1 -. j0) /. float_of_int events;
-      i := !i + nworkers
-    done
+  let r =
+    Util.Trials.run ~domains ~trials (fun w trial ->
+        churn_trial ~p ~ws:wss.(w) ~seed ~target ~events ~ev_wall trial)
   in
-  if nworkers = 1 then worker 0
-  else begin
-    let spawned =
-      List.init (nworkers - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned
-  end;
-  let cwall_s = (Unix.gettimeofday () [@lint.allow "R1 wall_s is a reported statistic, never branched on"]) -. t0 in
+  let out = r.Util.Trials.outcome in
   let cfaults = ref 0 and crepairs = ref 0 and cerrors = ref 0 in
   let pat = ref 0 and rec_ = ref 0 and unc = ref 0 in
   let sring = ref 0 and sfend = ref 0 in
@@ -311,7 +252,7 @@ let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
   let nlat = ok_trials * events in
   let median_event_s = if nlat = 0 then 0. else lat.(nlat / 2) in
   let max_event_s = if nlat = 0 then 0. else lat.(nlat - 1) in
-  let steady a = Array.fold_left min a.(0) a in
+  let per_event x = x /. float_of_int events in
   let tf = float_of_int trials in
   {
     target_f = target;
@@ -326,11 +267,11 @@ let churn_point ~domains ~trials ~seed ~events ~(wss : Workspace.t array) ~p
     mean_ring_length = float_of_int !sring /. tf;
     min_ring_length = !minr;
     mean_live_faults = float_of_int !sfend /. tf;
-    cwall_s;
+    cwall_s = r.Util.Trials.wall_s;
     median_event_s;
     max_event_s;
-    minor_words_per_event = steady minor;
-    major_words_per_event = steady major;
+    minor_words_per_event = per_event r.Util.Trials.minor_words;
+    major_words_per_event = per_event r.Util.Trials.major_words;
   }
 
 let churn ?(domains = 1) ?(trials = 10) ?(seed = 0x5eed) ?targets
@@ -350,13 +291,7 @@ let churn ?(domains = 1) ?(trials = 10) ?(seed = 0x5eed) ?targets
         l
     | None -> List.filter (fun t -> t <= p.W.size) default_fault_counts
   in
-  let wss =
-    if reuse then
-      Array.init
-        (if domains <= 1 then 1 else min domains trials)
-        (fun _ -> Workspace.create p)
-    else [||]
-  in
+  let wss = workspaces ~reuse ~domains ~trials p in
   List.map (fun t -> churn_point ~domains ~trials ~seed ~events ~wss ~p t) targets
 
 let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fs ?(reuse = true) ~d
@@ -375,11 +310,5 @@ let run ?(domains = 1) ?(trials = 20) ?(seed = 0x5eed) ?fs ?(reuse = true) ~d
         l
     | None -> List.filter (fun f -> f <= p.W.size) default_fault_counts
   in
-  let wss =
-    if reuse then
-      Array.init
-        (if domains <= 1 then 1 else min domains trials)
-        (fun _ -> Workspace.create p)
-    else [||]
-  in
+  let wss = workspaces ~reuse ~domains ~trials p in
   List.map (fun f -> point ~domains ~trials ~seed ~wss ~p f) fs

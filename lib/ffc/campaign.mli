@@ -8,8 +8,9 @@
     length-bound checks — len ≥ dⁿ − nf when f ≤ d−2, and
     len ≥ 2ⁿ − (n+1) for d = 2, f = 1.
 
-    Trials reuse one {!Workspace.t} per domain (workspaces are created
-    once per [run]), so a steady-state trial allocates almost nothing
+    Trials run through {!Util.Trials.run} and reuse one
+    {!Workspace.t} per worker (workspaces are created once per [run]),
+    so a steady-state trial allocates almost nothing
     beyond its result ring; [~reuse:false] runs the identical trials
     through the fresh-allocation path, as the benchmarked baseline.
     Statistics are bit-identical across [?domains] and [?reuse] — only
@@ -38,11 +39,13 @@ type point = {
   min_ecc : int;
   max_ecc : int;  (** the spread of ecc(R), failures counting as 0 *)
   wall_s : float;
+      (** the trials' own wall times, summed ({!Util.Trials.run}: domain
+          start-up and joins are not counted, and at [domains > 1] it is
+          not the elapsed time) *)
   minor_words_per_trial : float;
-      (** steady-state minor-heap words per trial — the minimum across
-          the point's trials, which sheds the runtime's occasional
-          GC-internal allocation bursts; the workspace path's headline
-          figure *)
+      (** steady-state minor-heap words per trial ({!Util.Trials.run}'s
+          minimum over the point's trials); the workspace path's
+          headline figure *)
   major_words_per_trial : float;
       (** same minimum; includes the trial's result ring *)
 }
@@ -64,7 +67,7 @@ val run :
 (** One point per fault count in [fs] (default [[1; 5; 10; 30; 50]]
     filtered to ≤ dⁿ — the thesis's Table 2.1/2.2 rows).  [?domains]
     runs trials strided across that many domains, one workspace each;
-    per-trial generators come from [Util.Rng.split] on [(seed, f,
+    per-trial generators come from {!Util.Trials.rng} on [(seed, f,
     trial)], so every field except [wall_s] and the GC counters is
     independent of [domains] and [reuse].  Defaults: 20 trials, seed
     0x5eed, workspace reuse on. *)
@@ -94,7 +97,7 @@ type churn_point = {
   mean_ring_length : float;  (** final ring length, mean over trials *)
   min_ring_length : int;
   mean_live_faults : float;  (** outstanding faults at trial end *)
-  cwall_s : float;
+  cwall_s : float;  (** the trials' own wall times, summed, as [wall_s] *)
   median_event_s : float;  (** median {!Live.apply} latency *)
   max_event_s : float;
   minor_words_per_event : float;

@@ -1,7 +1,8 @@
 (** Dense bitsets over [0 .. len−1], backed by [Bytes].
 
-    One bit per element — the visited marks of the implicit-topology
-    traversals ({!Itopo}) live here instead of in [bool array]s, an 8×
+    One bit per element — the visited marks and fault masks of
+    {!Cycle}'s walks, [Ffc.Embed.verify], [Ffc.Bstar.fault_probe] and
+    [Dhc.Edge_fault] live here instead of in [bool array]s, an 8×
     space saving that matters at De Bruijn sizes (B(2,22) is 4M+
     nodes). *)
 

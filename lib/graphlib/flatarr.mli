@@ -68,12 +68,11 @@ module Byte : sig
 end
 
 (** 32-bit cells (kind [int32]), half a word: the tables whose values
-    are node ids, necklace keys or BFS levels — [Ffc.Bstar]'s and
-    Itopo's [dist] and [order], the necklace index, [Ffc.Live]'s
-    representative, level and bucket tables.  Every such value is −1
-    or below the node count dⁿ, so the cells hold them while
-    dⁿ ≤ 2³¹ ({!check_nodes}).  The whole-array operations take and
-    return [int]s. *)
+    are node ids, necklace keys or BFS levels — [Ffc.Bstar]'s [dist]
+    and [order], the necklace index, [Ffc.Live]'s representative,
+    level and bucket tables.  Every such value is −1 or below the node
+    count dⁿ, so the cells hold them while dⁿ ≤ 2³¹ ({!check_nodes}).
+    The whole-array operations take and return [int]s. *)
 module I32 : sig
   type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -82,9 +81,9 @@ module I32 : sig
 
   val check_nodes : int -> unit
   (** [check_nodes size] — the preflight every dⁿ-sized 32-bit table
-      rests on.  [Ffc.Workspace.create], [Ffc.Live.create],
-      [Itopo.ws_create] and a fresh [Ffc.Bstar.compute] run it before
-      they allocate anything node-sized.
+      rests on.  [Ffc.Workspace.create], [Ffc.Live.create] and a fresh
+      [Ffc.Bstar.compute] run it before they allocate anything
+      node-sized.
       @raise Invalid_argument naming [size] and the 2³¹ limit when
       [size > max_nodes]. *)
 

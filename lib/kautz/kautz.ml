@@ -83,20 +83,3 @@ let edge_as_higher_node t (u, v) =
   if not (DG.mem_edge t.graph u v) then invalid_arg "Kautz.edge_as_higher_node: not an edge";
   let lu = decode t u and lv = decode t v in
   encode_letters ~d:t.d (Array.append lu [| lv.(t.n - 1) |])
-
-(* The largest eccentricity among nodes that reach every node (all of
-   them: K(d,n) is strongly connected).  BFS discovers by nondecreasing
-   distance, so a source's last discovery is its farthest node. *)
-let diameter t =
-  let module It = Graphlib.Itopo in
-  let ws = It.ws_create t.size in
-  let succs v f = List.iter f (DG.succs t.graph v) in
-  let best = ref 0 in
-  for v = 0 to t.size - 1 do
-    let r = It.bfs ~ws ~n:t.size ~succs v in
-    if r.It.count = t.size then
-      best :=
-        max !best
-          (Int32.to_int r.It.dist.{Int32.to_int r.It.order.{r.It.count - 1}})
-  done;
-  !best

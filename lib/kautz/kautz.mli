@@ -37,7 +37,3 @@ val to_string : t -> int -> string
 val edge_as_higher_node : t -> int * int -> int
 (** Line-graph correspondence: an edge of K(d,n) is a node of K(d,n+1)
     (the concatenated word). *)
-
-val diameter : t -> int
-(** Computed exactly: a {!Graphlib.Itopo.bfs} from every node over the
-    successor lists of [graph], on one reused workspace; equals n. *)

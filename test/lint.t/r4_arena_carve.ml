@@ -1,3 +1,3 @@
-(* Fixture: trips R4 only — carving an arena outside the workspace /
-   Itopo scratch constructors. *)
+(* Fixture: trips R4 only — carving an arena outside the workspace
+   constructor. *)
 let steal arena = Flatarr.Arena.carve arena 64

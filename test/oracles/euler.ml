@@ -1,13 +1,7 @@
 module Digraph = Graphlib.Digraph
-module Itopo = Graphlib.Itopo
 
 let edges_in_one_component g =
-  let label =
-    Itopo.weak_labels ~n:(Digraph.n_nodes g)
-      ~succs:(fun v f -> List.iter f (Digraph.succs g v))
-      ~preds:(fun v f -> List.iter f (Digraph.preds g v))
-      ()
-  in
+  let label, _ = Traversal.weak_components g in
   let witness = ref (-1) in
   try
     Digraph.iter_edges

@@ -8,8 +8,7 @@
 
 val is_eulerian : Graphlib.Digraph.t -> bool
 (** Balanced and all edges lie in one weak component (labelled by
-    {!Graphlib.Itopo.weak_labels} over the successor and predecessor
-    lists). *)
+    {!Traversal.weak_components}). *)
 
 val euler_circuit : Graphlib.Digraph.t -> int list option
 (** A closed walk traversing every edge exactly once, as the node

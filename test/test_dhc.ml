@@ -681,7 +681,11 @@ let test_campaign_deterministic_across_domains () =
   let a = Ca.run ~trials:6 ~fmax:4 ~d:6 ~n:2 () in
   let b = Ca.run ~domains:3 ~trials:6 ~fmax:4 ~d:6 ~n:2 () in
   check_bool "domains don't change statistics" true
-    (List.map strip a = List.map strip b)
+    (List.map strip a = List.map strip b);
+  (* more domains than trials: one worker per trial *)
+  let c = Ca.run ~domains:8 ~trials:6 ~fmax:4 ~d:6 ~n:2 () in
+  check_bool "domains:8 don't change statistics" true
+    (List.map strip a = List.map strip c)
 
 (* The campaigns hold the library's only working [?domains]; like
    Ffc.Campaign's, a count below 1 is rejected rather than run

@@ -230,70 +230,6 @@ let test_bitset_basic () =
     (fun () -> BS.add b (-1))
 
 (* ------------------------------------------------------------------ *)
-(* itopo: implicit-topology traversals *)
-
-module It = Graphlib.Itopo
-module Fa = Graphlib.Flatarr
-
-let isuccs g v f = List.iter f (D.succs g v)
-let ipreds g v f = List.iter f (D.preds g v)
-
-let test_itopo_bfs_ring () =
-  let r = It.bfs ~n:5 ~succs:(isuccs ring5) 0 in
-  Alcotest.(check (array int)) "dist" [| 0; 1; 2; 3; 4 |] (Fa.I32.to_array r.It.dist);
-  check_int "count" 5 r.It.count;
-  Alcotest.(check (array int)) "order" [| 0; 1; 2; 3; 4 |]
-    (Fa.I32.sub_to_array r.It.order 0 r.It.count);
-  check_int "ecc" 4 (It.eccentricity ~n:5 ~succs:(isuccs ring5) 0);
-  (* keep predicate cuts the ring *)
-  let r = It.bfs ~n:5 ~succs:(isuccs ring5) ~keep:(fun v -> v <> 2) 0 in
-  check_int "blocked dist" (-1) (Int32.to_int r.It.dist.{3});
-  check_int "blocked count" 2 r.It.count;
-  (* source failing keep reaches nothing *)
-  let r = It.bfs ~n:5 ~succs:(isuccs ring5) ~keep:(fun v -> v <> 0) 0 in
-  check_int "dead source" 0 r.It.count
-
-let test_itopo_component_members () =
-  (* 0 → {1, 2}, 2 → 3: symmetric BFS from 3 discovers 3, then its
-     predecessor 2, then 2's predecessor 0, then 0's successor 1 — the
-     exact discovery order is part of the contract. *)
-  let g = D.of_edges 4 [ (0, 1); (0, 2); (2, 3) ] in
-  Alcotest.(check (array int)) "discovery order" [| 3; 2; 0; 1 |]
-    (It.component_members ~n:4 ~succs:(isuccs g) ~preds:(ipreds g) 3);
-  Alcotest.(check (array int)) "excluded source" [||]
-    (It.component_members ~n:4 ~succs:(isuccs g) ~preds:(ipreds g)
-       ~keep:(fun v -> v <> 3) 3)
-
-let test_itopo_largest_weak () =
-  let g = D.of_edges 6 [ (0, 1); (1, 2); (2, 0); (3, 4) ] in
-  let sorted a = List.sort compare (Array.to_list a) in
-  Alcotest.(check (list int)) "largest" [ 0; 1; 2 ]
-    (sorted
-       (It.largest_weak_component ~n:6 ~succs:(isuccs g) ~preds:(ipreds g) ()));
-  Alcotest.(check (list int)) "with exclusion" [ 3; 4 ]
-    (sorted
-       (It.largest_weak_component ~n:6 ~succs:(isuccs g) ~preds:(ipreds g)
-          ~keep:(fun v -> v >= 3) ()));
-  Alcotest.(check (list int)) "empty" []
-    (sorted
-       (It.largest_weak_component ~n:6 ~succs:(isuccs g) ~preds:(ipreds g)
-          ~keep:(fun _ -> false) ()))
-
-let test_itopo_no_preds () =
-  (* B*-style usage: every weak component strongly connected, so the
-     successor-only sweep must find the same component set. *)
-  let g = D.of_edges 6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 3) ] in
-  let sorted a = List.sort compare (Array.to_list a) in
-  Alcotest.(check (list int)) "succ-only sweep" [ 0; 1; 2 ]
-    (sorted
-       (It.largest_weak_component ~n:6 ~succs:(isuccs g) ~preds:It.no_preds ()));
-  check_bool "strongly connected" true
-    (It.is_strongly_connected ~n:6 ~succs:(isuccs g) ~preds:(ipreds g)
-       ~keep:(fun v -> v < 3) ());
-  check_bool "not strongly connected" false
-    (It.is_strongly_connected ~n:6 ~succs:(isuccs g) ~preds:(ipreds g) ())
-
-(* ------------------------------------------------------------------ *)
 (* connectivity *)
 
 module Conn = Oracles.Connectivity
@@ -397,129 +333,10 @@ let qsuite =
         all = List.init n Fun.id);
   ]
 
-(* A queue BFS over Digraph successor lists: pop a node, append its
-   undiscovered kept successors in list order.  Itopo.bfs must
-   reproduce its discovery order exactly — Bstar and Spanning read that
-   order as T′'s levels. *)
-let fifo_bfs g ~keep src =
-  let dist = Array.make (D.n_nodes g) (-1) in
-  let order = ref [] in
-  let q = Queue.create () in
-  if keep src then begin
-    dist.(src) <- 0;
-    Queue.add src q
-  end;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order := u :: !order;
-    List.iter
-      (fun v ->
-        if keep v && dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end)
-      (D.succs g u)
-  done;
-  (dist, Array.of_list (List.rev !order))
-
-(* A random digraph with a random kept set (about 4 nodes in 5) and a
-   random source. *)
-let arb_kept_graph =
-  QCheck.make
-    QCheck.Gen.(
-      random_graph_gen >>= fun (n, es) ->
-      triple (return (n, es))
-        (array_size (return n) (frequency [ (4, return true); (1, return false) ]))
-        (int_range 0 (n - 1)))
-
-(* Agreement between the implicit traversal layer (Itopo) and the
-   list-based reference layer (Digraph, Oracles.Traversal) on random
-   digraphs — the same pinning discipline test_netsim.ml uses for its
-   engines. *)
-let qsuite_compact =
-  let open QCheck in
-  let keep_of n v = v = 0 || (v * 31) mod n <> 1 in
-  [
-    (* One workspace serves every [~ws] call below, each run after a
-       traversal that left it dirty. *)
-    Test.make ~name:"Itopo.bfs order = FIFO oracle" ~count:300 arb_kept_graph
-      (fun ((n, es), kept, src) ->
-        let g = D.of_edges n es in
-        let succs = isuccs g in
-        let keep v = kept.(v) in
-        let dist, order = fifo_bfs g ~keep src in
-        let matches (r : It.bfs) =
-          r.It.count = Array.length order
-          && Fa.I32.to_array r.It.dist = dist
-          && Fa.I32.sub_to_array r.It.order 0 r.It.count = order
-        in
-        let ws = It.ws_create n in
-        let fresh = matches (It.bfs ~n ~succs ~keep src) in
-        ignore (It.bfs ~ws ~n ~succs 0);
-        let reused = matches (It.bfs ~ws ~n ~succs ~keep src) in
-        fresh && reused && matches (It.bfs ~ws ~n ~succs ~keep src));
-    Test.make ~name:"Itopo.bfs_dist = Traversal.bfs_dist" ~count:200 arb_graph
-      (fun (n, es) ->
-        let g = D.of_edges n es in
-        It.bfs_dist ~n ~succs:(isuccs g) 0 = T.bfs_dist g 0);
-    Test.make ~name:"Itopo.bfs_dist with keep = bfs_dist_restricted" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let keep = keep_of n in
-        It.bfs_dist ~n ~succs:(isuccs g) ~keep 0 = T.bfs_dist_restricted g keep 0);
-    Test.make ~name:"Itopo.eccentricity = Traversal.eccentricity" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        It.eccentricity ~n ~succs:(isuccs g) 0 = T.eccentricity g 0);
-    Test.make ~name:"Itopo.largest_weak_component = Traversal's" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let keep = keep_of n in
-        let mine =
-          List.sort compare
-            (Array.to_list
-               (It.largest_weak_component ~n ~succs:(isuccs g) ~preds:(ipreds g)
-                  ~keep ()))
-        in
-        mine = List.sort compare (T.largest_weak_component g keep));
-    Test.make ~name:"Itopo.weak_labels induces Traversal's partition" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let mine = It.weak_labels ~n ~succs:(isuccs g) ~preds:(ipreds g) () in
-        let reference, _ = T.weak_components g in
-        let ids = List.init n Fun.id in
-        (* same equivalence classes, and each label is the smallest member *)
-        List.for_all
-          (fun u ->
-            mine.(u) <= u
-            && mine.(mine.(u)) = mine.(u)
-            && List.for_all
-                 (fun v -> mine.(u) = mine.(v) = (reference.(u) = reference.(v)))
-                 ids)
-          ids);
-    Test.make ~name:"Itopo.component_members = weak component of node" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let members =
-          It.component_members ~n ~succs:(isuccs g) ~preds:(ipreds g) 0
-        in
-        let reference, _ = T.weak_components g in
-        Array.length members > 0
-        && members.(0) = 0
-        && List.sort compare (Array.to_list members)
-           = List.filter (fun v -> reference.(v) = reference.(0)) (List.init n Fun.id));
-    Test.make ~name:"Itopo.is_strongly_connected = Traversal's" ~count:200
-      arb_graph (fun (n, es) ->
-        let g = D.of_edges n es in
-        let keep = keep_of n in
-        It.is_strongly_connected ~n ~succs:(isuccs g) ~preds:(ipreds g) ()
-        = T.is_strongly_connected g (fun _ -> true)
-        && It.is_strongly_connected ~n ~succs:(isuccs g) ~preds:(ipreds g) ~keep ()
-           = T.is_strongly_connected g keep);
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* flatarr: off-heap arrays and the arena carver *)
+
+module Fa = Graphlib.Flatarr
 
 let test_flatarr_basics () =
   let a = Fa.make 5 (-1) in
@@ -614,6 +431,56 @@ let test_flatarr_i32_arena () =
     (Invalid_argument "Flatarr.Arena.carve_i32: arena exhausted") (fun () ->
       ignore (Fa.Arena.carve_i32 a 1))
 
+(* Agreement between the compact tables the library keeps its marks and
+   node ids in (one bit per element, one 32-bit cell per entry) and the
+   plain arrays they stand for, under random writes. *)
+let qsuite_compact =
+  let open QCheck in
+  let writes lo hi =
+    make
+      Gen.(
+        int_range 1 200 >>= fun n ->
+        pair (return n) (list_size (int_range 0 300) (pair (int_range 0 (n - 1)) (int_range lo hi))))
+  in
+  let agree n f = List.for_all f (List.init n Fun.id) in
+  [
+    (* op 9 clears the whole set, 0-3 remove, 4-8 add *)
+    Test.make ~name:"Bitset = bool array" ~count:200 (writes 0 9) (fun (n, ops) ->
+        let b = BS.create n and r = Array.make n false in
+        List.for_all
+          (fun (i, op) ->
+            if op = 9 then begin
+              BS.clear b;
+              Array.fill r 0 n false
+            end
+            else if op < 4 then begin
+              BS.remove b i;
+              r.(i) <- false
+            end
+            else begin
+              BS.add b i;
+              r.(i) <- true
+            end;
+            BS.cardinal b = List.length (List.filter Fun.id (Array.to_list r))
+            && agree n (fun v -> BS.mem b v = r.(v)))
+          ops);
+    Test.make ~name:"Flatarr.I32 = int array" ~count:200
+      (writes (Int32.to_int Int32.min_int) (Int32.to_int Int32.max_int))
+      (fun (n, ws) ->
+        let a = Fa.I32.make n (-1) and r = Array.make n (-1) in
+        List.iter
+          (fun (i, v) ->
+            a.{i} <- Int32.of_int v;
+            r.(i) <- v)
+          ws;
+        let c = Fa.I32.create n in
+        Fa.I32.blit a c;
+        let h = n / 2 in
+        Fa.I32.to_array a = r
+        && Fa.I32.to_array c = r
+        && Fa.I32.sub_to_array a h (n - h) = Array.sub r h (n - h));
+  ]
+
 let () =
   Alcotest.run "graphlib"
     [
@@ -665,13 +532,6 @@ let () =
           Alcotest.test_case "De Bruijn facts (EH85)" `Quick test_connectivity_de_bruijn;
         ] );
       ("bitset", [ Alcotest.test_case "basic" `Quick test_bitset_basic ]);
-      ( "itopo",
-        [
-          Alcotest.test_case "bfs on ring" `Quick test_itopo_bfs_ring;
-          Alcotest.test_case "component members order" `Quick test_itopo_component_members;
-          Alcotest.test_case "largest weak component" `Quick test_itopo_largest_weak;
-          Alcotest.test_case "no_preds sweep" `Quick test_itopo_no_preds;
-        ] );
       ( "flatarr",
         [
           Alcotest.test_case "basics" `Quick test_flatarr_basics;

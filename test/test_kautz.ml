@@ -44,7 +44,7 @@ let test_diameter () =
   List.iter
     (fun (d, n) ->
       let k = K.create ~d ~n in
-      check_int (Printf.sprintf "diam K(%d,%d)" d n) n (K.diameter k))
+      check_int (Printf.sprintf "diam K(%d,%d)" d n) n (T.diameter_from_all k.K.graph))
     [ (2, 1); (2, 2); (2, 3); (2, 4); (3, 2); (3, 3); (4, 2) ]
 
 let test_strongly_connected () =

@@ -359,6 +359,8 @@ let test_churn_campaign_deterministic () =
   in
   let base = run () in
   check_bool "domains:2 bit-identical" true (base = run ~domains:2 ());
+  (* more domains than trials: one worker per trial *)
+  check_bool "domains:8 bit-identical" true (base = run ~domains:8 ());
   check_bool "reuse:false bit-identical" true (base = run ~reuse:false ());
   List.iter
     (fun (_, _, events, cf, cr, pat, rc, un, errs, _, _, _) ->

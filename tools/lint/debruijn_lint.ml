@@ -46,6 +46,9 @@ let parse_impl path =
 
 (* ---- pass 1: per-file facts ----------------------------------------- *)
 
+(* A file spawns domains if it names [Domain.] or calls
+   [Util.Trials.run], whose workers run the caller's trial function on
+   spawned domains. *)
 let uses_domain (str : structure) =
   let found = ref false in
   let scan =
@@ -54,7 +57,7 @@ let uses_domain (str : structure) =
 
       method! longident lid =
         (match Lint_rules.flat lid with
-        | "Domain" :: _ :: _ -> found := true
+        | "Domain" :: _ :: _ | [ "Util"; "Trials"; "run" ] -> found := true
         | _ -> ());
         super#longident lid
     end

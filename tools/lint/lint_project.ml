@@ -12,9 +12,9 @@
    Reachability goes in the calling direction: code spawned by
    [Domain.spawn] in unit U can execute anything U depends on, so the
    R3 scope is the dependency closure of the units that mention
-   [Domain.] — plus, for robustness when dune context is missing (lint
-   fixtures, ad-hoc files), any single file that itself mentions
-   [Domain.]. *)
+   [Domain.] or call [Util.Trials.run] (which runs its caller's trials
+   on spawned domains) — plus, for robustness when dune context is
+   missing (lint fixtures, ad-hoc files), any single such file. *)
 
 type unit_info = {
   uname : string;  (* library name, or "exe:<dir>" for executables *)

@@ -231,11 +231,11 @@ let r2 =
   }
 
 (* ------------------------------------------------------------------ *)
-(* R3 — no mutable toplevel state in code reachable from the
-   [Domain.]-using units (Ffc.Campaign, Dhc.Campaign, and the bench
-   executable): shared toplevel cells
-   race under [Domain.spawn], and toplevel [lazy] forcing raises
-   across domains.  Annotate genuinely safe state with
+(* R3 — no mutable toplevel state in code reachable from the units
+   that spawn domains (Util.Trials, the callers of its [run] —
+   Ffc.Campaign, Dhc.Campaign — and the bench executable): shared
+   toplevel cells race under [Domain.spawn], and toplevel [lazy]
+   forcing raises across domains.  Annotate genuinely safe state with
    [@@lint.domain_safe "why"]. *)
 
 let mutable_modules =
