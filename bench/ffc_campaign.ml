@@ -7,10 +7,12 @@
    - the thesis tables: B(2,10) (Table 2.1) and B(4,5) (Table 2.2),
      mean |B*| / ring length / ecc(R) per fault count, plus the
      Proposition 2.2/2.3 bound checks the thesis argues by;
-   - workspace vs fresh allocation on B(2,17): same seeded trials
-     through both paths — statistics bit-identical, wall and GC
-     allocation counters the difference.  [speedup_vs_fresh] and the
-     per-trial minor words are the arena's headline numbers;
+   - workspace vs fresh on B(2,17): the same seeded trials on one
+     reused workspace and, in the [fresh] rows, on a workspace made per
+     trial (make a workspace, run the workspace path) — statistics
+     bit-identical, wall and GC allocation counters the difference.
+     [speedup_vs_fresh] and the per-trial minor words are the arena's
+     headline numbers;
    - the scale sweep: the same campaign out to B(2,22) (4.2M nodes).
 
    Everything except wall_s and the GC figures is deterministic
@@ -85,8 +87,9 @@ let table ~engine ?domains ?reuse ~trials ?fs ~d ~n () =
 let total_wall pts =
   List.fold_left (fun acc (pt : Ca.point) -> acc +. pt.Ca.wall_s) 0. pts
 
-(* The arena's accounting: identical seeded trials through the fresh
-   and the pooled path, sequentially (gated rows), then the pooled path
+(* The arena's accounting: identical seeded trials on a workspace made
+   per trial ([~reuse:false], the fresh rows) and on one reused
+   workspace, sequentially (gated rows), then the reused path
    striding its trials over 4 domains (machine-dependent, so the engine
    name makes the gate skip it).  A point's wall_s sums its trials' own
    times, so the x4 ratio compares per-trial cost with trials running
@@ -97,7 +100,7 @@ let ws_vs_fresh ~smoke () =
   let d = 2 and n = if smoke then 12 else 17 in
   let trials = if smoke then 5 else 10 in
   let fs = [ 5 ] in
-  Printf.printf " workspace vs fresh allocation on B(%d,%d), f=5:\n" d n;
+  Printf.printf " workspace reused vs made per trial on B(%d,%d), f=5:\n" d n;
   let fresh = table ~engine:"fresh" ~reuse:false ~trials ~fs ~d ~n () in
   let ws = table ~engine:"workspace" ~trials ~fs ~d ~n () in
   let speedup = total_wall fresh /. total_wall ws in

@@ -4,9 +4,11 @@
 
    Three studies:
 
-   - workspace vs fresh on B(2,10): the same seeded churn through both
-     allocation paths — event outcomes bit-identical, per-event GC
-     figures the difference;
+   - workspace vs fresh on B(2,10): the same seeded churn with a
+     shared workspace per worker and, in the [fresh] rows, without one
+     (each trial's Live.create makes its own, which its batch fallbacks
+     reuse) — event outcomes bit-identical, per-event GC figures the
+     difference;
    - the headline latency table: B(2,17) and B(2,22) churn, median and
      max Live.apply latency per event versus the cost of one full
      recompute at that size.  The patched path's point is precisely
@@ -115,7 +117,8 @@ let run ?(json = false) ?(smoke = false) () =
   print_endline (String.make 78 '-');
   print_endline "LIVE CHURN - incremental ring repair vs the batch FFC pipeline";
   print_endline (String.make 78 '-');
-  (* Workspace vs fresh: identical seeded events through both paths. *)
+  (* Workspace vs fresh: identical seeded events, with shared
+     workspaces and with one made per trial by Live.create. *)
   let trials = if smoke then 4 else 10 in
   let events = if smoke then 60 else 200 in
   let targets = [ 2; 8 ] in

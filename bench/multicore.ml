@@ -1,9 +1,10 @@
 (* One FFC embed, fresh and on a warm workspace arena — the
    near-zero-allocation claim of the off-heap workspace.
 
-   Smoke: B(2,16); full: B(2,22).  The sequential fresh-allocation
-   embed gives wall clock, GC words, peak RSS and the ring; a
-   workspace embed must reproduce that ring and successor map exactly.
+   Smoke: B(2,16); full: B(2,22).  The fresh embed (no [?ws]: it makes
+   a workspace, then runs the workspace path) gives wall clock, GC
+   words, peak RSS and the ring; an embed on a caller's workspace must
+   reproduce that ring and successor map exactly.
    The steady-state row then measures GC words per embed once the
    arena is warm, and it is gated.  The embed is sequential; the
    ffc-campaign and dhc sections time the domain-strided campaigns. *)
@@ -45,7 +46,7 @@ let embed ~d ~n =
   if
     not
       (Fa.to_array warm.E.successor = Fa.to_array seq.E.successor
-      && warm.E.cycle = seq.E.cycle && E.verify ~ws warm)
+      && warm.E.cycle = seq.E.cycle && E.verify warm)
   then failwith "multicore: workspace embed diverged from the fresh one";
   let reps = 5 in
   let _, gsteady =

@@ -52,38 +52,23 @@ let build ?ws (bstar : Bstar.t) =
   (* One ascending pass: the first live node of each necklace is its
      minimal rotation, i.e. the representative, so the index is built
      without computing canonical forms or listing all of B(d,n).  The
-     workspace rep buffer is already sized for every necklace of
-     B(d,n), so it never grows; [reps] itself stays an exact-size heap
-     copy either way — consumers use its length as the necklace
-     count. *)
-  let idx_of_node, growable =
-    match ws with
-    | None -> (Fa.I32.make size (-1), true)
-    | Some w ->
-        Workspace.check w p;
-        Fa.I32.fill w.Workspace.idx_of_node (-1);
-        (w.Workspace.idx_of_node, false)
-  in
-  let reps_buf =
-    ref (match ws with None -> Fa.create 64 | Some w -> w.Workspace.reps_buf)
-  in
+     rep buffer is sized for every necklace of B(d,n), so it never
+     grows; [reps] itself is an exact-size heap copy — consumers use
+     its length as the necklace count. *)
+  let { Workspace.idx_of_node; reps_buf; _ } = Workspace.resolve ws p in
+  Fa.I32.fill idx_of_node (-1);
   let count = ref 0 in
   let d = p.W.d in
   let top = size / d and digits = Array.make p.W.n 0 in
   for x = 0 to size - 1 do
     if in_bstar.{x} <> 0 && Int32.to_int idx_of_node.{x} < 0 then begin
-      if growable && !count = Fa.length !reps_buf then begin
-        let b = Fa.create (2 * !count) in
-        Fa.blit !reps_buf b;
-        reps_buf := b
-      end;
-      !reps_buf.{!count} <- x;
+      reps_buf.{!count} <- x;
       walk_necklace idx_of_node digits top d !count x x 0;
       incr count
     end;
     tick digits d (p.W.n - 1)
   done;
-  let reps = Fa.sub_to_array !reps_buf 0 !count in
+  let reps = Fa.sub_to_array reps_buf 0 !count in
   { bstar; reps; idx_of_node }
 
 let edges t =

@@ -25,10 +25,10 @@ type t = {
 }
 
 val build : ?ws:Workspace.t -> Bstar.t -> t
-(** With [?ws] the necklace index is built into workspace arrays
-    ([idx_of_node] aliases the workspace; [reps] is still an exact-size
-    fresh copy, since its length {e is} the necklace count
-    everywhere). *)
+(** The necklace index, built into the workspace's [idx_of_node] and
+    [reps_buf] ({!Workspace}'s ownership rule); [reps] is an exact-size
+    heap copy, since its length {e is} the necklace count
+    everywhere. *)
 
 val edges : t -> (int * int * int) list
 (** The labeled edge list [(src idx, dst idx, label w)], both

@@ -99,18 +99,15 @@ let of_flood p faults necklace_faulty mark dist (order : Fa.I32.t) root =
     ecc = Int32.to_int dist.{Int32.to_int order.{count - 1}};
   }
 
-(* The four node tables, fresh or the workspace's, cleared. *)
+(* The four node tables, the workspace's, with the marks and levels
+   cleared. *)
 let tables ws p =
-  match ws with
-  | None ->
-      let n = p.W.size in
-      Fa.I32.check_nodes n;
-      Fa.(Byte.create n, Byte.make n 0, I32.make n (-1), I32.create n)
-  | Some w ->
-      Workspace.check w p;
-      Fa.Byte.fill w.Workspace.in_bstar 0;
-      Fa.I32.fill w.Workspace.dist (-1);
-      Workspace.(w.necklace_faulty, w.in_bstar, w.dist, w.order)
+  let { Workspace.necklace_faulty; in_bstar; dist; order; _ } =
+    Workspace.resolve ws p
+  in
+  Fa.Byte.fill in_bstar 0;
+  Fa.I32.fill dist (-1);
+  (necklace_faulty, in_bstar, dist, order)
 
 let rec first_live (necklace_faulty : Fa.Byte.t) v =
   if necklace_faulty.{v} = 0 then v else first_live necklace_faulty (v + 1)

@@ -67,26 +67,25 @@ val compute :
     component's smallest node), keeps the strictly largest by the rules
     above, and floods once more from that R.
 
-    [?domains] is ignored: the flood and the sweep are sequential.  It
-    stays in the signature only because the repository benchmark
-    ([bench/suite]) passes it, and goes with that benchmark's next
-    re-anchor.  With [?ws] nothing dⁿ-sized is allocated: the result's
-    [necklace_faulty], [in_bstar] (the flood's visited marks) and
-    [dist] (its levels) alias the workspace arrays of those names, and
-    the flood's queue is the workspace's [order] (valid until the
-    workspace's next use; contents bit-identical to fresh).
-    @raise Invalid_argument past 2³¹ nodes: without [?ws], before
-    allocating ({!Graphlib.Flatarr.I32.check_nodes}); with it,
-    {!Workspace.create} already refused such a (d, n). *)
+    The result's [necklace_faulty], [in_bstar] (the flood's visited
+    marks) and [dist] (its levels) are the workspace arrays of those
+    names, and the flood's queue is its [order] ({!Workspace}'s
+    ownership rule).  [?domains] is ignored: the flood and the sweep
+    are sequential.  It stays in the signature only because the
+    repository benchmark ([bench/suite]) passes it, and goes with that
+    benchmark's next re-anchor.
+    @raise Invalid_argument as {!Workspace.resolve}: past 2³¹ nodes,
+    before allocating, or on a workspace for another (d, n). *)
 
 val component_of : Debruijn.Word.params -> faults:int list -> int -> t option
 (** The component containing the given node, with that node's necklace
     representative as root; [None] if the node lies on a faulty
     necklace.  Used for the Table 2.1/2.2 experiments.  One flood from
     the root fills every field, so [dist]/[ecc] are as in {!compute}.
-    Costs O(dⁿ) time and words whatever the component's size: the fault
-    marks, the visited marks and the flood's arrays all span every
-    node. *)
+    Costs O(dⁿ) time and a whole workspace of its own (about 34 bytes
+    per node, {!Workspace.create}) whatever the component's size: the
+    fault marks, the visited marks and the flood's arrays all span
+    every node. *)
 
 val fault_probe : t -> int -> bool
 (** [fault_probe t] is the membership test of [t.faults] — the

@@ -42,7 +42,7 @@ let run_trial ~p ~ws ~seed ~f trial =
         osize = e.Embed.bstar.Bstar.size;
         oring = Embed.length e;
         oecc = e.Embed.bstar.Bstar.ecc;
-        over = Embed.verify ?ws e;
+        over = Embed.verify e;
         oerr = false;
       }
   | exception Pipeline_error.Error _ ->
@@ -51,9 +51,9 @@ let run_trial ~p ~ws ~seed ~f trial =
       { nothing with oerr = true }
 
 (* Trials stride over Util.Trials.run's workers, worker w on workspace
-   [wss.(w)] ([None] on the fresh path).  Outcomes land at their trial
-   index, so every statistic but the wall/GC figures is independent of
-   scheduling. *)
+   [wss.(w)] ([None]: each trial's embed makes its own).  Outcomes land
+   at their trial index, so every statistic but the wall/GC figures is
+   independent of scheduling. *)
 let point ~domains ~trials ~seed ~wss ~p f =
   let r =
     Util.Trials.run ~domains ~trials (fun w trial -> run_trial ~p ~ws:wss.(w) ~seed ~f trial)
@@ -105,8 +105,8 @@ let point ~domains ~trials ~seed ~wss ~p f =
 
 let default_fault_counts = [ 1; 5; 10; 30; 50 ]
 
-(* One workspace per worker of Util.Trials.run, or none on the
-   fresh-allocation path. *)
+(* One workspace per worker of Util.Trials.run, or none, so that each
+   trial makes its own. *)
 let workspaces ~reuse ~domains ~trials p =
   Array.init (min domains trials) (fun _ -> if reuse then Some (Workspace.create p) else None)
 

@@ -12,7 +12,8 @@
     {!Workspace.t} per worker (workspaces are created once per [run]),
     so a steady-state trial allocates almost nothing
     beyond its result ring; [~reuse:false] runs the identical trials
-    through the fresh-allocation path, as the benchmarked baseline.
+    on a workspace per trial, made inside the trial, as the benchmarked
+    baseline.
     Statistics are bit-identical across [?domains] and [?reuse] — only
     the wall/GC figures differ. *)
 
@@ -125,5 +126,6 @@ val churn :
 (** One point per equilibrium target (default [[1; 5; 10; 30; 50]]
     filtered to ≤ dⁿ).  [?domains] strides trials across domains with
     one {!Live.t} and one workspace each; [~reuse:false] drops the
-    workspaces (the batch fallbacks then allocate their own arenas).
+    shared workspaces, so each trial's {!Live.create} makes one, which
+    its batch fallbacks reuse.
     Defaults: 10 trials, 100 events, seed 0x5eed. *)

@@ -10,13 +10,7 @@ type t = {
 
 let successor_map ?domains:_ ?ws (m : Spanning.modified) =
   let p = m.Spanning.tree.Spanning.adj.Adjacency.bstar.Bstar.p in
-  let succ =
-    match ws with
-    | None -> Fa.create p.W.size
-    | Some w ->
-        Workspace.check w p;
-        w.Workspace.successor
-  in
+  let succ = (Workspace.resolve ws p).Workspace.successor in
   Succ_digit.fill_successors p m.Spanning.digit succ;
   succ
 
@@ -39,17 +33,19 @@ let close_ring (m : Spanning.modified) =
   cycle
 
 let of_bstar ?ws bstar =
-  let adj = Adjacency.build ?ws bstar in
-  let tree = Spanning.build ?ws adj in
-  let modified = Spanning.modify ?ws tree in
-  let successor = successor_map ?ws modified in
+  let ws = Workspace.resolve ws bstar.Bstar.p in
+  let adj = Adjacency.build ~ws bstar in
+  let tree = Spanning.build ~ws adj in
+  let modified = Spanning.modify ~ws tree in
+  let successor = successor_map ~ws modified in
   let cycle = close_ring modified in
   { bstar; modified; successor; cycle }
 
 let embed ?root_hint ?domains:_ ?ws p ~faults =
-  Option.map (of_bstar ?ws) (Bstar.compute ?root_hint ?ws p ~faults)
+  let ws = Workspace.resolve ws p in
+  Option.map (of_bstar ~ws) (Bstar.compute ?root_hint ~ws p ~faults)
 
-let verify ?ws t =
+let verify ?ws:_ t =
   let b = t.bstar in
   let p = b.Bstar.p in
   let k = Array.length t.cycle in
@@ -59,14 +55,7 @@ let verify ?ws t =
      avoids faulty necklaces, and every consecutive pair (wrap
      included) is a De Bruijn edge — x → y iff prefix y = suffix x.
      No Digraph is forced even at B(2,22). *)
-  let seen =
-    match ws with
-    | None -> Graphlib.Bitset.create p.W.size
-    | Some w ->
-        Workspace.check w p;
-        Graphlib.Bitset.clear w.Workspace.cycle_seen;
-        w.Workspace.cycle_seen
-  in
+  let seen = Graphlib.Bitset.create p.W.size in
   let in_bstar = b.Bstar.in_bstar in
   let necklace_faulty = b.Bstar.necklace_faulty in
   let ok = ref true in

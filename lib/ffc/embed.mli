@@ -51,9 +51,10 @@ val close_ring : Spanning.modified -> int array
 
 val of_bstar : ?ws:Workspace.t -> Bstar.t -> t
 (** Run steps 1–3 on an already-computed B\u{2217}: the stages, then
-    {!successor_map} and {!close_ring}.  No stage here traverses
-    B\u{2217}: T′'s levels come with the record, from {!Bstar.compute}'s
-    BFS.
+    {!successor_map} and {!close_ring}, all on one workspace (without
+    [?ws], one made for the call; {!Workspace}'s ownership rule).  No
+    stage here traverses B\u{2217}: T′'s levels come with the record,
+    from {!Bstar.compute}'s BFS.
     @raise Pipeline_error.Error if the successors do not close into a
     Hamiltonian cycle of B\u{2217} ({!close_ring}) — impossible
     (Proposition 2.1) on a B\u{2217} produced by {!Bstar.compute}, and a
@@ -71,17 +72,18 @@ val embed :
     no live necklace remains.  Entirely implicit/flat — B(2,22) (4M
     nodes) embeds in seconds without materializing any graph.
 
-    With [?ws] every intermediate lives in the workspace arena and the
-    trial allocates almost nothing beyond [cycle] (which is always a
-    fresh array); all fields except [cycle] alias workspace storage and
-    are invalidated by the workspace's next use.  Contents are
-    bit-identical to the fresh path.  [?domains] is ignored, and kept
+    Every stage runs on one workspace, the caller's or one made for the
+    call, so on a warm workspace the trial allocates almost nothing
+    beyond [cycle], and every field but [cycle] aliases the workspace
+    ({!Workspace}'s ownership rule).  [?domains] is ignored, and kept
     for the repository benchmark only, as on {!successor_map}. *)
 
 val verify : ?ws:Workspace.t -> t -> bool
 (** H is a Hamiltonian cycle of B\u{2217} avoiding all faulty necklaces
-    (checked arithmetically; does not force [bstar.graph]).  [?ws]
-    borrows the workspace's [cycle_seen] bitset instead of allocating. *)
+    (checked arithmetically with a fresh dⁿ-bit seen set; does not
+    force [bstar.graph]).  [?ws] is ignored, like [?domains] on
+    {!embed}: it stays only because the repository benchmark passes
+    it. *)
 
 val length : t -> int
 

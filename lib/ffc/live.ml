@@ -44,7 +44,7 @@ let vec_push v x =
 type t = {
   p : W.params;
   root_hint : int option;
-  ws : Workspace.t option;
+  ws : Workspace.t;  (* every batch embed's tables *)
   (* ---- the current fault set ---- *)
   faulty : Fa.Byte.t;  (* per node, nonzero iff faulty *)
   nk_faults : (int, int) Hashtbl.t;  (* necklace rep -> faulty nodes on it *)
@@ -248,7 +248,7 @@ let load t (e : Embed.t) =
 let recompute t =
   t.c_recomputed <- t.c_recomputed + 1;
   let faults = current_faults t in
-  match Embed.embed ?root_hint:t.root_hint ?ws:t.ws t.p ~faults with
+  match Embed.embed ?root_hint:t.root_hint ~ws:t.ws t.p ~faults with
   | None -> set_empty t
   | Some e -> load t e
 
@@ -732,8 +732,9 @@ let apply t ev =
 (* ------------------------------------------------------------------ *)
 
 let create ?root_hint ?ws p ~faults =
-  I32.check_nodes p.W.size;
-  (match ws with Some w -> Workspace.check w p | None -> ());
+  (* First, so its checks run before any table of Live's own is
+     allocated. *)
+  let ws = Workspace.resolve ws p in
   let sz = p.W.size in
   let t =
     {
@@ -787,7 +788,7 @@ let create ?root_hint ?ws p ~faults =
         if c = 0 then t.live_nodes <- t.live_nodes - Nk.length p rep
       end)
     faults;
-  (match Embed.embed ?root_hint ?ws p ~faults:(current_faults t) with
+  (match Embed.embed ?root_hint ~ws p ~faults:(current_faults t) with
   | None -> set_empty t
   | Some e -> load t e);
   t

@@ -36,14 +36,14 @@
     recompute of B(2,22) (see [bench live]).
 
     A [Live.t] owns all of its tables, off-heap ({!Graphlib.Flatarr}),
-    with B\u{2217} membership keyed by necklace representative; the
-    optional workspace is used only for the embedded batch fallback, so
-    one [Live.t] plus one {!Workspace.t} per domain is the intended
-    churn-campaign setup.  The footprint is 4·4 + 3 + 5/d bytes per
-    node, 21.5 at d = 2: four 32-bit cells per node (representative,
-    distance, and the chosen node and bucket link keyed by
-    representative) and one per (n−1)-suffix (the bucket heads); a
-    byte per node each for the fault flag, the ring as one
+    with B\u{2217} membership keyed by necklace representative.  Its batch
+    embeds run on one {!Workspace.t}: the caller's, or one {!create}
+    makes (about 34 bytes per node beside Live's own 21.5), so no
+    fallback allocates a table.  Live's own footprint is 4·4 + 3 + 5/d
+    bytes per node, 21.5 at d = 2: four 32-bit cells per node
+    (representative, distance, and the chosen node and bucket link
+    keyed by representative) and one per (n−1)-suffix (the bucket
+    heads); a byte per node each for the fault flag, the ring as one
     {!Succ_digit} digit (the batch embed's own format, copied in by a
     fallback at 1 byte per node; the escape side table adds dⁿ words
     for d ≥ 255) and the event's marks; and a mark byte per suffix.
@@ -87,13 +87,13 @@ val create :
   faults:int list ->
   t
 (** Build the engine's initial state with one batch embedding of the
-    given fault set (duplicates tolerated).  [root_hint] and [ws] are
-    remembered and forwarded to every batch fallback, so the state
-    stays comparable to [Embed.embed ?root_hint ?ws] throughout; the
-    fallbacks run sequentially.
-    @raise Invalid_argument on an out-of-range fault or a workspace
-    built for a different (d, n), and past 2³¹ nodes before allocating
-    anything ({!Graphlib.Flatarr.I32.check_nodes}). *)
+    given fault set (duplicates tolerated).  The workspace
+    ({!Workspace.resolve}) comes before any table of Live's own; it and
+    [root_hint] are forwarded to every batch fallback, so the state
+    stays comparable to [Embed.embed ?root_hint ~ws] throughout.
+    @raise Invalid_argument on an out-of-range fault, and as
+    {!Workspace.resolve}: on a workspace for another (d, n), and past
+    2³¹ nodes before allocating anything. *)
 
 val apply : t -> event -> (outcome, error) result
 (** Absorb one event.  [Error] rejects the event {e without} touching

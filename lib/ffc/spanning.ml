@@ -34,26 +34,16 @@ let build ?domains:_ ?ws (adj : Adjacency.t) =
   let dist = bstar.Bstar.dist in
   let in_bstar = bstar.Bstar.in_bstar in
   let root = bstar.Bstar.root in
-  (match ws with Some w -> Workspace.check w p | None -> ());
+  let { Workspace.parent; label; chosen; _ } = Workspace.resolve ws p in
   if in_bstar.{root} = 0 then fail "the root R is not in B*";
   let m = Array.length adj.Adjacency.reps in
   let idx_of_node = adj.Adjacency.idx_of_node in
   let root_idx = Int32.to_int idx_of_node.{root} in
-  (* Necklace-level arrays: workspace capacity is the fault-free
-     necklace count ≥ m; only the first m entries are (re)set and
-     read. *)
-  let necklace_array =
-    match ws with
-    | None -> fun _ -> Fa.make m (-1)
-    | Some w ->
-        fun pick ->
-          let a = pick w in
-          Fa.fill_prefix a m (-1);
-          a
-  in
-  let parent = necklace_array (fun w -> w.Workspace.parent) in
-  let label = necklace_array (fun w -> w.Workspace.label) in
-  let chosen = necklace_array (fun w -> w.Workspace.chosen) in
+  (* Necklace-level arrays: their capacity is the fault-free necklace
+     count ≥ m; only the first m entries are (re)set and read. *)
+  Fa.fill_prefix parent m (-1);
+  Fa.fill_prefix label m (-1);
+  Fa.fill_prefix chosen m (-1);
   (* Earliest receipt, ties toward the minimal node — a lexicographic
      (dist, node) minimum per necklace.  One ascending node scan: on
      equal distance the first (smallest) node sticks. *)
@@ -172,33 +162,19 @@ let modify ?ws t =
   let wsize = p.W.size / p.W.d in
   let m = Array.length adj.Adjacency.reps in
   (* Same bucketing as {!label_buckets}, but as intrusive lists in flat
-     arrays ([bucket_head]/[bucket_next]) so the workspace path
-     allocates nothing; the fresh path uses identical code on fresh
-     arrays.  Walking a chain yields children in descending index —
+     arrays ([bucket_head]/[bucket_next]) so a warm workspace allocates
+     nothing.  Walking a chain yields children in descending index —
      the same order the cons-list version produced — and the sort below
      canonicalizes anyway. *)
-  let bucket_par, bucket_head, bucket_next, scratch, digit =
-    match ws with
-    | None ->
-        ( Fa.make wsize (-1),
-          Fa.make wsize (-1),
-          Fa.make m (-1),
-          Fa.make (m + 1) 0,
-          Succ_digit.create p )
-    | Some w ->
-        Workspace.check w p;
-        Fa.fill w.Workspace.bucket_par (-1);
-        Fa.fill w.Workspace.bucket_head (-1);
-        (* bucket_next needs no reset: only chains rooted in
-           bucket_head are walked, and every link on them is written
-           this call.  The digit table needs none either: the rotation
-           pass below writes every node. *)
-        ( w.Workspace.bucket_par,
-          w.Workspace.bucket_head,
-          w.Workspace.bucket_next,
-          w.Workspace.nscratch,
-          w.Workspace.digit )
+  let { Workspace.bucket_par; bucket_head; bucket_next; nscratch; digit; _ } =
+    Workspace.resolve ws p
   in
+  Fa.fill bucket_par (-1);
+  Fa.fill bucket_head (-1);
+  (* bucket_next needs no reset: only chains rooted in bucket_head are
+     walked, and every link on them is written this call.  The digit
+     table needs none either: the rotation pass below writes every
+     node. *)
   for i = 0 to m - 1 do
     if i <> t.root_idx then begin
       let w = t.label.{i} in
@@ -222,16 +198,16 @@ let modify ?ws t =
     let par = bucket_par.{w} in
     if par >= 0 then begin
       k := 1;
-      scratch.{0} <- par;
+      nscratch.{0} <- par;
       c := bucket_head.{w};
       while !c >= 0 do
-        scratch.{!k} <- !c;
+        nscratch.{!k} <- !c;
         incr k;
         c := bucket_next.{!c}
       done;
       (* Representatives ascend with index, so index order IS
          increasing-representative order. *)
-      if not (link_class p adj.Adjacency.idx_of_node scratch !k w digit)
+      if not (link_class p adj.Adjacency.idx_of_node nscratch !k w digit)
       then fail "a T_w member has no exit or entry node"
     end
   done;

@@ -18,6 +18,10 @@
     one node per necklace Step 1.2 reads — instead of over all of
     B\u{2217}. *)
 
+(** The necklace-level arrays are the workspace's: their capacity is
+    the fault-free necklace count K ([Workspace.max_necklaces]), and
+    only the first K′ entries mean anything, K′ the live necklace count
+    [Array.length adj.reps]. *)
 type tree = {
   adj : Adjacency.t;
   root_idx : int;  (** the necklace of R *)
@@ -39,8 +43,7 @@ val build : ?domains:int -> ?ws:Workspace.t -> Adjacency.t -> tree
     [?domains] is ignored: nothing here runs in parallel.  It stays
     in the signature, like {!Bstar.graph}, only because the repository
     benchmark ([bench/suite]) passes it; it goes at that benchmark's
-    next re-anchor.  With [?ws], [parent]/[label]/[chosen] alias
-    workspace arrays (valid until its next use).
+    next re-anchor.
     @raise Pipeline_error.Error (stage ["Spanning"]) on a malformed
     B\u{2217} record: R outside [in_bstar], a necklace with no reached node,
     a Y without a T′ parent, or a T′ parent outside [in_bstar] (possible
@@ -80,7 +83,6 @@ val modify : ?ws:Workspace.t -> tree -> modified
     that steps through its members in increasing representative order
     and wraps.  One {!Succ_digit.fill_rotations} pass writes every
     node's rotation digit, then {!link_class} writes the exit digits.
-    With [?ws], [digit] aliases the workspace.
     @raise Pipeline_error.Error (stage ["Spanning"]) when a T_w has two
     parents or a member lacks its exit or entry node. *)
 

@@ -1,5 +1,4 @@
 module W = Debruijn.Word
-module Bs = Graphlib.Bitset
 module Fa = Graphlib.Flatarr
 
 type t = {
@@ -12,7 +11,6 @@ type t = {
   idx_of_node : Fa.I32.t;
   digit : Succ_digit.t;
   successor : Fa.t;
-  cycle_seen : Bs.t;
   dist : Fa.I32.t;
   order : Fa.I32.t;
   (* necklace-level scratch (max_necklaces entries unless noted) *)
@@ -65,7 +63,6 @@ let create p =
        a);
     digit = { Succ_digit.bytes = Fa.Arena.carve_byte arena size; wide = carve wide };
     successor = carve size;
-    cycle_seen = Bs.create size;
     dist = Fa.Arena.carve_i32 arena size;
     order = Fa.Arena.carve_i32 arena size;
     reps_buf = carve m;
@@ -78,6 +75,10 @@ let create p =
     bucket_head = carve wsize;
   }
 
-let check t p =
-  if t.p.W.d <> p.W.d || t.p.W.n <> p.W.n then
-    invalid_arg "Ffc.Workspace: workspace built for a different (d, n)"
+let resolve ws p =
+  match ws with
+  | None -> create p
+  | Some t ->
+      if t.p.W.d <> p.W.d || t.p.W.n <> p.W.n then
+        invalid_arg "Ffc.Workspace: workspace built for a different (d, n)";
+      t

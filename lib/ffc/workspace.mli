@@ -1,28 +1,25 @@
-(** Preallocated off-heap scratch arena for repeated FFC embeddings on
+(** The off-heap arena every FFC pipeline stage runs on, sized once for
     one (d, n).
 
-    A workspace bundles every scratch structure the four pipeline
-    stages need — B\u{2217}'s flood levels and queue, the necklace
-    index, adjacency/spanning buffers, the ring's digit table and the
-    successor map — sized once by {!create} and reused across
-    trials via the [?ws] argument of [Bstar.compute], [Embed.embed]
-    etc.  All of it lives in {e one} {!Graphlib.Flatarr.Arena}: three
-    [Bigarray] backing allocations (words, bytes and 32-bit cells) the
-    GC never scans, each region carved at a 64-byte-separated offset so
-    no two arrays — nor two domains' workspaces — share a cache line.  A
-    steady-state trial then allocates almost nothing beyond the
-    returned ring (see DESIGN.md §5 and §6b for the
-    ownership/reset/layout contract).
+    A workspace holds every table the four stages write — B\u{2217}'s
+    flood levels and queue, the necklace index, adjacency/spanning
+    buffers, the ring's digit table and the successor map — in {e one}
+    {!Graphlib.Flatarr.Arena}: three [Bigarray] backing allocations
+    (words, bytes and 32-bit cells) the GC never scans, each region
+    carved at a 64-byte-separated offset so no two arrays — nor two
+    domains' workspaces — share a cache line (DESIGN.md §5 and §6b).
 
-    Reuse discipline:
+    The ownership rule, the same for every stage:
+    - every stage writes into a workspace: the caller's [?ws], or one
+      made for the call ({!resolve}; [Embed.embed] and
+      [Embed.of_bstar] make one and run every stage on it);
+    - the results ({!Bstar.t}, {!Adjacency.t}, {!Spanning.tree},
+      {!Spanning.modified}, the [successor] of {!Embed.t}) alias it
+      until its next use; the ring [cycle] is the one fresh array;
     - each stage resets exactly the scratch it reads before writing,
-      so results are {e bit-identical} to the fresh-allocation path
-      (qcheck-pinned in [test_ffc.ml]);
-    - the structures returned by a [?ws] run ({!Bstar.t},
-      {!Adjacency.t}, {!Spanning.tree}, the [successor] array of
-      {!Embed.t}) {e alias} workspace arrays: they are only valid until
-      the workspace's next use.  The returned [cycle] is the one
-      freshly-allocated result and survives;
+      so a reused workspace gives results bit-identical to a new one
+      (qcheck-pinned in [test_ffc.ml]), and a warm one allocates
+      almost nothing beyond the ring;
     - a workspace is single-threaded state — campaigns give each domain
       its own. *)
 
@@ -43,7 +40,6 @@ type t = {
       (** the ring, one byte per node (and the escape table for
           d ≥ 255); owned by [Spanning.modify] *)
   successor : Graphlib.Flatarr.t;  (** owned by [Embed.successor_map] *)
-  cycle_seen : Graphlib.Bitset.t;  (** owned by [Embed.verify] *)
   dist : Graphlib.Flatarr.I32.t;
       (** owned by [Bstar.compute]: its flood's levels, which the
           B\u{2217} record's [dist] aliases *)
@@ -69,13 +65,16 @@ val create : Debruijn.Word.params -> t
     ring's digit); 6 words per necklace and 2 per (n−1)-suffix.  That is
     dⁿ + 6·K + 2·dⁿ⁻¹ words (K the necklace count), 3·dⁿ cells and
     3·dⁿ bytes — about 34 bytes per node at B(2,20), 12 fewer than
-    with word cells — in one backing allocation per cell kind.  For d ≥ 255 the digit table's escape side table adds dⁿ
-    words.  One one-bit-per-node set ([cycle_seen]) lives on the heap.
-    K comes from Ch. 4's closed form ({!Necklace_count.Count.total}),
-    so the time is the arena's O(dⁿ) first fill.
+    with word cells — in one backing allocation per cell kind.  For
+    d ≥ 255 the digit table's escape side table adds dⁿ words.  K comes
+    from Ch. 4's closed form ({!Necklace_count.Count.total}), so the
+    time is the arena's O(dⁿ) first fill.
     @raise Invalid_argument past 2³¹ nodes, before allocating anything
-    ({!Graphlib.Flatarr.I32.check_nodes}). *)
+    ({!Graphlib.Flatarr.I32.check_nodes}; this is the one place that
+    check runs). *)
 
-val check : t -> Debruijn.Word.params -> unit
-(** @raise Invalid_argument when the workspace was built for a
-    different (d, n). *)
+val resolve : t option -> Debruijn.Word.params -> t
+(** Where a stage's tables come from: [resolve (Some w) p] is [w],
+    [resolve None p] is [create p].
+    @raise Invalid_argument when [w] was built for a different (d, n),
+    or as {!create}. *)

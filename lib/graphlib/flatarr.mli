@@ -81,9 +81,9 @@ module I32 : sig
 
   val check_nodes : int -> unit
   (** [check_nodes size] — the preflight every dⁿ-sized 32-bit table
-      rests on.  [Ffc.Workspace.create], [Ffc.Live.create] and a fresh
-      [Ffc.Bstar.compute] run it before they allocate anything
-      node-sized.
+      rests on.  [Ffc.Workspace.create] runs it before it allocates
+      anything, and every FFC stage, [Ffc.Live.create] included, gets
+      its workspace before any node-sized table.
       @raise Invalid_argument naming [size] and the 2³¹ limit when
       [size > max_nodes]. *)
 

@@ -1027,12 +1027,13 @@ let test_embed_domains_identical () =
 (* ------------------------------------------------------------------ *)
 (* workspace arena *)
 
-(* Compare a workspace run against the fresh-allocation pipeline on
-   every observable: the ws embed's fields alias arena storage, so all
-   comparisons happen before the workspace's next use. *)
+(* Compare a workspace run against an embed without [?ws] (on a
+   workspace of its own) on every observable: the ws embed's fields
+   alias arena storage, so all comparisons happen before the
+   workspace's next use.  Returns the embed without [?ws]. *)
 let check_ws_matches_fresh ?root_hint ?domains p ws faults =
   match (E.embed ?root_hint ?domains p ~faults, E.embed ?root_hint ?domains ~ws p ~faults) with
-  | None, None -> ()
+  | None, None -> None
   | Some fresh, Some wse ->
       check_int "root" fresh.E.bstar.B.root wse.E.bstar.B.root;
       check_int "size" fresh.E.bstar.B.size wse.E.bstar.B.size;
@@ -1041,25 +1042,47 @@ let check_ws_matches_fresh ?root_hint ?domains p ws faults =
       check_bool "successor" true (fresh.E.successor = wse.E.successor);
       check_bool "cycle" true (fresh.E.cycle = wse.E.cycle);
       check_int "ecc" fresh.E.bstar.B.ecc wse.E.bstar.B.ecc;
-      check_bool "ws verify" true (E.verify ~ws wse)
+      check_bool "ws verify" true (E.verify ~ws wse);
+      Some fresh
   | Some _, None -> Alcotest.fail "ws embed lost the ring"
   | None, Some _ -> Alcotest.fail "ws embed invented a ring"
 
 let test_ws_back_to_back () =
   (* One arena, consecutive embeds with different fault sets (including
      none and a B*-shrinking batch): stale state from one trial must not
-     leak into the next. *)
+     leak into the next.  An embed without [?ws] gets a workspace of its
+     own, so each fault set's result from it must read the same after
+     the next such embed on this (d, n), which writes nothing it
+     holds. *)
   let p = W.params ~d:3 ~n:4 in
   let ws = Ffc.Workspace.create p in
-  List.iter
-    (check_ws_matches_fresh p ws)
-    [
-      [ W.of_string p "0201" ];
-      [];
-      [ W.of_string p "0201"; W.of_string p "1122"; W.of_string p "0001" ];
-      List.init 20 (fun i -> (7 * i) mod p.W.size);
-      [];
-    ]
+  let snapshot (e : E.t) =
+    ( Fa.to_array e.E.successor,
+      Fa.Byte.to_bool_array e.E.bstar.B.in_bstar,
+      Fa.I32.to_array e.E.bstar.B.dist,
+      Array.init p.W.size (Ffc.Succ_digit.get e.E.modified.Sp.digit) )
+  in
+  ignore
+    (List.fold_left
+       (fun kept faults ->
+         let fresh = check_ws_matches_fresh p ws faults in
+         Option.iter
+           (fun (e, (succ, in_bstar, dist, digit)) ->
+             let succ', in_bstar', dist', digit' = snapshot e in
+             check_bool "kept successor" true (succ = succ');
+             check_bool "kept in_bstar" true (in_bstar = in_bstar');
+             check_bool "kept dist" true (dist = dist');
+             check_bool "kept digit" true (digit = digit'))
+           kept;
+         Option.map (fun e -> (e, snapshot e)) fresh)
+       None
+       [
+         [ W.of_string p "0201" ];
+         [];
+         [ W.of_string p "0201"; W.of_string p "1122"; W.of_string p "0001" ];
+         List.init 20 (fun i -> (7 * i) mod p.W.size);
+         [];
+       ])
 
 (* Alphabets past a byte: the digit table stores a digit >= 254 as the
    escape byte plus a word side table.  On B(255,2) and B(256,2) (f = 0,
@@ -1114,22 +1137,34 @@ let test_wide_alphabets () =
       done)
     [ (Ffc.Live.Fault v, [ v ]); (Ffc.Live.Repair v, []) ]
 
+(* Every entry point that takes a workspace refuses one built for
+   another (d, n), through the one check in [Workspace.resolve]. *)
 let test_ws_wrong_params () =
   let ws = Ffc.Workspace.create (W.params ~d:3 ~n:4) in
-  Alcotest.check_raises "d/n mismatch"
-    (Invalid_argument "Ffc.Workspace: workspace built for a different (d, n)")
-    (fun () -> ignore (E.embed ~ws (W.params ~d:2 ~n:6) ~faults:[]))
+  let p = W.params ~d:2 ~n:6 in
+  let b = Option.get (B.compute p ~faults:[]) in
+  List.iter
+    (fun (what, run) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Ffc.Workspace: workspace built for a different (d, n)")
+        run)
+    [
+      ("Embed.embed", fun () -> ignore (E.embed ~ws p ~faults:[]));
+      ("Bstar.compute", fun () -> ignore (B.compute ~ws p ~faults:[]));
+      ("Adjacency.build", fun () -> ignore (A.build ~ws b));
+      ("Live.create", fun () -> ignore (Ffc.Live.create ~ws p ~faults:[]));
+    ]
 
 let test_ws_domains_identical () =
   (* The ignored [?domains] together with the arena: still identical
      to the fresh embed. *)
   let p = W.params ~d:2 ~n:13 in
   let ws = Ffc.Workspace.create p in
-  check_ws_matches_fresh ~domains:2 p ws [ 1; 500; 8000 ];
-  check_ws_matches_fresh ~domains:2 p ws [ 2; 3 ];
+  ignore (check_ws_matches_fresh ~domains:2 p ws [ 1; 500; 8000 ]);
+  ignore (check_ws_matches_fresh ~domains:2 p ws [ 2; 3 ]);
   (* Those fault sets isolate 0ⁿ and take Bstar.compute's no-majority
      fallback; this one is the one-BFS path embed-batch times. *)
-  check_ws_matches_fresh ~root_hint:1 ~domains:2 p ws [ 500; 8000 ]
+  ignore (check_ws_matches_fresh ~root_hint:1 ~domains:2 p ws [ 500; 8000 ])
 
 (* workspace.mli's steady-state promise: a warm embed allocates almost
    nothing beyond its result.  Per embed, after two warm-ups, at most 512

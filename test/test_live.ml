@@ -307,7 +307,7 @@ let test_tprime_parent_outside_bstar () =
       let healthy = Option.get (B.compute ~root_hint:1 p ~faults:[]) in
       let dist = healthy.B.dist in
       let tree = Sp.build (Ffc.Adjacency.build healthy) in
-      for i = 0 to Graphlib.Flatarr.length tree.Sp.chosen - 1 do
+      for i = 0 to Array.length tree.Sp.adj.Ffc.Adjacency.reps - 1 do
         if i <> tree.Sp.root_idx then begin
           let y = tree.Sp.chosen.{i} in
           let par =

@@ -302,6 +302,11 @@ let r3 =
           | _ -> ());
   }
 
+(* Resolve a file-local module alias ([module Fa = Flatarr]) to its
+   target's final component, so aliased calls are caught like
+   qualified ones (R4's table makers, R7's allocators). *)
+let resolve_alias ctx m = match Hashtbl.find_opt ctx.aliases m with Some c -> c | None -> m
+
 (* ------------------------------------------------------------------ *)
 (* R4 — arena confinement (DESIGN.md §5): [Ffc.Workspace] internals are
    private to the pipeline stages, and a function taking [?ws] may
@@ -310,9 +315,25 @@ let r3 =
    arena lifetime past the aliasing contract).  The Bigarray backings
    have the same lifetime discipline: [Flatarr.Arena.carve],
    [carve_byte] and [carve_i32] hand out aliasing views, so carving is
-   confined to the workspace constructor (and Flatarr itself). *)
+   confined to the workspace constructor (and Flatarr itself).  And the
+   FFC node tables have one owner: every stage takes them from a
+   workspace, so in lib/ffc only the workspace, [Live]'s own state and
+   the digit table's format ([Succ_digit.create]) call a Flatarr table
+   maker — one anywhere else is a second source of tables. *)
 
 let r4_arena_file path = Lint_project.under_dir "lib/ffc" path
+
+let r4_table_files = [ "lib/ffc/workspace.ml"; "lib/ffc/live.ml"; "lib/ffc/succ_digit.ml" ]
+
+(* The table makers, alias-robust like R7: [Fa.make], [Fa.I32.create],
+   a local-open [Byte.make], [Graphlib.Flatarr.create], ... *)
+let r4_table_maker ctx comps =
+  match List.rev comps with
+  | (("create" | "make") as f) :: m :: _ -> (
+      match resolve_alias ctx m with
+      | ("Flatarr" | "Byte" | "I32") as m -> Some (m ^ "." ^ f)
+      | _ -> None)
+  | _ -> None
 
 let r4_carve_files = [ "lib/ffc/workspace.ml"; "lib/graphlib/flatarr.ml" ]
 
@@ -323,7 +344,7 @@ let r4_carve_access comps =
   | (("carve" | "carve_byte" | "carve_i32") as f) :: "Arena" :: _ -> Some f
   | _ -> None
 
-let r4_public_workspace_values = [ "create"; "check" ]
+let r4_public_workspace_values = [ "create" ]
 
 let r4_workspace_access comps =
   match List.rev comps with
@@ -359,8 +380,8 @@ let r4 =
   {
     id = "R4";
     summary =
-      "arena confinement: Workspace internals and Arena carving stay in the pipeline; ?ws \
-       never escapes into data";
+      "arena confinement: Workspace internals and Arena carving stay in the pipeline, lib/ffc \
+       tables come from a Workspace; ?ws never escapes into data";
     on_expr =
       (fun emit ctx e ->
         (if not (path_allowed r4_carve_files ctx.path) then
@@ -372,6 +393,18 @@ let r4 =
                      (Printf.sprintf
                         "Arena.%s: carving hands out aliasing views; arenas are carved only \
                          by the Workspace constructor" f)
+               | None -> ())
+           | _ -> ());
+        (if r4_arena_file ctx.path && not (path_allowed r4_table_files ctx.path) then
+           match e.pexp_desc with
+           | Pexp_ident { txt; loc } -> (
+               match r4_table_maker ctx (flat txt) with
+               | Some maker ->
+                   emit ~id:"R4" ~loc
+                     (Printf.sprintf
+                        "%s: an FFC stage takes its tables from a Workspace \
+                         (Workspace.resolve); in lib/ffc only workspace.ml, live.ml and \
+                         succ_digit.ml make them" maker)
                | None -> ())
            | _ -> ());
         if not (r4_arena_file ctx.path) then
@@ -479,12 +512,7 @@ let r7_alloc_call ctx comps =
   | _ -> (
       match List.rev comps with
       | f :: m :: _ ->
-          (* Resolve a file-local module alias ([module Fa = Flatarr])
-             to its target's final component, so aliased allocator
-             calls are caught like qualified ones. *)
-          let m =
-            match Hashtbl.find_opt ctx.aliases m with Some c -> c | None -> m
-          in
+          let m = resolve_alias ctx m in
           if List.mem m r7_alloc_mods then
             Some (Printf.sprintf "%s.%s builds closures and intermediate strings" m f)
           else (
